@@ -4,8 +4,8 @@
 CARGO ?= cargo
 
 ## Virtual-memory ceiling (KB) for `make eval-large`: 2 GiB. The
-## streaming pipeline prices a ≥1M-block AES stream well under it; the
-## materialized path needs ~3 GB of KernelOps and dies, by design.
+## streaming pipeline prices a ≥1M-block AES stream (74M op events)
+## well under it — the bulk-stream memory gate.
 EVAL_LARGE_CAP_KB ?= 2097152
 
 ## Wall-clock budget (seconds) for the scaled fast-vs-reference gate in
@@ -15,15 +15,15 @@ EVAL_LARGE_CAP_KB ?= 2097152
 ## Generous because a cold tree pays the release build inside it.
 SIM_VERIFY_BUDGET_S ?= 600
 
-.PHONY: all build test verify doc lint fmt fmt-check bench bench-check figures eval eval-large equivalence dse dse-smoke sim-verify kir-verify serve serve-smoke mc mc-smoke clean
+.PHONY: all build test verify doc lint fmt fmt-check bench bench-check figures eval eval-large equivalence dse dse-smoke sim-verify kir-verify serve serve-smoke mc mc-smoke loc clean
 
 all: verify
 
-## Tier-1 gate (release build + full test suite) plus the PR-1 lint
-## gates: clippy and rustfmt, both warnings-as-errors — the
-## streaming/materialized equivalence regression, the DSE smoke sweep,
-## the functional-simulator differential gate, and the serving smoke
-## suite, explicitly.
+## Tier-1 gate (release build + full test suite) plus the lint gates
+## (clippy and rustfmt, both warnings-as-errors), then — explicitly —
+## the streaming/replay equivalence regression, the DSE smoke sweep, the
+## functional-simulator differential gate, the kernel-IR compiler gate,
+## the serving smoke suite and the Monte-Carlo smoke suite.
 verify: build test lint fmt-check equivalence dse-smoke sim-verify kir-verify serve-smoke mc-smoke
 
 ## The golden-model differential gate: the standard registry
@@ -58,10 +58,11 @@ kir-verify:
 	$(CARGO) test -q -p darth_kir
 	$(CARGO) test -q -p darth_sim --test kir_parity
 
-## The registry-wide bit-identity regression: price(stream) ==
-## price(&Trace) == engine replay for every (workload, model) cell,
-## serial and parallel. Also part of `make test`; kept addressable so
-## the guarantee is auditable on its own.
+## The registry-wide bit-identity regression: live stream == recorded
+## summary replay == one-pass fanout == engine cell for every
+## (workload, model) cell, at every worker count. Also part of
+## `make test`; kept addressable so the guarantee is auditable on its
+## own.
 equivalence:
 	$(CARGO) test -q -p darth_eval --test streaming_equivalence
 
@@ -163,19 +164,16 @@ dse:
 
 ## Price the bulk scenarios (>=1M-block AES, seq-4096 + GPT-2-XL
 ## encoders, ResNet-110) under a hard memory ceiling, writing
-## BENCH_eval_large.json — then demonstrate that the materialized path
-## cannot fit under the same ceiling (its OOM abort is the expected
-## outcome of the second step).
+## BENCH_eval_large.json.
 eval-large: build
 	@echo "== streaming pipeline under ulimit -v $(EVAL_LARGE_CAP_KB) KB =="
 	@bash -c 'ulimit -v $(EVAL_LARGE_CAP_KB); exec ./target/release/eval_large'
-	@echo "== materialized path under the same ceiling (expected to fail) =="
-	@if bash -c 'ulimit -v $(EVAL_LARGE_CAP_KB); exec ./target/release/eval_large --materialized' 2>/dev/null; then \
-		echo "ERROR: the materialized path fit under the cap — the demonstration is broken"; \
-		exit 1; \
-	else \
-		echo "materialized path exceeded the $(EVAL_LARGE_CAP_KB) KB cap, as expected"; \
-	fi
+
+## Lines of Rust in the tracked source trees (vendored stand-ins and
+## build output excluded) — the code-size metric.
+loc:
+	@find crates src tests examples -name target -prune -o -name '*.rs' -print0 \
+		| xargs -0 cat | wc -l
 
 clean:
 	$(CARGO) clean

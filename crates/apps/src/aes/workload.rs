@@ -8,16 +8,14 @@
 //! Two emitters live here:
 //!
 //! * [`emit_block`] streams *one* block encryption — the paper's
-//!   evaluation point, collected into the legacy [`Trace`] by
-//!   [`block_trace`];
+//!   evaluation point ([`AesWorkload`]);
 //! * [`BulkAesWorkload`] streams an arbitrary number of blocks with
 //!   run-length op batches ([`TraceSink::op_run`]), so a million-block
-//!   scenario emits a few dozen events and prices in O(1) memory —
-//!   materializing the same stream costs gigabytes (that contrast is the
-//!   `make eval-large` demonstration).
+//!   scenario emits a few dozen events and prices in O(1) memory (the
+//!   `make eval-large` scenario).
 
 use darth_pum::eval::Workload;
-use darth_pum::trace::{KernelOp, Trace, TraceMeta, TraceSink, VectorKind};
+use darth_pum::trace::{KernelOp, TraceMeta, TraceSink, VectorKind};
 
 /// Rounds for each AES variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -139,14 +137,6 @@ pub fn emit_block_kernels(variant: AesVariant, sink: &mut dyn TraceSink) {
     }
 }
 
-/// Builds the materialized trace for one block encryption by collecting
-/// [`emit_block`].
-pub fn block_trace(variant: AesVariant) -> Trace {
-    let mut collector = darth_pum::trace::TraceCollector::new();
-    emit_block(variant, &mut collector);
-    collector.finish()
-}
-
 /// The AES scenario as a pluggable [`Workload`]: one block encryption of
 /// the chosen key-size variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -195,8 +185,8 @@ impl Workload for AesWorkload {
 }
 
 /// A bulk-encryption scenario: `blocks` independent block encryptions
-/// streamed as one work item — the PrIM-style large memory-bound regime
-/// the materialized pipeline could never reach.
+/// streamed as one work item — the PrIM-style large memory-bound
+/// regime.
 ///
 /// Ops are grouped per kernel into run-length batches (all S-box gathers
 /// of all blocks in one [`TraceSink::op_run`], and so on), so the
@@ -263,7 +253,11 @@ impl Workload for BulkAesWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use darth_pum::trace::SummaryRecorder;
+    use darth_pum::trace::{KernelSummary, OpRun, SummaryRecorder, TraceSummary};
+
+    fn block_summary(variant: AesVariant) -> TraceSummary {
+        TraceSummary::record(|r| emit_block(variant, r))
+    }
 
     #[test]
     fn aes_workload_names_follow_variant() {
@@ -272,13 +266,13 @@ mod tests {
         let names: Vec<String> = AesWorkload::sweep().iter().map(Workload::name).collect();
         assert_eq!(names, ["aes-128", "aes-192", "aes-256"]);
         for w in AesWorkload::sweep() {
-            assert_eq!(w.build_trace().name, w.name());
+            assert_eq!(TraceSummary::record(|r| w.emit(r)).name(), w.name());
         }
     }
 
     #[test]
     fn trace_has_figure14_kernels() {
-        let t = block_trace(AesVariant::Aes128);
+        let t = block_summary(AesVariant::Aes128);
         for name in [
             "DataMovement",
             "SubBytes",
@@ -292,29 +286,35 @@ mod tests {
 
     #[test]
     fn round_scaling() {
-        let aes128 = block_trace(AesVariant::Aes128);
-        let aes256 = block_trace(AesVariant::Aes256);
+        let aes128 = block_summary(AesVariant::Aes128);
+        let aes256 = block_summary(AesVariant::Aes256);
         assert!(aes256.macs() > aes128.macs());
         // MixColumns runs rounds-1 times with 4 column MVMs each.
         assert_eq!(
-            aes128.kernel("MixColumns").map(|k| k.macs()),
+            aes128.kernel("MixColumns").map(KernelSummary::macs),
             Some(9 * 4 * 32 * 32)
         );
     }
 
     #[test]
     fn per_round_op_structure_is_preserved() {
-        // The emitter must reproduce the legacy builder's exact op
-        // sequence (the figure-pricing byte-identity depends on it).
-        let t = block_trace(AesVariant::Aes128);
+        // The emitter must keep the §5.3 per-round op order (the
+        // figure-pricing byte-identity depends on it).
+        let t = block_summary(AesVariant::Aes128);
         let shift_rows = t.kernel("ShiftRows").expect("present");
-        assert_eq!(shift_rows.ops.len(), 20);
-        assert_eq!(shift_rows.ops[0], STATE_COPY);
-        assert_eq!(shift_rows.ops[1], SHIFT_ROWS_LOOKUP);
+        assert_eq!(shift_rows.op_count(), 20);
+        assert_eq!(shift_rows.runs[0].op, STATE_COPY);
+        assert_eq!(shift_rows.runs[1].op, SHIFT_ROWS_LOOKUP);
         let sub_bytes = t.kernel("SubBytes").expect("present");
-        assert_eq!(sub_bytes.ops, vec![SUB_BYTES_LOOKUP; 10]);
+        assert_eq!(
+            sub_bytes.runs,
+            vec![OpRun {
+                op: SUB_BYTES_LOOKUP,
+                repeat: 10
+            }]
+        );
         let ark = t.kernel("AddRoundKey").expect("present");
-        assert_eq!(ark.ops.len(), 22, "initial whitening + 10 rounds + final");
+        assert_eq!(ark.op_count(), 22, "initial whitening + 10 rounds + final");
     }
 
     #[test]
@@ -322,14 +322,14 @@ mod tests {
         // §3's central observation: three of four steps are non-MVM.
         // (Raw MAC counts still dominate because the 32x32 binary matrix
         // is dense; the *time* split is what Figure 14 shows.)
-        let t = block_trace(AesVariant::Aes128);
+        let t = block_summary(AesVariant::Aes128);
         assert!(t.element_ops() > 0);
         assert!(t.mvm_fraction() < 0.95);
     }
 
     #[test]
     fn pipelines_per_item_reflects_mapping() {
-        assert_eq!(block_trace(AesVariant::Aes128).pipelines_per_item, 3);
+        assert_eq!(block_summary(AesVariant::Aes128).meta.pipelines_per_item, 3);
     }
 
     #[test]
@@ -352,8 +352,6 @@ mod tests {
         let one_summary = one_rec.finish();
         assert_eq!(summary.macs(), one_summary.macs() * (1 << 20));
         assert_eq!(summary.op_count(), one_summary.op_count() * (1 << 20));
-        // A million blocks would cost gigabytes to materialize.
-        assert!(summary.materialized_bytes_estimate() > 2_000_000_000);
     }
 
     #[test]
@@ -364,11 +362,12 @@ mod tests {
             variant: AesVariant::Aes256,
             blocks: 1,
         };
-        let bulk_trace = bulk.build_trace();
-        let single = block_trace(AesVariant::Aes256);
+        let bulk_summary = TraceSummary::record(|r| bulk.emit(r));
+        let single = block_summary(AesVariant::Aes256);
+        assert_eq!(bulk_summary.kernel_count(), single.kernel_count());
         for kernel in &single.kernels {
-            let bulk_kernel = bulk_trace.kernel(&kernel.name).expect("same kernels");
-            assert_eq!(bulk_kernel.ops.len(), kernel.ops.len(), "{}", kernel.name);
+            let bulk_kernel = bulk_summary.kernel(&kernel.name).expect("same kernels");
+            assert_eq!(bulk_kernel.op_count(), kernel.op_count(), "{}", kernel.name);
             assert_eq!(bulk_kernel.macs(), kernel.macs());
             assert_eq!(bulk_kernel.element_ops(), kernel.element_ops());
         }

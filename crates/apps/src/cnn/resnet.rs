@@ -277,13 +277,6 @@ impl ResNet {
         self.input_size
     }
 
-    /// Canonical network depth: stem + two convs per residual block + the
-    /// classifier (downsample convs are not counted, per the ResNet
-    /// naming convention) — 20 for [`ResNet::resnet20`].
-    pub fn depth(&self) -> usize {
-        2 + 2 * self.blocks.len()
-    }
-
     /// Number of classes.
     pub fn classes(&self) -> usize {
         self.classes

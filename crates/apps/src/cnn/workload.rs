@@ -1,4 +1,4 @@
-//! The ResNet-20 workload trace (one inference).
+//! The ResNet-20 workload stream (one inference).
 //!
 //! Each conv layer becomes one kernel named after its Figure 15 row: a
 //! Toeplitz MVM (`rows = in_ch·k²`, `cols = out_ch`, one batch entry per
@@ -7,9 +7,8 @@
 //! `Seq-b4-Seq` kernel.
 
 use super::resnet::ResNet;
-use crate::Result;
 use darth_pum::eval::Workload;
-use darth_pum::trace::{KernelOp, Trace, TraceCollector, TraceMeta, TraceSink, VectorKind};
+use darth_pum::trace::{KernelOp, TraceMeta, TraceSink, VectorKind};
 
 /// Streams one inference — one kernel per conv layer plus the
 /// classifier — into `sink`, layer by layer as the conv plan is walked,
@@ -59,18 +58,6 @@ pub fn emit_inference(net: &ResNet, name: &str, sink: &mut dyn TraceSink) {
         weight_bits: 8,
         batch: 1,
     });
-}
-
-/// Builds the materialized per-layer inference trace for a network by
-/// collecting [`emit_inference`].
-///
-/// # Errors
-///
-/// Propagates plan construction errors (none for a valid network).
-pub fn inference_trace(net: &ResNet) -> Result<Trace> {
-    let mut collector = TraceCollector::new();
-    emit_inference(net, &format!("resnet-{}", net.depth()), &mut collector);
-    Ok(collector.finish())
 }
 
 /// A CIFAR-style ResNet inference as a pluggable [`Workload`]: the depth
@@ -159,22 +146,27 @@ pub fn figure15_layer_order(net: &ResNet) -> Vec<String> {
 mod tests {
     use super::*;
     use crate::cnn::resnet::ResNet;
+    use darth_pum::trace::TraceSummary;
+
+    fn resnet20_summary() -> TraceSummary {
+        let net = ResNet::resnet20(1).expect("builds");
+        TraceSummary::record(|r| emit_inference(&net, "resnet-20", r))
+    }
 
     #[test]
     fn trace_covers_every_figure15_layer() {
         let net = ResNet::resnet20(1).expect("builds");
-        let trace = inference_trace(&net).expect("builds");
+        let trace = resnet20_summary();
         for name in figure15_layer_order(&net) {
             assert!(trace.kernel(&name).is_some(), "missing layer {name}");
         }
-        assert_eq!(trace.kernels.len(), 22);
+        assert_eq!(trace.kernel_count(), 22);
     }
 
     #[test]
     fn resnet20_mac_count_is_roughly_40m() {
         // The CIFAR-10 ResNet-20 is ~40.5M MACs per inference.
-        let net = ResNet::resnet20(1).expect("builds");
-        let trace = inference_trace(&net).expect("builds");
+        let trace = resnet20_summary();
         let macs = trace.macs();
         assert!(
             (30_000_000..60_000_000).contains(&macs),
@@ -185,8 +177,7 @@ mod tests {
     #[test]
     fn trace_is_mvm_dominated() {
         // §7.2: ResNet is the MVM-heavy workload.
-        let net = ResNet::resnet20(1).expect("builds");
-        let trace = inference_trace(&net).expect("builds");
+        let trace = resnet20_summary();
         assert!(trace.mvm_fraction() > 0.9, "{}", trace.mvm_fraction());
     }
 
@@ -195,24 +186,22 @@ mod tests {
         let sweep = ResNetWorkload::depth_sweep();
         let names: Vec<String> = sweep.iter().map(Workload::name).collect();
         assert_eq!(names, ["resnet-20", "resnet-32", "resnet-44", "resnet-56"]);
-        let t20 = sweep[0].build_trace();
-        let t32 = sweep[1].build_trace();
-        assert_eq!(t20.name, "resnet-20");
-        assert_eq!(t32.name, "resnet-32");
+        let t20 = TraceSummary::record(|r| sweep[0].emit(r));
+        let t32 = TraceSummary::record(|r| sweep[1].emit(r));
+        assert_eq!(t20.name(), "resnet-20");
+        assert_eq!(t32.name(), "resnet-32");
         // 6 extra residual blocks = 12 extra conv kernels.
-        assert_eq!(t32.kernels.len(), t20.kernels.len() + 12);
+        assert_eq!(t32.kernel_count(), t20.kernel_count() + 12);
         assert!(t32.macs() > t20.macs());
-        // The paper workload is bit-identical to the legacy builder.
-        let legacy = inference_trace(&ResNet::resnet20(1).expect("builds")).expect("builds");
-        assert_eq!(ResNetWorkload::paper().build_trace(), legacy);
+        // The paper workload streams the seed-1 ResNet-20 network.
+        assert_eq!(t20, resnet20_summary());
     }
 
     #[test]
     fn stem_layer_shape() {
-        let net = ResNet::resnet20(1).expect("builds");
-        let trace = inference_trace(&net).expect("builds");
+        let trace = resnet20_summary();
         let stem = trace.kernel("c1-Conv1").expect("exists");
-        match stem.ops[0] {
+        match stem.runs[0].op {
             KernelOp::Mvm {
                 rows, cols, batch, ..
             } => {

@@ -12,7 +12,7 @@
 use darth_kir::{CompiledKernel, KernelIr, KirBuilder};
 use darth_pum::eval::{ExecJob, ExecOutput, Executable, SplitJob, Workload};
 use darth_pum::hct::HctConfig;
-use darth_pum::trace::{KernelOp, Trace, TraceMeta, TraceSink, VectorKind};
+use darth_pum::trace::{KernelOp, TraceMeta, TraceSink, VectorKind};
 
 /// A dense GEMM scenario: `C[m×n] = A[m×k] · B[k×n]`, plus a bias-add and
 /// requantizing shift over the output.
@@ -45,12 +45,6 @@ impl GemmWorkload {
     /// A size sweep of square 8-bit GEMMs (transformer-layer scale).
     pub fn sweep() -> Vec<GemmWorkload> {
         [256, 1024, 4096].into_iter().map(Self::square).collect()
-    }
-
-    /// Builds the materialized trace (the collected form of
-    /// [`Workload::emit`]).
-    pub fn trace(&self) -> Trace {
-        self.build_trace()
     }
 }
 
@@ -322,12 +316,13 @@ impl Executable for GemmExec {
 mod tests {
     use super::*;
     use crate::testutil::execute_job;
+    use darth_pum::trace::TraceSummary;
 
     #[test]
     fn gemm_trace_counts_macs() {
         let g = GemmWorkload::square(64);
-        let t = g.build_trace();
-        assert_eq!(t.name, "gemm-64x64x64");
+        let t = TraceSummary::record(|r| g.emit(r));
+        assert_eq!(t.name(), "gemm-64x64x64");
         assert_eq!(t.macs(), 64 * 64 * 64);
         assert_eq!(t.element_ops(), 2 * 64 * 64);
         assert!(t.mvm_fraction() > 0.9);
@@ -345,7 +340,10 @@ mod tests {
     fn sweep_scales_work() {
         let sweep = GemmWorkload::sweep();
         assert_eq!(sweep.len(), 3);
-        let macs: Vec<u64> = sweep.iter().map(|g| g.trace().macs()).collect();
+        let macs: Vec<u64> = sweep
+            .iter()
+            .map(|g| TraceSummary::record(|r| g.emit(r)).macs())
+            .collect();
         assert!(macs.windows(2).all(|w| w[0] < w[1]));
     }
 

@@ -10,11 +10,11 @@
 //!    executed *functionally* on the simulated hybrid compute tile: AES
 //!    runs bit-exactly through OSCAR pipelines and the analog MixColumns
 //!    crossbar.
-//! 3. A **workload trace** — the architecture-neutral
-//!    [`darth_pum::trace::Trace`] every cost model prices for
-//!    Figures 13–18.
+//! 3. A **workload stream** — the architecture-neutral op stream
+//!    ([`darth_pum::trace::TraceSink`] events) every cost model prices
+//!    for Figures 13–18.
 //!
-//! Every trace builder is also exposed as a pluggable
+//! Every stream emitter is also exposed as a pluggable
 //! [`darth_pum::eval::Workload`] scenario ([`aes::workload::AesWorkload`],
 //! [`cnn::workload::ResNetWorkload`], [`llm::workload::EncoderWorkload`],
 //! and the application-free [`gemm::GemmWorkload`]), each with parameter

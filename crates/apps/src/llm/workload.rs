@@ -1,4 +1,4 @@
-//! The LLM encoder workload trace (one sequence through the stack).
+//! The LLM encoder workload stream (one sequence through the stack).
 //!
 //! Placement per §5.2: weight-static projections (QKV, output, FFN) are
 //! ACE MVMs; the attention mechanism's activation–activation products and
@@ -7,7 +7,7 @@
 
 use super::encoder::EncoderConfig;
 use darth_pum::eval::Workload;
-use darth_pum::trace::{Kernel, KernelOp, Trace, TraceCollector, TraceMeta, TraceSink, VectorKind};
+use darth_pum::trace::{KernelOp, OpRun, TraceMeta, TraceSink, TraceSummary, VectorKind};
 
 /// Ops per scalar I-BERT softmax element (exp poly + normalize).
 const SOFTMAX_OPS_PER_ELEM: u64 = 8;
@@ -97,61 +97,49 @@ pub fn emit_encoder(cfg: &EncoderConfig, name: &str, sink: &mut dyn TraceSink) {
     });
 }
 
-/// Builds the materialized trace for one forward pass of the encoder
-/// stack by collecting [`emit_encoder`].
-pub fn encoder_trace(cfg: &EncoderConfig) -> Trace {
-    let mut collector = TraceCollector::new();
-    emit_encoder(cfg, "llm-encoder", &mut collector);
-    collector.finish()
-}
-
-/// A variant trace that *does* run attention on the ACE, paying the §5.2
-/// reprogramming penalty — the ablation showing why the paper avoids it.
-pub fn encoder_trace_attention_on_ace(cfg: &EncoderConfig) -> Trace {
+/// A variant stream that *does* run attention on the ACE, paying the
+/// §5.2 reprogramming penalty — the ablation showing why the paper avoids
+/// it. The encoder emission is recorded and its `Attention` kernel's ops
+/// replaced with ACE MVMs plus weight updates (K and V must be
+/// reprogrammed every sequence).
+pub fn encoder_trace_attention_on_ace(cfg: &EncoderConfig) -> TraceSummary {
     let d = cfg.d_model as u64;
     let seq = cfg.seq_len as u64;
     let heads = cfg.heads as u64;
     let d_head = cfg.d_head() as u64;
     let layers = cfg.layers as u64;
-    let mut base = encoder_trace(cfg);
-    // Replace the DCE attention kernel with ACE MVMs plus weight updates
-    // (K and V must be reprogrammed every sequence).
-    let attention = Kernel::new(
-        "Attention",
-        vec![
-            KernelOp::WeightUpdate {
-                rows: seq,
-                cols: d,
-                weight_bits: 8,
-            },
-            KernelOp::Mvm {
-                rows: d_head,
-                cols: seq,
-                input_bits: 8,
-                weight_bits: 8,
-                batch: seq * heads * layers,
-            },
-            KernelOp::WeightUpdate {
-                rows: seq,
-                cols: d,
-                weight_bits: 8,
-            },
-            KernelOp::Mvm {
-                rows: seq,
-                cols: d_head,
-                input_bits: 8,
-                weight_bits: 8,
-                batch: seq * heads * layers,
-            },
-        ],
-    );
-    for kernel in &mut base.kernels {
-        if kernel.name == "Attention" {
-            *kernel = attention;
-            break;
-        }
-    }
-    base.name = "llm-encoder-attn-on-ace".to_owned();
+    let reprogram = KernelOp::WeightUpdate {
+        rows: seq,
+        cols: d,
+        weight_bits: 8,
+    };
+    let mut base = TraceSummary::record(|r| emit_encoder(cfg, "llm-encoder-attn-on-ace", r));
+    let attention = base
+        .kernels
+        .iter_mut()
+        .find(|k| k.name == "Attention")
+        .expect("the encoder emits an Attention kernel");
+    attention.runs = [
+        reprogram,
+        KernelOp::Mvm {
+            rows: d_head,
+            cols: seq,
+            input_bits: 8,
+            weight_bits: 8,
+            batch: seq * heads * layers,
+        },
+        reprogram,
+        KernelOp::Mvm {
+            rows: seq,
+            cols: d_head,
+            input_bits: 8,
+            weight_bits: 8,
+            batch: seq * heads * layers,
+        },
+    ]
+    .into_iter()
+    .map(|op| OpRun { op, repeat: 1 })
+    .collect();
     base
 }
 
@@ -245,18 +233,26 @@ impl Workload for EncoderWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use darth_pum::trace::KernelSummary;
+
+    fn bert_base() -> TraceSummary {
+        TraceSummary::record(|r| emit_encoder(&EncoderConfig::bert_base(), "llm-encoder", r))
+    }
+
+    fn has_update(kernel: &KernelSummary) -> bool {
+        kernel
+            .runs
+            .iter()
+            .any(|run| matches!(run.op, KernelOp::WeightUpdate { .. }))
+    }
 
     #[test]
     fn encoder_workload_sweep_varies_shape() {
         let sweep = EncoderWorkload::sweep();
-        assert_eq!(
-            sweep[0].build_trace(),
-            encoder_trace(&EncoderConfig::bert_base())
-        );
-        let base = sweep[0].build_trace();
-        let distil = sweep[1].build_trace();
-        let long = sweep[3].build_trace();
-        assert_eq!(distil.name, "llm-distil");
+        let [base, distil, _, long] =
+            [0, 1, 2, 3].map(|i| TraceSummary::record(|r| sweep[i].emit(r)));
+        assert_eq!(base, bert_base());
+        assert_eq!(distil.name(), "llm-distil");
         assert!(distil.macs() < base.macs(), "6 layers < 12 layers");
         // seq² attention scaling: the long variant is vector-heavier.
         assert!(long.mvm_fraction() < base.mvm_fraction());
@@ -264,7 +260,7 @@ mod tests {
 
     #[test]
     fn trace_covers_both_domains() {
-        let t = encoder_trace(&EncoderConfig::bert_base());
+        let t = bert_base();
         assert!(t.kernel("FFN").is_some());
         assert!(t.kernel("Attention").is_some());
         assert!(t.kernel("Softmax").is_some());
@@ -276,7 +272,7 @@ mod tests {
     fn attention_dominates_element_ops() {
         // §7.1: 71% of LLMEnc time is non-MVM; at the op level the
         // seq^2-scaled attention work dwarfs the pointwise kernels.
-        let t = encoder_trace(&EncoderConfig::bert_base());
+        let t = bert_base();
         let attn = t.kernel("Attention").expect("exists").element_ops();
         let ln = t.kernel("LayerNorm").expect("exists").element_ops();
         assert!(attn > ln);
@@ -284,7 +280,7 @@ mod tests {
 
     #[test]
     fn ffn_is_the_mvm_heavyweight() {
-        let t = encoder_trace(&EncoderConfig::bert_base());
+        let t = bert_base();
         let ffn = t.kernel("FFN").expect("exists").macs();
         let qkv = t.kernel("QKV-Proj").expect("exists").macs();
         assert!(ffn > qkv);
@@ -293,20 +289,13 @@ mod tests {
     #[test]
     fn ace_attention_variant_pays_reprogramming() {
         let cfg = EncoderConfig::bert_base();
-        let dce = encoder_trace(&cfg);
+        let dce = bert_base();
         let ace = encoder_trace_attention_on_ace(&cfg);
-        let has_update = ace
-            .kernel("Attention")
-            .expect("exists")
-            .ops
-            .iter()
-            .any(|op| matches!(op, KernelOp::WeightUpdate { .. }));
-        assert!(has_update);
-        assert!(dce
-            .kernel("Attention")
-            .expect("exists")
-            .ops
-            .iter()
-            .all(|op| !matches!(op, KernelOp::WeightUpdate { .. })));
+        assert_eq!(ace.name(), "llm-encoder-attn-on-ace");
+        assert!(has_update(ace.kernel("Attention").expect("exists")));
+        assert!(!has_update(dce.kernel("Attention").expect("exists")));
+        // Only the attention kernel changes.
+        assert_eq!(ace.kernel("FFN"), dce.kernel("FFN"));
+        assert_eq!(ace.kernel_count(), dce.kernel_count());
     }
 }

@@ -14,7 +14,7 @@
 use darth_kir::{CompiledKernel, KernelIr, KirBuilder};
 use darth_pum::eval::{ExecJob, ExecOutput, Executable, SplitJob, Workload};
 use darth_pum::hct::HctConfig;
-use darth_pum::trace::{KernelOp, Trace, TraceMeta, TraceSink};
+use darth_pum::trace::{KernelOp, TraceMeta, TraceSink};
 
 /// Pipeline roles of the compiled reduction job.
 const P_RED_IN: u16 = 0;
@@ -35,12 +35,6 @@ impl ReduceWorkload {
             .into_iter()
             .map(|n| ReduceWorkload { n })
             .collect()
-    }
-
-    /// Builds the materialized trace (the collected form of
-    /// [`Workload::emit`]).
-    pub fn trace(&self) -> Trace {
-        self.build_trace()
     }
 }
 
@@ -243,7 +237,9 @@ mod tests {
     fn reduce_exec_pairs_with_its_priced_workload() {
         let exec = ReduceExec::standard();
         assert_eq!(exec.exec_name(), "reduce-48");
-        assert_eq!(exec.workload().trace().macs(), 48);
+        let workload = exec.workload();
+        let summary = darth_pum::TraceSummary::record(|r| workload.emit(r));
+        assert_eq!(summary.macs(), 48);
     }
 
     #[test]

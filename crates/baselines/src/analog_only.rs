@@ -8,8 +8,8 @@
 
 use crate::cpu::CpuModel;
 use darth_analog::adc::{Adc, AdcKind};
-use darth_pum::eval::CostAccumulator;
-use darth_pum::trace::{CostReport, KernelOp, Trace, TraceMeta, TraceSink};
+use darth_pum::eval::{ArchModel, CostAccumulator};
+use darth_pum::trace::{CostReport, KernelOp, TraceMeta, TraceSink};
 
 /// CPU + analog accelerator.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -107,17 +107,10 @@ impl BaselineModel {
             adc_energy + self.link_energy_per_byte * bytes,
         )
     }
-
-    /// Prices a trace — MVMs on the accelerator, the rest on the CPU —
-    /// streamed through a [`BaselineAccumulator`].
-    pub fn price(&self, trace: &Trace) -> CostReport {
-        let mut acc = BaselineAccumulator::new(*self);
-        trace.emit_to(&mut acc);
-        acc.finish()
-    }
 }
 
-/// The streaming accumulator behind [`BaselineModel::price`].
+/// The streaming accumulator behind [`BaselineModel`]'s
+/// [`ArchModel::price`]: MVMs on the accelerator, the rest on the CPU.
 #[derive(Debug, Clone)]
 pub struct BaselineAccumulator {
     model: BaselineModel,
@@ -210,7 +203,7 @@ impl CostAccumulator for BaselineAccumulator {
     }
 }
 
-impl darth_pum::eval::ArchModel for BaselineModel {
+impl ArchModel for BaselineModel {
     /// `"baseline-sar"` / `"baseline-ramp"`.
     fn name(&self) -> String {
         format!("baseline-{}", self.adc_kind.slug())
@@ -228,7 +221,7 @@ impl darth_pum::eval::ArchModel for BaselineModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use darth_apps::aes::workload::{block_trace, AesVariant};
+    use darth_apps::aes::workload::AesWorkload;
 
     #[test]
     fn accelerator_beats_cpu_on_the_mvm_kernels() {
@@ -256,7 +249,7 @@ mod tests {
         // §3/§7.1: three of four AES kernels stay on the CPU, so the
         // accelerator barely helps.
         let baseline = BaselineModel::paper(AdcKind::Sar);
-        let report = baseline.price(&block_trace(AesVariant::Aes128));
+        let report = baseline.price(&AesWorkload::paper());
         let total: f64 = report.kernel_latency_s.iter().map(|(_, t)| t).sum();
         let non_mvm: f64 = report
             .kernel_latency_s

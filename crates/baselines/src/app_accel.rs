@@ -10,9 +10,9 @@
 //!   transformer SFU (shift, add, sqrt, ReLU, layernorm).
 
 use darth_analog::adc::{Adc, AdcKind};
-use darth_pum::eval::CostAccumulator;
+use darth_pum::eval::{ArchModel, CostAccumulator};
 use darth_pum::params::{area, ISO_AREA_CM2};
-use darth_pum::trace::{CostReport, KernelOp, Trace, TraceMeta, TraceSink};
+use darth_pum::trace::{CostReport, KernelOp, TraceMeta, TraceSink};
 use serde::{Deserialize, Serialize};
 
 /// Which accelerator to model.
@@ -139,16 +139,10 @@ impl AppAccelModel {
             }
         }
     }
-
-    /// Prices one trace (streamed through an [`AppAccelAccumulator`]).
-    pub fn price(&self, trace: &Trace) -> CostReport {
-        let mut acc = AppAccelAccumulator::new(*self);
-        trace.emit_to(&mut acc);
-        acc.finish()
-    }
 }
 
-/// The streaming accumulator behind [`AppAccelModel::price`].
+/// The streaming accumulator behind [`AppAccelModel`]'s
+/// [`ArchModel::price`].
 ///
 /// The AES-NI flavour prices from the workload name alone (one
 /// instruction per round, §6), so its op events are ignored; the analog
@@ -303,7 +297,7 @@ impl CostAccumulator for AppAccelAccumulator {
     }
 }
 
-impl darth_pum::eval::ArchModel for AppAccelModel {
+impl ArchModel for AppAccelModel {
     /// `"appaccel-aesni"` / `"appaccel-cnn-ramp"` / `"appaccel-llm-sar"`.
     fn name(&self) -> String {
         let adc = self.adc_kind.slug();
@@ -326,25 +320,20 @@ impl darth_pum::eval::ArchModel for AppAccelModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use darth_apps::aes::workload::{block_trace, AesVariant};
-    use darth_apps::cnn::{resnet::ResNet, workload::inference_trace};
-    use darth_apps::llm::encoder::EncoderConfig;
-    use darth_apps::llm::workload::encoder_trace;
+    use darth_apps::aes::workload::{AesVariant, AesWorkload, BulkAesWorkload};
+    use darth_apps::cnn::workload::ResNetWorkload;
+    use darth_apps::llm::workload::EncoderWorkload;
 
     #[test]
     fn aes_ni_is_very_fast_per_block() {
         let accel = AppAccelModel::aes_ni();
-        let report = accel.price(&block_trace(AesVariant::Aes128));
+        let report = accel.price(&AesWorkload::paper());
         assert!(report.latency_s < 100e-9);
         assert!(report.throughput_items_per_s > 1e7);
     }
 
     fn price_bulk(accel: &AppAccelModel, variant: AesVariant, blocks: u64) -> CostReport {
-        use darth_apps::aes::workload::BulkAesWorkload;
-        use darth_pum::eval::{ArchModel, Workload};
-        let mut acc = ArchModel::accumulator(accel);
-        BulkAesWorkload { variant, blocks }.emit(&mut *acc);
-        acc.finish()
+        accel.price(&BulkAesWorkload { variant, blocks })
     }
 
     #[test]
@@ -352,11 +341,13 @@ mod tests {
         // "aes-128-bulk256" must price as 10-round AES-128 — the block
         // count in the name is not a key size.
         let accel = AppAccelModel::aes_ni();
-        let one = accel.price(&block_trace(AesVariant::Aes128));
+        let one = accel.price(&AesWorkload::paper());
         let bulk256 = price_bulk(&accel, AesVariant::Aes128, 256);
         assert!((bulk256.latency_s / one.latency_s - 256.0).abs() < 1e-9);
         // And a real AES-256 bulk stream still prices at 14 rounds.
-        let one_256 = accel.price(&block_trace(AesVariant::Aes256));
+        let one_256 = accel.price(&AesWorkload {
+            variant: AesVariant::Aes256,
+        });
         let bulk_aes256 = price_bulk(&accel, AesVariant::Aes256, 192);
         assert!((bulk_aes256.latency_s / one_256.latency_s - 192.0).abs() < 1e-9);
     }
@@ -364,7 +355,7 @@ mod tests {
     #[test]
     fn aes_ni_scales_with_streamed_block_count() {
         let accel = AppAccelModel::aes_ni();
-        let one = accel.price(&block_trace(AesVariant::Aes128));
+        let one = accel.price(&AesWorkload::paper());
         let bulk_report = price_bulk(&accel, AesVariant::Aes128, 1000);
         assert!((bulk_report.latency_s / one.latency_s - 1000.0).abs() < 1e-9);
         assert!((bulk_report.energy_per_item_j / one.energy_per_item_j - 1000.0).abs() < 1e-9);
@@ -392,17 +383,16 @@ mod tests {
         // latency; DARTH-PUM recovers on iso-area throughput.
         let accel = AppAccelModel::cnn(AdcKind::Ramp);
         let darth = darth_pum::model::DarthModel::paper(AdcKind::Sar);
-        let net = ResNet::resnet20(1).expect("builds");
-        let trace = inference_trace(&net).expect("builds");
-        let a = accel.price(&trace);
-        let d = darth.price(&trace);
+        let resnet = ResNetWorkload::paper();
+        let a = accel.price(&resnet);
+        let d = darth.price(&resnet);
         assert!(a.latency_s < d.latency_s);
     }
 
     #[test]
     fn llm_accel_prices_encoder() {
         let accel = AppAccelModel::llm(AdcKind::Sar);
-        let report = accel.price(&encoder_trace(&EncoderConfig::bert_base()));
+        let report = accel.price(&EncoderWorkload::paper());
         assert!(report.latency_s > 0.0 && report.latency_s.is_finite());
         assert!(report.energy_per_item_j > 0.0);
     }

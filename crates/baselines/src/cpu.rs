@@ -7,8 +7,8 @@
 //! gathers and byte shuffles with little vector parallelism — dominate CPU
 //! execution even before data-movement overheads.
 
-use darth_pum::eval::CostAccumulator;
-use darth_pum::trace::{CostReport, KernelOp, Trace, TraceMeta, TraceSink, VectorKind};
+use darth_pum::eval::{ArchModel, CostAccumulator};
+use darth_pum::trace::{CostReport, KernelOp, TraceMeta, TraceSink, VectorKind};
 
 /// CPU parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -152,17 +152,10 @@ impl CpuModel {
             }
         }
     }
-
-    /// Prices a whole trace with every op on the CPU (streamed through a
-    /// [`CpuAccumulator`]).
-    pub fn price(&self, trace: &Trace) -> CostReport {
-        let mut acc = CpuAccumulator::new(*self);
-        trace.emit_to(&mut acc);
-        acc.finish()
-    }
 }
 
-/// The streaming accumulator behind [`CpuModel::price`].
+/// The streaming accumulator behind [`CpuModel`]'s [`ArchModel::price`]:
+/// every op on the CPU.
 #[derive(Debug, Clone)]
 pub struct CpuAccumulator {
     model: CpuModel,
@@ -237,7 +230,7 @@ impl CostAccumulator for CpuAccumulator {
     }
 }
 
-impl darth_pum::eval::ArchModel for CpuModel {
+impl ArchModel for CpuModel {
     /// `"cpu-i7-13700"` / `"cpu-arm-8core"`.
     fn name(&self) -> String {
         format!("cpu-{}", self.name.to_lowercase())
@@ -255,13 +248,13 @@ impl darth_pum::eval::ArchModel for CpuModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use darth_apps::aes::workload::{block_trace, AesVariant};
+    use darth_apps::aes::workload::AesWorkload;
 
     #[test]
     fn aes_cpu_latency_is_plausible() {
         // A table-based software AES block is some tens to thousands of ns.
         let cpu = CpuModel::i7_13700();
-        let report = cpu.price(&block_trace(AesVariant::Aes128));
+        let report = cpu.price(&AesWorkload::paper());
         assert!(report.latency_s > 1e-9, "{}", report.latency_s);
         assert!(report.latency_s < 1e-4, "{}", report.latency_s);
         assert!(report.energy_per_item_j > 0.0);
@@ -272,7 +265,7 @@ mod tests {
         // §3: SubBytes/ShiftRows/AddRoundKey consume the majority of CPU
         // execution time.
         let cpu = CpuModel::arm_8core();
-        let report = cpu.price(&block_trace(AesVariant::Aes128));
+        let report = cpu.price(&AesWorkload::paper());
         let total: f64 = report.kernel_latency_s.iter().map(|(_, t)| t).sum();
         let mix = report
             .kernel_latency_s
@@ -291,7 +284,7 @@ mod tests {
     fn bigger_cpu_is_faster() {
         let big = CpuModel::i7_13700();
         let small = CpuModel::arm_8core();
-        let t = block_trace(AesVariant::Aes128);
+        let t = AesWorkload::paper();
         assert!(big.price(&t).latency_s < small.price(&t).latency_s);
     }
 

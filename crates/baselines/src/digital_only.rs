@@ -9,9 +9,9 @@
 use darth_digital::logic::LogicFamily;
 use darth_digital::macros::MacroOp;
 use darth_digital::BoolOp;
-use darth_pum::eval::CostAccumulator;
+use darth_pum::eval::{ArchModel, CostAccumulator};
 use darth_pum::params::{area, power, HCTS_PER_FRONT_END, ISO_AREA_CM2};
-use darth_pum::trace::{CostReport, KernelOp, Trace, TraceMeta, TraceSink, VectorKind};
+use darth_pum::trace::{CostReport, KernelOp, TraceMeta, TraceSink, VectorKind};
 use darth_reram::units::CLOCK_HZ;
 use serde::{Deserialize, Serialize};
 
@@ -122,16 +122,10 @@ impl DigitalPumModel {
             }
         }
     }
-
-    /// Prices a trace (streamed through a [`DigitalPumAccumulator`]).
-    pub fn price(&self, trace: &Trace) -> CostReport {
-        let mut acc = DigitalPumAccumulator::new(*self);
-        trace.emit_to(&mut acc);
-        acc.finish()
-    }
 }
 
-/// The streaming accumulator behind [`DigitalPumModel::price`].
+/// The streaming accumulator behind [`DigitalPumModel`]'s
+/// [`ArchModel::price`].
 #[derive(Debug, Clone)]
 pub struct DigitalPumAccumulator {
     model: DigitalPumModel,
@@ -143,7 +137,7 @@ pub struct DigitalPumAccumulator {
     energy: f64,
     breakdown: Vec<(String, f64)>,
     // (name, seconds, joules): per-kernel subtotals; the thermal spread
-    // divides the kernel total once, as the materialized loop did.
+    // divides each kernel total once.
     current: Option<(String, f64, f64)>,
 }
 
@@ -218,7 +212,7 @@ impl CostAccumulator for DigitalPumAccumulator {
     }
 }
 
-impl darth_pum::eval::ArchModel for DigitalPumModel {
+impl ArchModel for DigitalPumModel {
     /// `"digitalpum-oscar"` / `"digitalpum-ideal"`.
     fn name(&self) -> String {
         format!("digitalpum-{}", format!("{}", self.family).to_lowercase())
@@ -236,8 +230,8 @@ impl darth_pum::eval::ArchModel for DigitalPumModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use darth_apps::aes::workload::{block_trace, AesVariant};
-    use darth_apps::cnn::{resnet::ResNet, workload::inference_trace};
+    use darth_apps::aes::workload::AesWorkload;
+    use darth_apps::cnn::workload::ResNetWorkload;
     use darth_pum::model::DarthModel;
 
     #[test]
@@ -251,7 +245,7 @@ mod tests {
     fn ideal_family_is_faster() {
         let oscar = DigitalPumModel::paper(LogicFamily::Oscar);
         let ideal = DigitalPumModel::paper(LogicFamily::Ideal);
-        let t = block_trace(AesVariant::Aes128);
+        let t = AesWorkload::paper();
         assert!(ideal.price(&t).latency_s < oscar.price(&t).latency_s);
     }
 
@@ -261,10 +255,9 @@ mod tests {
         // dominates on ResNet.
         let digital = DigitalPumModel::paper(LogicFamily::Oscar);
         let darth = DarthModel::paper(darth_analog::adc::AdcKind::Sar);
-        let net = ResNet::resnet20(1).expect("builds");
-        let trace = inference_trace(&net).expect("builds");
-        let d = digital.price(&trace);
-        let h = darth.price(&trace);
+        let resnet = ResNetWorkload::paper();
+        let d = digital.price(&resnet);
+        let h = darth.price(&resnet);
         assert!(
             h.latency_s * 3.0 < d.latency_s,
             "darth {} vs digital {}",
@@ -276,7 +269,7 @@ mod tests {
     #[test]
     fn mvm_dominates_digital_aes_time() {
         let digital = DigitalPumModel::paper(LogicFamily::Oscar);
-        let report = digital.price(&block_trace(AesVariant::Aes128));
+        let report = digital.price(&AesWorkload::paper());
         let mix = report
             .kernel_latency_s
             .iter()

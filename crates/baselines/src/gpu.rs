@@ -5,8 +5,8 @@
 //! paper calls out ("the AES lookup tables are small enough to be
 //! cache-resident in the GPU, enabling it to achieve high throughput").
 
-use darth_pum::eval::CostAccumulator;
-use darth_pum::trace::{CostReport, KernelOp, Trace, TraceMeta, TraceSink, VectorKind};
+use darth_pum::eval::{ArchModel, CostAccumulator};
+use darth_pum::trace::{CostReport, KernelOp, TraceMeta, TraceSink, VectorKind};
 
 /// GPU parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -104,20 +104,12 @@ impl GpuModel {
             }
         }
     }
-
-    /// Prices a trace (streamed through a [`GpuAccumulator`]). The GPU
-    /// exploits parallelism across items natively (its throughput numbers
-    /// already assume full occupancy), so item throughput is
-    /// `1 / latency` with the latency computed at full device
-    /// utilisation.
-    pub fn price(&self, trace: &Trace) -> CostReport {
-        let mut acc = GpuAccumulator::new(*self);
-        trace.emit_to(&mut acc);
-        acc.finish()
-    }
 }
 
-/// The streaming accumulator behind [`GpuModel::price`].
+/// The streaming accumulator behind [`GpuModel`]'s [`ArchModel::price`].
+/// The GPU exploits parallelism across items natively (its throughput
+/// numbers already assume full occupancy), so item throughput is
+/// `1 / latency` with the latency computed at full device utilisation.
 #[derive(Debug, Clone)]
 pub struct GpuAccumulator {
     model: GpuModel,
@@ -184,7 +176,7 @@ impl CostAccumulator for GpuAccumulator {
     }
 }
 
-impl darth_pum::eval::ArchModel for GpuModel {
+impl ArchModel for GpuModel {
     /// `"gpu-rtx-4090"` (the marketing name, slugged).
     fn name(&self) -> String {
         format!("gpu-{}", self.name.to_lowercase().replace(' ', "-"))
@@ -202,14 +194,13 @@ impl darth_pum::eval::ArchModel for GpuModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use darth_apps::aes::workload::{block_trace, AesVariant};
-    use darth_apps::cnn::{resnet::ResNet, workload::inference_trace};
+    use darth_apps::aes::workload::AesWorkload;
+    use darth_apps::cnn::workload::ResNetWorkload;
 
     #[test]
     fn gpu_resnet_inference_rate_is_plausible() {
         let gpu = GpuModel::rtx_4090();
-        let net = ResNet::resnet20(1).expect("builds");
-        let report = gpu.price(&inference_trace(&net).expect("builds"));
+        let report = gpu.price(&ResNetWorkload::paper());
         // ResNet-20 is tiny; a 4090 should push > 10k inferences/s even
         // with conservative utilisation, but < 1e9 (it is not free).
         assert!(report.throughput_items_per_s > 1e4);
@@ -219,7 +210,7 @@ mod tests {
     #[test]
     fn gpu_aes_benefits_from_cache_resident_tables() {
         let gpu = GpuModel::rtx_4090();
-        let report = gpu.price(&block_trace(AesVariant::Aes128));
+        let report = gpu.price(&AesWorkload::paper());
         // §7.4: the GPU gets high AES throughput from cached lookups.
         assert!(report.throughput_items_per_s > 1e7);
     }
@@ -227,8 +218,7 @@ mod tests {
     #[test]
     fn energy_scales_with_time() {
         let gpu = GpuModel::rtx_4090();
-        let net = ResNet::resnet20(1).expect("builds");
-        let report = gpu.price(&inference_trace(&net).expect("builds"));
+        let report = gpu.price(&ResNetWorkload::paper());
         // With the kernel-occupancy floor, average power sits below board
         // power (bubbles burn no modelled energy) but stays physical.
         let implied_power = report.energy_per_item_j / report.latency_s;

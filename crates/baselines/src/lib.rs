@@ -1,9 +1,9 @@
 //! Comparison architecture models for the DARTH-PUM evaluation.
 //!
 //! Each model prices the same op streams the DARTH-PUM model prices —
-//! every model is a streaming [`darth_pum::eval::CostAccumulator`]
-//! (materialized [`darth_pum::trace::Trace`]s replay through the same
-//! accumulators, bit-identically) — producing
+//! every model is a streaming [`darth_pum::eval::CostAccumulator`],
+//! priced through the one provided [`darth_pum::eval::ArchModel::price`]
+//! (live scenarios and recorded summaries alike) — producing
 //! [`darth_pum::trace::CostReport`]s whose ratios are Figures 13–18:
 //!
 //! * [`cpu`] — an analytical out-of-order CPU (the i7-13700-class host and

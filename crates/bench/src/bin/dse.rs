@@ -14,10 +14,10 @@
 use darth_analog::adc::AdcKind;
 use darth_bench::{all_reports, emit_json, Threading};
 use darth_eval::dse::{default_sweep, price_sweep, Metric};
-use darth_eval::engine::forced_workers;
 use darth_eval::mc::{attach_accuracy, McConfig};
 use darth_eval::registry::extended_workloads;
 use darth_pum::config::DarthConfig;
+use darth_pum::workers::forced_workers;
 use std::time::Instant;
 
 fn main() {

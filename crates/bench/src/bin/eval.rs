@@ -32,8 +32,8 @@ fn main() {
     // `DARTH_EVAL_THREADS` forces a worker count (e.g. to exercise the
     // multi-threaded path on a single-core CI box); the default is one
     // worker per available core. Empty, zero or non-numeric values fall
-    // back to the default with a warning (`engine::forced_workers`).
-    let forced_threads = darth_eval::engine::forced_workers("DARTH_EVAL_THREADS");
+    // back to the default with a warning (`workers::forced_workers`).
+    let forced_threads = darth_pum::workers::forced_workers("DARTH_EVAL_THREADS");
     let mut parallel_engine = build_engine();
     if let Some(n) = forced_threads {
         parallel_engine.set_threading(Threading::Workers(n));

@@ -3,26 +3,21 @@
 //!
 //! Prices the [`large_workloads`] registry — ≥1M-block bulk AES, a
 //! BERT-large encoder at a 4096-token context, a GPT-2-XL-scale stack,
-//! ResNet-110 — on every architecture column, twice over:
-//!
-//! * **streaming** (default): the engine records each emission as a
-//!   run-length summary and replays it into every model's accumulator,
-//!   plus a fused single-pass [`Engine::price_streamed`] cross-check.
-//!   Peak memory stays flat no matter how many blocks stream by, which
-//!   is why the `make eval-large` target runs this mode under
-//!   `ulimit -v`.
-//! * **`--materialized`**: the legacy path — `Workload::build_trace`
-//!   collects every op into a heap `Vec` before pricing. For the bulk
-//!   AES scenario that is ~3 GB of `KernelOp`s; under the same `ulimit`
-//!   the allocation fails, which is the point the Makefile demonstrates.
+//! ResNet-110 — on every architecture column: the engine records each
+//! emission as a run-length summary and replays it into every model's
+//! accumulator, cross-checked against a fused single-pass
+//! [`price_on_all`]. Peak memory stays flat no matter how many blocks
+//! stream by, which is why the `make eval-large` target runs this under
+//! `ulimit -v`.
 //!
 //! Results land in `BENCH_eval_large.json` together with per-workload
-//! stream statistics (op events, estimated materialized bytes) and the
-//! process's peak resident set.
+//! stream statistics (op and kernel events, stored summary runs) and
+//! the process's peak resident set.
 
 use darth_bench::{emit_json, print_table, Engine, JsonValue, Threading};
 use darth_eval::registry::{all_models, large_workloads};
-use darth_pum::trace::{SummaryRecorder, Trace};
+use darth_pum::eval::{price_on_all, ArchModel};
+use darth_pum::trace::TraceSummary;
 use std::time::Instant;
 
 /// Peak resident set (`VmHWM`) in kilobytes, or 0 when `/proc` is
@@ -38,102 +33,62 @@ fn peak_rss_kb() -> u64 {
         .unwrap_or(0)
 }
 
-fn print_stream_stats(name: &str, summary: &darth_pum::trace::TraceSummary) {
-    println!(
-        "{:<22} {:>12} op events, {:>6} summary runs, ~{:.2} GB if materialized",
-        name,
-        summary.op_count(),
-        summary.kernels.iter().map(|k| k.runs.len()).sum::<usize>(),
-        summary.materialized_bytes_estimate() as f64 / 1e9,
-    );
+/// Stored run-length entries across a summary's kernels.
+fn summary_runs(summary: &TraceSummary) -> usize {
+    summary.kernels.iter().map(|k| k.runs.len()).sum()
 }
 
 fn main() {
-    let materialized_mode = std::env::args().any(|a| a == "--materialized");
     let workloads = large_workloads();
     let models = all_models();
+    let model_refs: Vec<&dyn ArchModel> = models.iter().map(AsRef::as_ref).collect();
 
     let start = Instant::now();
-    let result = if materialized_mode {
-        // The legacy pipeline: collect every op on the heap, then price.
-        // Bulk scenarios are expected to exhaust a memory-capped process
-        // right there, in `Trace::from_workload`. (The stats pass first
-        // records each stream — run-length, so it stays tiny.)
-        for workload in &workloads {
-            let mut recorder = SummaryRecorder::new();
-            workload.emit(&mut recorder);
-            print_stream_stats(&workload.name(), &recorder.finish());
-        }
-        println!("\nmaterializing traces (legacy path)...");
-        let mut cells = Vec::new();
-        for workload in &workloads {
-            let trace = Trace::from_workload(workload.as_ref());
-            println!(
-                "materialized {}: {} kernels",
-                trace.name,
-                trace.kernels.len()
-            );
-            for model in &models {
-                cells.push(model.price(&trace));
-            }
-        }
-        println!("priced {} cells from materialized traces", cells.len());
-        None
-    } else {
-        // The streaming engine: each emission recorded once into the
-        // run-length summary cache, replayed per cell…
-        let mut engine = Engine::new();
-        engine.set_threading(Threading::Parallel);
-        for workload in large_workloads() {
-            engine.register_workload(workload);
-        }
-        for model in all_models() {
-            engine.register_model(model);
-        }
-        let matrix = engine.run();
-        // …with the stream statistics read back from that same cache
-        // (no re-emission)…
-        for workload in &workloads {
-            let summary = engine
-                .summary(&workload.name())
-                .expect("run() cached every registered stream");
-            print_stream_stats(&workload.name(), summary);
-        }
+    // Each emission recorded once into the run-length summary cache and
+    // replayed into every model…
+    let mut engine = Engine::new();
+    engine.set_threading(Threading::Parallel);
+    for workload in large_workloads() {
+        engine.register_workload(workload);
+    }
+    for model in all_models() {
+        engine.register_model(model);
+    }
+    let matrix = engine.run();
+    for workload in &workloads {
+        // …with the stream statistics read back from that same cache (no
+        // re-emission)…
+        let summary = engine
+            .summary(&workload.name())
+            .expect("run() cached every registered stream");
+        println!(
+            "{:<22} {:>12} op events, {:>6} summary runs",
+            workload.name(),
+            summary.op_count(),
+            summary_runs(summary),
+        );
         // …and cross-checked against the fused single-pass fanout.
-        for workload in &workloads {
-            let fused = engine.price_streamed(workload.as_ref());
-            for (report, model) in fused.iter().zip(&models) {
-                let cell = matrix
-                    .cell(&workload.name(), &model.name())
-                    .expect("cell priced");
-                assert_eq!(
-                    report,
-                    cell,
-                    "fused pass diverged from summary replay ({}, {})",
-                    workload.name(),
-                    model.name()
-                );
-            }
+        let fused = price_on_all(workload.as_ref(), model_refs.iter().copied());
+        for (report, model) in fused.iter().zip(&models) {
+            let cell = matrix
+                .cell(&workload.name(), &model.name())
+                .expect("cell priced");
+            assert_eq!(
+                report,
+                cell,
+                "fused pass diverged from summary replay ({}, {})",
+                workload.name(),
+                model.name()
+            );
         }
-        Some((engine, matrix))
-    };
+    }
     let priced_s = start.elapsed().as_secs_f64();
-    let mode = if materialized_mode {
-        "materialized"
-    } else {
-        "streaming"
-    };
     println!(
-        "\npriced {} workloads x {} models in {priced_s:.3} s ({mode}); peak RSS {:.1} MB",
+        "\npriced {} workloads x {} models in {priced_s:.3} s; peak RSS {:.1} MB",
         workloads.len(),
         models.len(),
         peak_rss_kb() as f64 / 1024.0
     );
-
-    let Some((engine, matrix)) = result else {
-        // Materialized mode is a memory demonstration; no report file.
-        return;
-    };
 
     // Summary view: throughput and energy vs the SAR Baseline.
     let columns = ["digitalpum-oscar", "darth-sar", "appaccel", "gpu-rtx-4090"];
@@ -176,14 +131,7 @@ fn main() {
                 ("workload", JsonValue::from(name)),
                 ("op_events", JsonValue::from(summary.op_count())),
                 ("kernel_events", JsonValue::from(summary.kernel_count())),
-                (
-                    "summary_runs",
-                    JsonValue::from(summary.kernels.iter().map(|k| k.runs.len()).sum::<usize>()),
-                ),
-                (
-                    "materialized_bytes_estimate",
-                    JsonValue::from(summary.materialized_bytes_estimate()),
-                ),
+                ("summary_runs", JsonValue::from(summary_runs(summary))),
             ])
         })
         .collect();
@@ -192,7 +140,6 @@ fn main() {
         &JsonValue::object(vec![
             ("schema", JsonValue::from("darth-bench-figure/v1")),
             ("figure", JsonValue::from("eval_large")),
-            ("mode", JsonValue::from(mode)),
             ("priced_seconds", JsonValue::from(priced_s)),
             ("peak_rss_kb", JsonValue::from(peak_rss_kb())),
             ("streams", JsonValue::Array(streams)),

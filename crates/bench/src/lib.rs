@@ -12,8 +12,8 @@
 //! `eval_large` binary prices the bulk scenarios under a memory cap
 //! (`BENCH_eval_large.json`). The Criterion benches in `benches/`
 //! exercise the functional simulators (AES on the tile, pipeline
-//! macros, crossbar MVMs), the engine, and streaming vs materialized
-//! pricing.
+//! macros, crossbar MVMs), the engine, the serving path, the kernel-IR
+//! compiler and the Monte-Carlo trials.
 
 use darth_analog::adc::AdcKind;
 use darth_eval::registry::{paper_models, paper_workloads};
@@ -226,16 +226,15 @@ pub fn emit_json(name: &str, value: &JsonValue) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use darth_apps::aes::workload::{block_trace, AesVariant};
-    use darth_apps::cnn::resnet::ResNet;
-    use darth_apps::cnn::workload::inference_trace;
-    use darth_apps::llm::encoder::EncoderConfig;
-    use darth_apps::llm::workload::encoder_trace;
+    use darth_apps::aes::workload::AesWorkload;
+    use darth_apps::cnn::workload::ResNetWorkload;
+    use darth_apps::llm::workload::EncoderWorkload;
     use darth_baselines::analog_only::BaselineModel;
     use darth_baselines::app_accel::AppAccelModel;
     use darth_baselines::digital_only::DigitalPumModel;
     use darth_baselines::gpu::GpuModel;
     use darth_digital::logic::LogicFamily;
+    use darth_pum::eval::{ArchModel, Workload};
     use darth_pum::model::DarthModel;
 
     #[test]
@@ -262,37 +261,38 @@ mod tests {
     }
 
     /// The engine path reproduces the pre-engine figure numbers: price
-    /// each trace by direct model calls exactly the way the old
+    /// each workload by direct model calls exactly the way the old
     /// `WorkloadReports::build` did, and compare cell by cell.
     #[test]
     fn engine_reports_match_direct_model_pricing() {
         for adc in [AdcKind::Sar, AdcKind::Ramp] {
             let reports = all_reports(adc);
             assert_eq!(reports.len(), 3);
-            let traces = [
-                block_trace(AesVariant::Aes128),
-                inference_trace(&ResNet::resnet20(1).expect("builds")).expect("builds"),
-                encoder_trace(&EncoderConfig::bert_base()),
+            let workloads: [&dyn Workload; 3] = [
+                &AesWorkload::paper(),
+                &ResNetWorkload::paper(),
+                &EncoderWorkload::paper(),
             ];
-            for (report, trace) in reports.iter().zip(&traces) {
-                assert_eq!(report.name, trace.name);
-                assert_eq!(report.baseline, BaselineModel::paper(adc).price(trace));
+            for (report, workload) in reports.iter().zip(workloads) {
+                let name = workload.name();
+                assert_eq!(report.name, name);
+                assert_eq!(report.baseline, BaselineModel::paper(adc).price(workload));
                 assert_eq!(
                     report.digital,
-                    DigitalPumModel::paper(LogicFamily::Oscar).price(trace)
+                    DigitalPumModel::paper(LogicFamily::Oscar).price(workload)
                 );
                 let mut darth_model = DarthModel::paper(adc);
-                if trace.name == "aes-128" && adc == AdcKind::Ramp {
+                if name == "aes-128" && adc == AdcKind::Ramp {
                     darth_model.early_levels = Some(4);
                 }
-                assert_eq!(report.darth, darth_model.price(trace));
-                let accel = match trace.name.as_str() {
+                assert_eq!(report.darth, darth_model.price(workload));
+                let accel = match name.as_str() {
                     "aes-128" => AppAccelModel::aes_ni(),
                     "llm-encoder" => AppAccelModel::llm(AdcKind::Sar),
                     _ => AppAccelModel::cnn(AdcKind::Ramp),
                 };
-                assert_eq!(report.app_accel, accel.price(trace));
-                assert_eq!(report.gpu, GpuModel::rtx_4090().price(trace));
+                assert_eq!(report.app_accel, accel.price(workload));
+                assert_eq!(report.gpu, GpuModel::rtx_4090().price(workload));
             }
         }
     }

@@ -8,27 +8,26 @@
 //!
 //! * a [`Workload`] emits one work item as an op stream into any
 //!   [`TraceSink`] (the AES/ResNet/LLM scenarios in `darth_apps`, plus
-//!   any user-defined scenario). Materialization is just one sink:
-//!   [`Workload::build_trace`] collects the stream into a legacy
-//!   [`Trace`] via [`Trace::from_workload`];
+//!   any user-defined scenario). A recorded [`TraceSummary`] is a
+//!   workload too: it re-emits exactly the stream it recorded;
 //! * an [`ArchModel`] prices the stream through a [`CostAccumulator`] —
 //!   a sink that folds op events into latency/energy state and finishes
 //!   into a [`CostReport`] (the DARTH-PUM model in [`crate::model`] and
-//!   every comparison model in `darth_baselines`). Pricing a
-//!   materialized `&Trace` is the provided [`ArchModel::price`], which
-//!   simply replays the trace through a fresh accumulator — so streamed
-//!   and materialized pricing are bit-identical by construction.
+//!   every comparison model in `darth_baselines`). The provided
+//!   [`ArchModel::price`] streams one workload through a fresh
+//!   accumulator, so a live scenario and its recording price
+//!   bit-identically by construction.
 //!
 //! Because accumulators are independent sinks, one emission can feed
 //! many of them at once: [`Fanout`] (and the [`price_on_all`]
 //! convenience) prices a single op stream on every registered
 //! architecture in one pass, never holding a trace. The `darth_eval`
 //! crate's engine builds on exactly these pieces, caching compressed
-//! [`crate::trace::TraceSummary`] recordings instead of traces.
+//! [`TraceSummary`] recordings and fanning each into every model.
 
 use crate::chip::SideChannel;
 use crate::hct::HctConfig;
-use crate::trace::{CostReport, Trace, TraceCollector, TraceSink};
+use crate::trace::{CostReport, TraceSink, TraceSummary};
 use serde::{Deserialize, Serialize};
 
 /// A workload scenario: anything that can emit itself as an op stream.
@@ -65,22 +64,27 @@ pub trait Workload: Send + Sync {
     /// Streams the work item into `sink`, op by op, without
     /// materializing it.
     fn emit(&self, sink: &mut dyn TraceSink);
-
-    /// Materializes the emission into a heap [`Trace`] through a
-    /// collecting sink. Prefer streaming ([`Workload::emit`]) — a bulk
-    /// scenario can be far too large to collect.
-    fn build_trace(&self) -> Trace {
-        Trace::from_workload(self)
-    }
 }
 
-impl Trace {
-    /// Collects a workload's emission into a materialized trace (the
-    /// sink behind the default [`Workload::build_trace`]).
-    pub fn from_workload<W: Workload + ?Sized>(workload: &W) -> Trace {
-        let mut collector = TraceCollector::new();
-        workload.emit(&mut collector);
-        collector.finish()
+/// A recorded stream is itself a workload: `emit` replays the recording
+/// in its original event order (kernel repeats replay as separate
+/// kernels; op runs replay as the [`TraceSink::op_run`] batches that
+/// were recorded), so any recorded stream prices like any scenario.
+impl Workload for TraceSummary {
+    fn name(&self) -> String {
+        self.meta.name.clone()
+    }
+
+    fn emit(&self, sink: &mut dyn TraceSink) {
+        sink.begin_trace(&self.meta);
+        for kernel in &self.kernels {
+            for _ in 0..kernel.repeat {
+                sink.begin_kernel(&kernel.name);
+                for run in &kernel.runs {
+                    sink.op_run(&run.op, run.repeat);
+                }
+            }
+        }
     }
 }
 
@@ -117,12 +121,11 @@ pub trait ArchModel: Send + Sync {
     /// A fresh streaming accumulator for one work item.
     fn accumulator(&self) -> Box<dyn CostAccumulator + '_>;
 
-    /// Prices one materialized work item on this architecture, by
-    /// replaying the trace through a fresh accumulator. Bit-identical to
-    /// streaming the same op sequence directly.
-    fn price(&self, trace: &Trace) -> CostReport {
+    /// Prices one work item on this architecture by streaming its
+    /// emission through a fresh accumulator.
+    fn price(&self, workload: &dyn Workload) -> CostReport {
         let mut acc = self.accumulator();
-        trace.emit_to(&mut *acc);
+        workload.emit(&mut *acc);
         acc.finish()
     }
 }
@@ -509,7 +512,7 @@ pub fn price_on_all<'m>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{Kernel, KernelOp, TraceMeta};
+    use crate::trace::{KernelOp, OpRun, TraceMeta};
 
     struct OneMove;
 
@@ -567,29 +570,30 @@ mod tests {
         let m: Box<dyn ArchModel> = Box::new(FreeLunch);
         assert_eq!(w.label(), "one-move");
         assert!(w.params().is_empty());
-        let report = m.price(&w.build_trace());
+        let report = m.price(&*w);
         assert_eq!(report.workload, "one-move");
         assert_eq!(m.label(), "free-lunch");
     }
 
     #[test]
-    fn build_trace_collects_the_emission() {
-        let trace = OneMove.build_trace();
-        assert_eq!(trace.name, "one-move");
+    fn streamed_and_recorded_pricing_agree() {
+        let summary = TraceSummary::record(|r| OneMove.emit(r));
+        assert_eq!(summary.name(), "one-move");
+        assert_eq!(summary.kernels.len(), 1);
         assert_eq!(
-            trace.kernels,
-            vec![Kernel::new("mv", vec![KernelOp::HostMove { bytes: 64 }])]
+            summary.kernels[0].runs,
+            vec![OpRun {
+                op: KernelOp::HostMove { bytes: 64 },
+                repeat: 1
+            }]
         );
-    }
-
-    #[test]
-    fn streamed_and_materialized_pricing_agree() {
         let model = FreeLunch;
-        let materialized = model.price(&OneMove.build_trace());
+        let recorded = model.price(&summary);
         let mut acc = model.accumulator();
         OneMove.emit(&mut *acc);
         let streamed = acc.finish();
-        assert_eq!(materialized, streamed);
+        assert_eq!(recorded, streamed);
+        assert_eq!(model.price(&OneMove), streamed);
     }
 
     #[test]

@@ -34,8 +34,8 @@
 //! * [`runtime`] — the application-agnostic half of Table 1's library.
 //! * [`trace`] — architecture-neutral kernel op streams: the
 //!   [`trace::TraceSink`] pipeline every architecture model consumes,
-//!   plus the materialized [`trace::Trace`] and the run-length
-//!   [`trace::TraceSummary`] forms of a recorded stream.
+//!   plus [`trace::TraceSummary`], the run-length recording of a
+//!   stream (itself replayable as a workload).
 //! * [`model`] — the analytical DARTH-PUM cost model (a streaming
 //!   [`eval::CostAccumulator`]) used for the throughput/energy sweeps of
 //!   Figures 13–18.
@@ -95,7 +95,7 @@ pub use eval::{
 pub use hct::{FastTile, GenericTile, HybridComputeTile};
 pub use params::{ChipParams, HctParams};
 pub use runtime::Runtime;
-pub use trace::{Kernel, KernelOp, Trace, TraceMeta, TraceSink, TraceSummary};
+pub use trace::{KernelOp, TraceMeta, TraceSink, TraceSummary};
 
 use std::fmt;
 

@@ -1,6 +1,6 @@
 //! The analytical DARTH-PUM cost model.
 //!
-//! Prices a [`Trace`] on the iso-area chip: every kernel op maps to the
+//! Prices an op stream on the iso-area chip: every kernel op maps to the
 //! same latency/energy rules the functional tile uses (ACE bit-sliced MVM
 //! with rate-matched transfer, DCE macro costs, IIU-injected reductions),
 //! then throughput scales across the chip's HCTs. Figures 13–18 divide
@@ -16,9 +16,9 @@
 //! * Batched MVMs double-buffer across landing pipelines, so consecutive
 //!   inputs overlap at `max(analog, reduce)` (§4.1's rate matching).
 
-use crate::eval::CostAccumulator;
+use crate::eval::{ArchModel, CostAccumulator};
 use crate::params::{power, ChipParams, HCTS_PER_FRONT_END};
-use crate::trace::{CostReport, KernelOp, Trace, TraceMeta, TraceSink, VectorKind};
+use crate::trace::{CostReport, KernelOp, TraceMeta, TraceSink, VectorKind};
 use darth_analog::adc::{Adc, AdcKind};
 use darth_digital::logic::LogicFamily;
 use darth_digital::macros::MacroOp;
@@ -255,23 +255,15 @@ impl DarthModel {
             }
         }
     }
-
-    /// Prices a whole materialized trace into a [`CostReport`] by
-    /// streaming it through a [`DarthAccumulator`].
-    ///
-    /// An item's digital (non-MVM) work spreads across the
-    /// `pipelines_per_item` pipelines its mapping occupies; MVM chains are
-    /// serial per vACore.
-    pub fn price(&self, trace: &Trace) -> CostReport {
-        let mut acc = DarthAccumulator::new(*self);
-        trace.emit_to(&mut acc);
-        acc.finish()
-    }
 }
 
-/// The streaming accumulator behind [`DarthModel::price`]: folds an op
-/// stream into per-kernel latency/energy state and finalizes with the
-/// iso-area placement maths.
+/// The streaming accumulator behind [`DarthModel`]'s
+/// [`ArchModel::price`]: folds an op stream into per-kernel
+/// latency/energy state and finalizes with the iso-area placement maths.
+///
+/// An item's digital (non-MVM) work spreads across the
+/// `pipelines_per_item` pipelines its mapping occupies; MVM chains are
+/// serial per vACore.
 #[derive(Debug, Clone)]
 pub struct DarthAccumulator {
     model: DarthModel,
@@ -409,7 +401,7 @@ impl CostAccumulator for DarthAccumulator {
     }
 }
 
-impl crate::eval::ArchModel for DarthModel {
+impl ArchModel for DarthModel {
     /// `"darth-sar"` / `"darth-ramp"`, with the Figure-10a/ablation knobs
     /// appended when they differ from the paper configuration.
     fn name(&self) -> String {
@@ -435,22 +427,29 @@ impl crate::eval::ArchModel for DarthModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::Kernel;
+    use crate::trace::TraceSummary;
 
-    fn mvm_trace(input_bits: u8, weight_bits: u8) -> Trace {
-        Trace::new(
-            "t",
-            vec![Kernel::new(
-                "mvm",
-                vec![KernelOp::Mvm {
-                    rows: 64,
-                    cols: 64,
-                    input_bits,
-                    weight_bits,
-                    batch: 1,
-                }],
-            )],
-        )
+    /// A one-kernel, one-op stream under `meta`.
+    fn one_op(meta: TraceMeta, kernel: &str, op: KernelOp) -> TraceSummary {
+        TraceSummary::record(|r| {
+            r.begin_trace(&meta);
+            r.begin_kernel(kernel);
+            r.op(&op);
+        })
+    }
+
+    fn mvm_op(input_bits: u8, weight_bits: u8) -> KernelOp {
+        KernelOp::Mvm {
+            rows: 64,
+            cols: 64,
+            input_bits,
+            weight_bits,
+            batch: 1,
+        }
+    }
+
+    fn mvm_trace(input_bits: u8, weight_bits: u8) -> TraceSummary {
+        one_op(TraceMeta::new("t"), "mvm", mvm_op(input_bits, weight_bits))
     }
 
     #[test]
@@ -549,29 +548,25 @@ mod tests {
     #[test]
     fn vector_ops_price_by_macro_cost() {
         let model = DarthModel::paper(AdcKind::Sar);
-        let bool_trace = Trace::new(
-            "b",
-            vec![Kernel::new(
-                "xor",
-                vec![KernelOp::Vector {
-                    kind: VectorKind::Bool,
-                    elements: 64,
-                    bits: 8,
-                    count: 100,
-                }],
-            )],
+        let bool_trace = one_op(
+            TraceMeta::new("b"),
+            "xor",
+            KernelOp::Vector {
+                kind: VectorKind::Bool,
+                elements: 64,
+                bits: 8,
+                count: 100,
+            },
         );
-        let mul_trace = Trace::new(
-            "m",
-            vec![Kernel::new(
-                "mul",
-                vec![KernelOp::Vector {
-                    kind: VectorKind::Mul,
-                    elements: 64,
-                    bits: 8,
-                    count: 100,
-                }],
-            )],
+        let mul_trace = one_op(
+            TraceMeta::new("m"),
+            "mul",
+            KernelOp::Vector {
+                kind: VectorKind::Mul,
+                elements: 64,
+                bits: 8,
+                count: 100,
+            },
         );
         let b = model.price(&bool_trace);
         let m = model.price(&mul_trace);
@@ -582,10 +577,18 @@ mod tests {
     fn parallelism_caps_apply() {
         let model = DarthModel::paper(AdcKind::Sar);
         let free = model.price(&mvm_trace(8, 8));
-        let capped_trace = mvm_trace(8, 8).with_parallel_items(1);
+        let capped_trace = one_op(
+            TraceMeta::new("t").with_parallel_items(1),
+            "mvm",
+            mvm_op(8, 8),
+        );
         let capped = model.price(&capped_trace);
         assert!(capped.throughput_items_per_s < free.throughput_items_per_s);
-        let fat_trace = mvm_trace(8, 8).with_pipelines_per_item(64);
+        let fat_trace = one_op(
+            TraceMeta::new("t").with_pipelines_per_item(64),
+            "mvm",
+            mvm_op(8, 8),
+        );
         let fat = model.price(&fat_trace);
         assert!(fat.throughput_items_per_s < free.throughput_items_per_s);
     }
@@ -593,28 +596,22 @@ mod tests {
     #[test]
     fn kernel_breakdown_sums_to_latency() {
         let model = DarthModel::paper(AdcKind::Sar);
-        let trace = Trace::new(
-            "multi",
-            vec![
-                Kernel::new(
-                    "a",
-                    vec![KernelOp::Vector {
-                        kind: VectorKind::Add,
-                        elements: 64,
-                        bits: 8,
-                        count: 10,
-                    }],
-                ),
-                Kernel::new(
-                    "b",
-                    vec![KernelOp::TableLookup {
-                        elements: 64,
-                        table_size: 256,
-                        bits: 8,
-                    }],
-                ),
-            ],
-        );
+        let trace = TraceSummary::record(|r| {
+            r.begin_trace(&TraceMeta::new("multi"));
+            r.begin_kernel("a");
+            r.op(&KernelOp::Vector {
+                kind: VectorKind::Add,
+                elements: 64,
+                bits: 8,
+                count: 10,
+            });
+            r.begin_kernel("b");
+            r.op(&KernelOp::TableLookup {
+                elements: 64,
+                table_size: 256,
+                bits: 8,
+            });
+        });
         let report = model.price(&trace);
         let sum: f64 = report.kernel_latency_s.iter().map(|(_, s)| s).sum();
         assert!((sum - report.latency_s).abs() / report.latency_s < 1e-9);
@@ -623,16 +620,14 @@ mod tests {
     #[test]
     fn weight_update_is_expensive() {
         let model = DarthModel::paper(AdcKind::Sar);
-        let update = Trace::new(
-            "u",
-            vec![Kernel::new(
-                "prog",
-                vec![KernelOp::WeightUpdate {
-                    rows: 64,
-                    cols: 64,
-                    weight_bits: 8,
-                }],
-            )],
+        let update = one_op(
+            TraceMeta::new("u"),
+            "prog",
+            KernelOp::WeightUpdate {
+                rows: 64,
+                cols: 64,
+                weight_bits: 8,
+            },
         );
         let mvm = model.price(&mvm_trace(8, 8));
         let upd = model.price(&update);

@@ -1,27 +1,27 @@
-//! Architecture-neutral kernel traces — streamed or materialized.
+//! Architecture-neutral kernel op streams.
 //!
 //! Each application (`darth-apps`) lowers one *work item* — an AES block
 //! encryption, a ResNet-20 inference, an LLM encoder pass — into a
-//! sequence of named kernels made of coarse-grained [`KernelOp`]s. The
-//! canonical form of that sequence is a *stream*: the workload pushes op
+//! sequence of named kernels made of coarse-grained [`KernelOp`]s. That
+//! sequence only ever exists as a *stream*: the workload pushes op
 //! events into a [`TraceSink`] and never materializes anything, so a
-//! million-block bulk scenario prices in O(1) memory. Two sinks matter
-//! most:
+//! million-block bulk scenario prices in O(1) memory. Two kinds of sink
+//! matter:
 //!
 //! * every architecture model is a streaming cost accumulator (the
 //!   DARTH-PUM model in [`crate::model`], the CPU / GPU / analog-only /
 //!   RACER / AppAccel models in `darth-baselines`) — see
 //!   [`crate::eval::CostAccumulator`];
-//! * [`TraceCollector`] materializes the stream into a [`Trace`], the
-//!   legacy heap form the figure tests still inspect, and
-//!   [`SummaryRecorder`] compresses it into a run-length [`TraceSummary`]
-//!   the evaluation engine caches and replays.
+//! * [`SummaryRecorder`] compresses the stream into a run-length
+//!   [`TraceSummary`], the one stored form: the evaluation engine caches
+//!   it, tests inspect it, and — being a [`crate::eval::Workload`] — it
+//!   replays into any sink.
 //!
 //! Figures 13–18 are all ratios of the resulting [`CostReport`]s, and
-//! streaming and materialized pricing are bit-identical by construction:
-//! replaying a collected [`Trace`] or a recorded [`TraceSummary`]
-//! reproduces the exact op sequence (and therefore the exact `f64`
-//! accumulation order) of the original emission.
+//! live and recorded pricing are bit-identical by construction: a
+//! recorded [`TraceSummary`] reproduces the exact op sequence (and
+//! therefore the exact `f64` accumulation order) of the original
+//! emission.
 
 use serde::{Deserialize, Serialize};
 
@@ -136,56 +136,14 @@ impl KernelOp {
     }
 }
 
-/// A named phase of a work item (one AES round step, one CNN layer, …).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Kernel {
-    /// Display name (drives Figure 14/15 per-kernel breakdowns).
+/// Trace-level metadata, delivered to a [`TraceSink`] before any kernel:
+/// the work-item name plus its placement hints.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct TraceMeta {
+    /// Work item name (`"aes-128"`, `"resnet-110"`, …).
     pub name: String,
-    /// The operations, assumed dependent in order.
-    pub ops: Vec<KernelOp>,
-}
-
-impl Kernel {
-    /// Creates a kernel.
-    pub fn new(name: impl Into<String>, ops: Vec<KernelOp>) -> Self {
-        Kernel {
-            name: name.into(),
-            ops,
-        }
-    }
-
-    /// Total MACs in this kernel (saturating).
-    pub fn macs(&self) -> u64 {
-        self.ops
-            .iter()
-            .fold(0u64, |acc, op| acc.saturating_add(op.macs()))
-    }
-
-    /// Total element-ops in this kernel (saturating).
-    pub fn element_ops(&self) -> u64 {
-        self.ops
-            .iter()
-            .fold(0u64, |acc, op| acc.saturating_add(op.element_ops()))
-    }
-
-    /// Total host-move bytes in this kernel (saturating).
-    pub fn host_bytes(&self) -> u64 {
-        self.ops.iter().fold(0u64, |acc, op| match *op {
-            KernelOp::HostMove { bytes } => acc.saturating_add(bytes),
-            _ => acc,
-        })
-    }
-}
-
-/// A full work item: the unit whose latency and energy the figures report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Trace {
-    /// Work item name (`"aes-128"`, `"resnet-20"`, `"llm-encoder"`).
-    pub name: String,
-    /// The kernels, executed in order.
-    pub kernels: Vec<Kernel>,
-    /// How many independent copies of this item a chip may run in parallel
-    /// given unlimited area (caps iso-area batching; e.g. AES is
+    /// How many independent copies of this item a chip may run in
+    /// parallel given unlimited area (caps iso-area batching; e.g. AES is
     /// embarrassingly parallel, one CNN inference is one item).
     pub parallel_items: u64,
     /// DCE pipelines one in-flight item occupies (placement hint from the
@@ -193,96 +151,9 @@ pub struct Trace {
     pub pipelines_per_item: u64,
 }
 
-impl Trace {
-    /// Creates a trace.
-    pub fn new(name: impl Into<String>, kernels: Vec<Kernel>) -> Self {
-        Trace {
-            name: name.into(),
-            kernels,
-            parallel_items: u64::MAX,
-            pipelines_per_item: 1,
-        }
-    }
-
-    /// Sets the per-item pipeline footprint (builder style).
-    pub fn with_pipelines_per_item(mut self, pipelines: u64) -> Self {
-        self.pipelines_per_item = pipelines.max(1);
-        self
-    }
-
-    /// Caps the exploitable parallelism (builder style).
-    pub fn with_parallel_items(mut self, items: u64) -> Self {
-        self.parallel_items = items.max(1);
-        self
-    }
-
-    /// Total MACs across kernels (saturating).
-    pub fn macs(&self) -> u64 {
-        self.kernels
-            .iter()
-            .fold(0u64, |acc, k| acc.saturating_add(k.macs()))
-    }
-
-    /// Total element-ops across kernels (saturating).
-    pub fn element_ops(&self) -> u64 {
-        self.kernels
-            .iter()
-            .fold(0u64, |acc, k| acc.saturating_add(k.element_ops()))
-    }
-
-    /// Fraction of MACs among (MACs + element ops) — a rough measure of
-    /// how MVM-heavy the workload is.
-    pub fn mvm_fraction(&self) -> f64 {
-        let macs = self.macs() as f64;
-        let eops = self.element_ops() as f64;
-        if macs + eops == 0.0 {
-            return 0.0;
-        }
-        macs / (macs + eops)
-    }
-
-    /// Looks up a kernel by name.
-    pub fn kernel(&self, name: &str) -> Option<&Kernel> {
-        self.kernels.iter().find(|k| k.name == name)
-    }
-
-    /// Streams this materialized trace into a sink, op by op, in the
-    /// exact stored order. This is how the default
-    /// [`crate::eval::ArchModel::price`] prices a `&Trace` through a
-    /// streaming accumulator.
-    pub fn emit_to(&self, sink: &mut dyn TraceSink) {
-        let meta = TraceMeta {
-            name: self.name.clone(),
-            parallel_items: self.parallel_items,
-            pipelines_per_item: self.pipelines_per_item,
-        };
-        sink.begin_trace(&meta);
-        for kernel in &self.kernels {
-            sink.begin_kernel(&kernel.name);
-            for op in &kernel.ops {
-                sink.op(op);
-            }
-        }
-    }
-}
-
-/// Trace-level metadata, delivered to a [`TraceSink`] before any kernel:
-/// the work-item name plus the placement hints [`Trace`] carries as
-/// fields.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TraceMeta {
-    /// Work item name (`"aes-128"`, `"resnet-110"`, …).
-    pub name: String,
-    /// Independent-copy cap (see [`Trace::parallel_items`]).
-    pub parallel_items: u64,
-    /// DCE pipelines one in-flight item occupies (see
-    /// [`Trace::pipelines_per_item`]).
-    pub pipelines_per_item: u64,
-}
-
 impl TraceMeta {
-    /// Metadata with the same defaults as [`Trace::new`]: unlimited
-    /// parallel items, one pipeline per item.
+    /// Metadata with the defaults: unlimited parallel items, one
+    /// pipeline per item.
     pub fn new(name: impl Into<String>) -> Self {
         TraceMeta {
             name: name.into(),
@@ -292,15 +163,15 @@ impl TraceMeta {
     }
 
     /// Sets the per-item pipeline footprint (builder style, clamped to
-    /// ≥ 1 like [`Trace::with_pipelines_per_item`]).
+    /// ≥ 1).
     #[must_use]
     pub fn with_pipelines_per_item(mut self, pipelines: u64) -> Self {
         self.pipelines_per_item = pipelines.max(1);
         self
     }
 
-    /// Caps the exploitable parallelism (builder style, clamped to ≥ 1
-    /// like [`Trace::with_parallel_items`]).
+    /// Caps the exploitable parallelism (builder style, clamped to
+    /// ≥ 1).
     #[must_use]
     pub fn with_parallel_items(mut self, items: u64) -> Self {
         self.parallel_items = items.max(1);
@@ -313,8 +184,7 @@ impl TraceMeta {
 /// A workload emits one work item as a flat event stream — one
 /// [`TraceSink::begin_trace`], then for each kernel a
 /// [`TraceSink::begin_kernel`] followed by its ops in execution order —
-/// and the sink prices, records, or materializes the events as they
-/// arrive. Nothing is ever buffered by the protocol itself, so emission
+/// and the sink prices or records the events as they arrive. Nothing is ever buffered by the protocol itself, so emission
 /// is O(1) memory regardless of workload scale.
 ///
 /// `op_run` is the primitive: `op_run(op, n)` means *the same op, `n`
@@ -322,8 +192,7 @@ impl TraceMeta {
 /// [`TraceSink::op`] `n` times. Cost accumulators exploit the
 /// equivalence by pricing the op once and folding the repeat in a tight
 /// loop (bit-identical to op-by-op accumulation, since each repetition
-/// adds the same addend in the same order); materializing sinks expand
-/// the run.
+/// adds the same addend in the same order).
 pub trait TraceSink {
     /// Starts the work item. Emitters call this exactly once, before any
     /// kernel event.
@@ -340,66 +209,6 @@ pub trait TraceSink {
     /// One occurrence of `op` (convenience over [`TraceSink::op_run`]).
     fn op(&mut self, op: &KernelOp) {
         self.op_run(op, 1);
-    }
-}
-
-/// A sink that materializes the stream into a heap [`Trace`] — the
-/// bridge that keeps the legacy materialized pipeline (figure tests, op
-/// inspection, golden comparisons) alive on top of streaming emitters.
-///
-/// Note the asymmetry this makes explicit: collecting expands every
-/// [`TraceSink::op_run`] into `repeat` stored ops, so a bulk scenario
-/// that streams in O(1) memory can cost gigabytes to collect (that is
-/// exactly what `make eval-large` demonstrates under its memory cap).
-#[derive(Debug)]
-pub struct TraceCollector {
-    trace: Trace,
-}
-
-impl Default for TraceCollector {
-    fn default() -> Self {
-        TraceCollector::new()
-    }
-}
-
-impl TraceCollector {
-    /// An empty collector.
-    pub fn new() -> Self {
-        TraceCollector {
-            trace: Trace::new("", Vec::new()),
-        }
-    }
-
-    /// The collected trace.
-    pub fn finish(self) -> Trace {
-        self.trace
-    }
-}
-
-impl TraceSink for TraceCollector {
-    fn begin_trace(&mut self, meta: &TraceMeta) {
-        self.trace.name = meta.name.clone();
-        self.trace.parallel_items = meta.parallel_items;
-        self.trace.pipelines_per_item = meta.pipelines_per_item;
-    }
-
-    fn begin_kernel(&mut self, name: &str) {
-        self.trace.kernels.push(Kernel::new(name, Vec::new()));
-    }
-
-    fn op_run(&mut self, op: &KernelOp, repeat: u64) {
-        let kernel = self
-            .trace
-            .kernels
-            .last_mut()
-            .expect("begin_kernel precedes ops");
-        // usize::MAX ops cannot be materialized anyway; saturate rather
-        // than wrap on 32-bit targets.
-        let repeat = usize::try_from(repeat).unwrap_or(usize::MAX);
-        kernel.ops.reserve(repeat);
-        for _ in 0..repeat {
-            kernel.ops.push(*op);
-        }
     }
 }
 
@@ -427,24 +236,48 @@ pub struct KernelSummary {
 }
 
 impl KernelSummary {
-    /// Total ops in one repetition of this kernel (saturating).
-    fn ops_per_repeat(&self) -> u64 {
-        self.runs
-            .iter()
-            .fold(0u64, |acc, run| acc.saturating_add(run.repeat))
+    /// Total op events across all repetitions of this kernel
+    /// (saturating).
+    pub fn op_count(&self) -> u64 {
+        self.total(|_| 1)
+    }
+
+    /// Total MACs across all repetitions of this kernel (saturating).
+    pub fn macs(&self) -> u64 {
+        self.total(KernelOp::macs)
+    }
+
+    /// Total element-ops across all repetitions of this kernel
+    /// (saturating).
+    pub fn element_ops(&self) -> u64 {
+        self.total(KernelOp::element_ops)
+    }
+
+    /// Sums `per_op` over every op event of every repetition
+    /// (saturating).
+    fn total(&self, per_op: impl Fn(&KernelOp) -> u64) -> u64 {
+        self.runs.iter().fold(0u64, |acc, run| {
+            acc.saturating_add(
+                per_op(&run.op)
+                    .saturating_mul(run.repeat)
+                    .saturating_mul(self.repeat),
+            )
+        })
     }
 }
 
 /// A run-length-compressed recording of one emitted op stream.
 ///
-/// This is what the evaluation engine caches instead of a materialized
-/// [`Trace`]: consecutive identical ops collapse into one [`OpRun`] and
-/// consecutive identical kernels collapse into one [`KernelSummary`]
-/// with a repeat count, so the regular bulk scenarios (a million
-/// identical AES blocks) compress to a handful of entries while
-/// [`TraceSummary::replay_into`] still reproduces the *exact* original
-/// event sequence — same ops, same order, same `op_run` batching — into
-/// any sink.
+/// This is the one stored form of an op stream, and what the evaluation
+/// engine caches: consecutive identical ops collapse into one [`OpRun`]
+/// and consecutive identical kernels collapse into one
+/// [`KernelSummary`] with a repeat count, so the regular bulk scenarios
+/// (a million identical AES blocks) compress to a handful of entries. A
+/// summary is itself a [`crate::eval::Workload`]: its `emit` reproduces
+/// the *exact* original op sequence — same ops, same order, consecutive
+/// repeats delivered as [`TraceSink::op_run`] batches, which the sink
+/// contract makes observationally identical — into any sink, so it
+/// prices bit-identically to the scenario it recorded.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TraceSummary {
     /// Trace-level metadata as emitted.
@@ -461,50 +294,35 @@ impl TraceSummary {
         recorder.finish()
     }
 
-    /// Replays the recorded stream into `sink`, preserving the original
-    /// event order (kernel repeats replay as separate kernels; op runs
-    /// replay as the [`TraceSink::op_run`] batches that were recorded).
-    pub fn replay_into(&self, sink: &mut dyn TraceSink) {
-        sink.begin_trace(&self.meta);
-        for kernel in &self.kernels {
-            for _ in 0..kernel.repeat {
-                sink.begin_kernel(&kernel.name);
-                for run in &kernel.runs {
-                    sink.op_run(&run.op, run.repeat);
-                }
-            }
-        }
-    }
-
     /// Total op events across all kernels and repeats (saturating).
     pub fn op_count(&self) -> u64 {
-        self.kernels.iter().fold(0u64, |acc, k| {
-            acc.saturating_add(k.ops_per_repeat().saturating_mul(k.repeat))
-        })
+        self.total(KernelSummary::op_count)
     }
 
-    /// Total kernel events across repeats (saturating).
+    /// Total kernel events across repeats (saturating). Back-to-back
+    /// identical kernels fold into one [`KernelSummary`], so this can
+    /// exceed `kernels.len()`.
     pub fn kernel_count(&self) -> u64 {
-        self.kernels
-            .iter()
-            .fold(0u64, |acc, k| acc.saturating_add(k.repeat))
+        self.total(|k| k.repeat)
     }
 
     /// Total MACs across the stream (saturating).
     pub fn macs(&self) -> u64 {
-        self.fold_ops(0u64, |acc, op, n| {
-            acc.saturating_add(op.macs().saturating_mul(n))
-        })
+        self.total(KernelSummary::macs)
     }
 
     /// Total element-ops across the stream (saturating).
     pub fn element_ops(&self) -> u64 {
-        self.fold_ops(0u64, |acc, op, n| {
-            acc.saturating_add(op.element_ops().saturating_mul(n))
-        })
+        self.total(KernelSummary::element_ops)
     }
 
-    /// MVM share of the work, as [`Trace::mvm_fraction`].
+    /// The first kernel summary with the given name.
+    pub fn kernel(&self, name: &str) -> Option<&KernelSummary> {
+        self.kernels.iter().find(|k| k.name == name)
+    }
+
+    /// Fraction of MACs among (MACs + element ops) — a rough measure of
+    /// how MVM-heavy the workload is.
     pub fn mvm_fraction(&self) -> f64 {
         let macs = self.macs() as f64;
         let eops = self.element_ops() as f64;
@@ -514,29 +332,11 @@ impl TraceSummary {
         macs / (macs + eops)
     }
 
-    /// Estimated heap footprint of materializing this stream into a
-    /// [`Trace`]: the op storage plus per-kernel overhead. A lower bound
-    /// (Vec growth slack is not modelled) used by `eval_large` to show
-    /// what the streaming pipeline avoids allocating.
-    pub fn materialized_bytes_estimate(&self) -> u64 {
-        let op_bytes = self
-            .op_count()
-            .saturating_mul(std::mem::size_of::<KernelOp>() as u64);
-        let kernel_bytes = self.kernels.iter().fold(0u64, |acc, k| {
-            let per = (std::mem::size_of::<Kernel>() + k.name.len()) as u64;
-            acc.saturating_add(per.saturating_mul(k.repeat))
-        });
-        op_bytes.saturating_add(kernel_bytes)
-    }
-
-    fn fold_ops<T>(&self, init: T, mut f: impl FnMut(T, &KernelOp, u64) -> T) -> T {
-        let mut acc = init;
-        for kernel in &self.kernels {
-            for run in &kernel.runs {
-                acc = f(acc, &run.op, run.repeat.saturating_mul(kernel.repeat));
-            }
-        }
-        acc
+    /// Sums `per_kernel` over the kernel summaries (saturating).
+    fn total(&self, per_kernel: impl Fn(&KernelSummary) -> u64) -> u64 {
+        self.kernels
+            .iter()
+            .fold(0u64, |acc, k| acc.saturating_add(per_kernel(k)))
     }
 }
 
@@ -658,37 +458,82 @@ pub fn geomean(ratios: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::Workload;
 
-    fn sample_trace() -> Trace {
-        Trace::new(
-            "sample",
-            vec![
-                Kernel::new(
-                    "mix",
-                    vec![KernelOp::Mvm {
-                        rows: 16,
-                        cols: 4,
-                        input_bits: 1,
-                        weight_bits: 1,
-                        batch: 2,
-                    }],
-                ),
-                Kernel::new(
-                    "xor",
-                    vec![KernelOp::Vector {
-                        kind: VectorKind::Bool,
-                        elements: 16,
-                        bits: 8,
-                        count: 3,
-                    }],
-                ),
-            ],
-        )
+    const MIX: KernelOp = KernelOp::Mvm {
+        rows: 16,
+        cols: 4,
+        input_bits: 1,
+        weight_bits: 1,
+        batch: 2,
+    };
+
+    const XOR: KernelOp = KernelOp::Vector {
+        kind: VectorKind::Bool,
+        elements: 16,
+        bits: 8,
+        count: 3,
+    };
+
+    fn sample_summary() -> TraceSummary {
+        TraceSummary::record(|r| {
+            r.begin_trace(&TraceMeta::new("sample"));
+            r.begin_kernel("mix");
+            r.op(&MIX);
+            r.begin_kernel("xor");
+            r.op(&XOR);
+        })
+    }
+
+    /// A stream expanded op by op — every `op_run` unrolled — for
+    /// exact-replay checks against the run-length summary.
+    #[derive(Debug, Default, PartialEq)]
+    struct Expanded {
+        meta: Option<TraceMeta>,
+        kernels: Vec<(String, Vec<KernelOp>)>,
+    }
+
+    impl Expanded {
+        fn of(workload: &dyn Workload) -> Self {
+            let mut expanded = Expanded::default();
+            workload.emit(&mut expanded);
+            expanded
+        }
+
+        fn replay(&self, sink: &mut dyn TraceSink) {
+            sink.begin_trace(self.meta.as_ref().expect("begin_trace recorded"));
+            for (name, ops) in &self.kernels {
+                sink.begin_kernel(name);
+                for op in ops {
+                    sink.op(op);
+                }
+            }
+        }
+
+        fn total(&self, per_op: fn(&KernelOp) -> u64) -> u64 {
+            self.kernels
+                .iter()
+                .flat_map(|(_, ops)| ops)
+                .fold(0u64, |acc, op| acc.saturating_add(per_op(op)))
+        }
+    }
+
+    impl TraceSink for Expanded {
+        fn begin_trace(&mut self, meta: &TraceMeta) {
+            self.meta = Some(meta.clone());
+        }
+        fn begin_kernel(&mut self, name: &str) {
+            self.kernels.push((name.to_owned(), Vec::new()));
+        }
+        fn op_run(&mut self, op: &KernelOp, repeat: u64) {
+            let (_, ops) = self.kernels.last_mut().expect("begin_kernel precedes ops");
+            ops.extend((0..repeat).map(|_| *op));
+        }
     }
 
     #[test]
     fn mac_and_element_counts() {
-        let t = sample_trace();
+        let t = sample_summary();
         assert_eq!(t.macs(), 16 * 4 * 2);
         assert_eq!(t.element_ops(), 48);
         assert!(t.mvm_fraction() > 0.5);
@@ -696,16 +541,10 @@ mod tests {
 
     #[test]
     fn kernel_lookup() {
-        let t = sample_trace();
-        assert!(t.kernel("mix").is_some());
+        let t = sample_summary();
+        assert_eq!(t.kernel("mix").map(KernelSummary::macs), Some(128));
+        assert_eq!(t.kernel("xor").map(KernelSummary::element_ops), Some(48));
         assert!(t.kernel("nope").is_none());
-    }
-
-    #[test]
-    fn host_bytes() {
-        let k = Kernel::new("move", vec![KernelOp::HostMove { bytes: 1024 }]);
-        assert_eq!(k.host_bytes(), 1024);
-        assert_eq!(k.macs(), 0);
     }
 
     #[test]
@@ -749,8 +588,9 @@ mod tests {
 
     #[test]
     fn mvm_fraction_empty_trace() {
-        let t = Trace::new("empty", vec![]);
+        let t = TraceSummary::record(|r| r.begin_trace(&TraceMeta::new("empty")));
         assert_eq!(t.mvm_fraction(), 0.0);
+        assert_eq!(t.kernel_count(), 0);
     }
 
     #[test]
@@ -770,28 +610,21 @@ mod tests {
             count: 2,
         };
         assert_eq!(huge_vec.element_ops(), u64::MAX);
-        let k = Kernel::new("big", vec![huge_mvm, huge_mvm]);
-        assert_eq!(k.macs(), u64::MAX);
-        let t = Trace::new("big", vec![k.clone(), k]);
+        let t = TraceSummary::record(|r| {
+            r.begin_trace(&TraceMeta::new("big"));
+            for _ in 0..2 {
+                r.begin_kernel("big");
+                r.op_run(&huge_mvm, 2);
+                r.op_run(&huge_vec, u64::MAX);
+            }
+        });
+        let big = t.kernel("big").expect("recorded");
+        assert_eq!(big.repeat, 2);
+        assert_eq!(big.macs(), u64::MAX);
+        assert_eq!(big.op_count(), u64::MAX);
         assert_eq!(t.macs(), u64::MAX);
-        let moves = Kernel::new(
-            "mv",
-            vec![
-                KernelOp::HostMove { bytes: u64::MAX },
-                KernelOp::HostMove { bytes: 7 },
-            ],
-        );
-        assert_eq!(moves.host_bytes(), u64::MAX);
-    }
-
-    #[test]
-    fn collect_round_trips_a_materialized_trace() {
-        let original = sample_trace()
-            .with_pipelines_per_item(3)
-            .with_parallel_items(128);
-        let mut collector = TraceCollector::new();
-        original.emit_to(&mut collector);
-        assert_eq!(collector.finish(), original);
+        assert_eq!(t.element_ops(), u64::MAX);
+        assert_eq!(t.op_count(), u64::MAX);
     }
 
     #[test]
@@ -802,51 +635,87 @@ mod tests {
             bits: 8,
         };
         let move_op = KernelOp::HostMove { bytes: 32 };
-        let mut recorder = SummaryRecorder::new();
-        recorder.begin_trace(&TraceMeta::new("rle").with_pipelines_per_item(3));
-        // Three identical kernels back to back, each 4 identical ops.
-        for _ in 0..3 {
-            recorder.begin_kernel("gather");
-            for _ in 0..4 {
-                recorder.op(&op);
+        let summary = TraceSummary::record(|r| {
+            r.begin_trace(&TraceMeta::new("rle").with_pipelines_per_item(3));
+            // Three identical kernels back to back, each 4 identical ops.
+            for _ in 0..3 {
+                r.begin_kernel("gather");
+                for _ in 0..4 {
+                    r.op(&op);
+                }
             }
-        }
-        // A different kernel breaks the kernel run.
-        recorder.begin_kernel("move");
-        recorder.op_run(&move_op, 5);
-        let summary = recorder.finish();
+            // A different kernel breaks the kernel run.
+            r.begin_kernel("move");
+            r.op_run(&move_op, 5);
+        });
 
         // Compression: 2 kernel summaries, 1 op run each.
         assert_eq!(summary.kernels.len(), 2);
         assert_eq!(summary.kernels[0].repeat, 3);
         assert_eq!(summary.kernels[0].runs.len(), 1);
         assert_eq!(summary.kernels[0].runs[0].repeat, 4);
+        assert_eq!(summary.kernels[0].op_count(), 3 * 4);
         assert_eq!(summary.op_count(), 3 * 4 + 5);
         assert_eq!(summary.kernel_count(), 4);
         assert_eq!(summary.element_ops(), 3 * 4 * 16);
-        assert!(summary.materialized_bytes_estimate() > 0);
 
-        // Replay expands back to the exact materialized form.
-        let mut collector = TraceCollector::new();
-        summary.replay_into(&mut collector);
-        let trace = collector.finish();
-        assert_eq!(trace.name, "rle");
-        assert_eq!(trace.pipelines_per_item, 3);
-        assert_eq!(trace.kernels.len(), 4);
-        assert_eq!(trace.kernels[0].ops.len(), 4);
-        assert_eq!(trace.kernels[3].ops.len(), 5);
+        // Replay expands back to the exact op-by-op stream…
+        let expanded = Expanded::of(&summary);
+        assert_eq!(summary.name(), "rle");
+        assert_eq!(expanded.meta.map(|m| m.pipelines_per_item), Some(3));
+        let lens: Vec<(&str, usize)> = expanded
+            .kernels
+            .iter()
+            .map(|(name, ops)| (name.as_str(), ops.len()))
+            .collect();
+        assert_eq!(
+            lens,
+            [("gather", 4), ("gather", 4), ("gather", 4), ("move", 5)]
+        );
+        // …and recording the replay reproduces the summary, runs and all.
+        assert_eq!(TraceSummary::record(|r| summary.emit(r)), summary);
+    }
+
+    #[test]
+    fn collect_round_trips_a_materialized_trace() {
+        // An op-by-op stream recorded into a summary replays op for op.
+        let original = Expanded::of(&TraceSummary::record(|r| {
+            r.begin_trace(
+                &TraceMeta::new("mixed")
+                    .with_pipelines_per_item(3)
+                    .with_parallel_items(128),
+            );
+            r.begin_kernel("mix");
+            r.op_run(&MIX, 3);
+            r.op(&XOR);
+            r.op(&MIX);
+            r.begin_kernel("xor");
+            r.op(&XOR);
+        }));
+        let summary = TraceSummary::record(|r| original.replay(r));
+        assert_eq!(summary.kernels[0].runs.len(), 3);
+        assert_eq!(Expanded::of(&summary), original);
     }
 
     #[test]
     fn summary_stats_match_materialized_totals() {
-        let trace = sample_trace();
-        let mut recorder = SummaryRecorder::new();
-        trace.emit_to(&mut recorder);
-        let summary = recorder.finish();
-        assert_eq!(summary.macs(), trace.macs());
-        assert_eq!(summary.element_ops(), trace.element_ops());
-        assert_eq!(summary.mvm_fraction(), trace.mvm_fraction());
-        assert_eq!(summary.meta.name, trace.name);
+        let bulk = TraceSummary::record(|r| {
+            r.begin_trace(&TraceMeta::new("bulk"));
+            for _ in 0..3 {
+                r.begin_kernel("step");
+                r.op_run(&MIX, 5);
+                r.op_run(&XOR, 2);
+            }
+            r.begin_kernel("tail");
+            r.op(&KernelOp::HostMove { bytes: 64 });
+        });
+        for summary in [sample_summary(), bulk] {
+            let expanded = Expanded::of(&summary);
+            assert_eq!(summary.macs(), expanded.total(KernelOp::macs));
+            assert_eq!(summary.element_ops(), expanded.total(KernelOp::element_ops));
+            assert_eq!(summary.op_count(), expanded.total(|_| 1));
+            assert_eq!(summary.kernel_count(), expanded.kernels.len() as u64);
+        }
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //! * each workload's op stream is recorded once into the engine's
 //!   summary cache (sharded across `std::thread::scope` workers);
 //! * each row then replays once into a `Fanout` over *all* design
-//!   points ([`Engine::run_fanout`]) — one emission pass prices every
-//!   config cell, and serial/parallel results are bit-identical;
+//!   points ([`Engine::run`]) — one emission pass prices every config
+//!   cell, and results are bit-identical at any worker count;
 //! * every design point is wrapped in the paper's evaluation policy
 //!   ([`crate::registry::PaperDarthModel`]), so ramp-ADC points apply
 //!   the §7.3 AES early termination and the paper's own design points
@@ -683,7 +683,7 @@ pub fn price_sweep(
     }
     Ok(SweepMatrix {
         points: summaries,
-        matrix: engine.run_fanout(),
+        matrix: engine.run(),
     })
 }
 

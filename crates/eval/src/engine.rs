@@ -6,28 +6,25 @@
 //! into an [`EvalMatrix`] without ever materializing a trace. Work is
 //! split in two phases, both parallelized with `std::thread::scope` over
 //! disjoint output slices (no locks, no shared mutable state, and
-//! therefore bit-identical results in serial and parallel mode):
+//! therefore bit-identical results at any worker count):
 //!
 //! 1. **Stream recording**, once per workload: each emission is
 //!    compressed into a run-length [`TraceSummary`] and memoized, so
 //!    repeated `run()` calls (e.g. after registering more models) only
 //!    record the scenarios they have not seen. The summary is compact —
-//!    a million-block bulk scenario collapses to a handful of op runs —
-//!    where the old `Trace` cache held every op on the heap.
-//! 2. **Pricing**, once per `(workload, model)` cell: the cached summary
-//!    replays into a fresh streaming accumulator
+//!    a million-block bulk scenario collapses to a handful of op runs.
+//! 2. **Pricing**, once per workload row: the cached summary replays
+//!    once into a [`Fanout`] over a fresh accumulator from every model
 //!    ([`ArchModel::accumulator`]), reproducing the exact original op
-//!    sequence, so cells are bit-identical to pricing the materialized
-//!    trace.
+//!    sequence in each, so every cell is bit-identical to pricing the
+//!    live workload on its own.
 //!
-//! For one-off scenarios there is also [`Engine::price_streamed`]: a
-//! single emission fanned into every registered model's accumulator at
-//! once — one pass over the op stream, no cache entry, no materialized
-//! anything.
+//! To price a one-off scenario on a set of models without a cache entry,
+//! use [`darth_pum::eval::price_on_all`].
 
 use crate::json::JsonValue;
 use darth_pum::eval::{ArchModel, Fanout, Workload};
-use darth_pum::trace::{geomean, CostReport, SummaryRecorder, TraceSummary};
+use darth_pum::trace::{geomean, CostReport, TraceSummary};
 use std::collections::HashMap;
 use std::thread;
 
@@ -55,10 +52,6 @@ impl Threading {
     }
 }
 
-// The worker-count convention moved into the core crate so the fast
-// functional executor can share it; re-exported here for existing users.
-pub use darth_pum::workers::{forced_workers, parse_worker_count};
-
 /// One workload row of the matrix: identity plus trace statistics.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSummary {
@@ -72,8 +65,7 @@ pub struct WorkloadSummary {
     pub macs: u64,
     /// Total element-ops in the trace.
     pub element_ops: u64,
-    /// MVM share of the work (see
-    /// [`darth_pum::trace::Trace::mvm_fraction`]).
+    /// MVM share of the work (see [`TraceSummary::mvm_fraction`]).
     pub mvm_fraction: f64,
 }
 
@@ -314,39 +306,14 @@ impl Engine {
 
     /// Prices the full workload × model matrix.
     ///
-    /// Streams recorded by earlier runs are reused (memoized by workload
-    /// name); rows and columns appear in registration order.
+    /// Each workload's cached summary replays **once** into a [`Fanout`]
+    /// over every registered model, so a row costs one replay pass
+    /// however many columns there are (hundreds, in a design sweep).
+    /// Rows are sharded across `std::thread::scope` workers over
+    /// disjoint output slices. Streams recorded by earlier runs are
+    /// reused (memoized by workload name); rows and columns appear in
+    /// registration order.
     pub fn run(&mut self) -> EvalMatrix {
-        let threads = self.threading.worker_count();
-        self.record_missing_summaries(threads);
-        let summaries: Vec<&TraceSummary> = self
-            .workloads
-            .iter()
-            .map(|w| &self.summary_cache[&w.name()])
-            .collect();
-
-        let cells = price_cells(&self.models, &summaries, threads);
-        let (workloads, models) = self.descriptors(&summaries);
-        EvalMatrix {
-            workloads,
-            models,
-            cells,
-        }
-    }
-
-    /// Prices the full matrix row-by-row: each workload's cached summary
-    /// replays **once** into a [`Fanout`] over every registered model, so
-    /// a row costs one emission pass instead of one per cell. Rows are
-    /// sharded across `std::thread::scope` workers over disjoint output
-    /// slices, and every accumulator still observes the exact recorded
-    /// event sequence — the result is bit-identical to [`Engine::run`]
-    /// in both serial and parallel mode.
-    ///
-    /// This is the sweep-friendly schedule: with hundreds of model
-    /// columns (one per design point) and compressed summaries, the
-    /// replay walk itself starts to matter, and fanning out amortizes it
-    /// across all columns.
-    pub fn run_fanout(&mut self) -> EvalMatrix {
         let threads = self.threading.worker_count();
         self.record_missing_summaries(threads);
         let summaries: Vec<&TraceSummary> = self
@@ -371,7 +338,7 @@ impl Engine {
                             summary_chunk.iter().zip(out_chunk.chunks_mut(cols))
                         {
                             let mut fanout = Fanout::new(models.iter().map(AsRef::as_ref));
-                            summary.replay_into(&mut fanout);
+                            summary.emit(&mut fanout);
                             for (slot, report) in row_out.iter_mut().zip(fanout.finish()) {
                                 *slot = Some(report);
                             }
@@ -424,21 +391,10 @@ impl Engine {
 
     /// The cached run-length summary of a workload's recorded stream —
     /// present after an [`Engine::run`] that included the workload.
-    /// Useful for stream statistics (op counts, materialization
-    /// estimates) without re-emitting.
+    /// Useful for stream statistics (op and kernel counts) without
+    /// re-emitting.
     pub fn summary(&self, workload: &str) -> Option<&TraceSummary> {
         self.summary_cache.get(workload)
-    }
-
-    /// Prices one workload on every registered model in a single
-    /// streaming pass: the emission is fanned into all accumulators at
-    /// once and never stored — not even as a run-length summary. Reports
-    /// come back in model registration order and are bit-identical to
-    /// the corresponding [`Engine::run`] cells.
-    pub fn price_streamed(&self, workload: &dyn Workload) -> Vec<CostReport> {
-        let mut fanout = Fanout::new(self.models.iter().map(AsRef::as_ref));
-        workload.emit(&mut fanout);
-        fanout.finish()
     }
 
     /// Records (in parallel) every registered workload's op stream not
@@ -459,9 +415,7 @@ impl Engine {
             for (out_chunk, work_chunk) in recorded.chunks_mut(chunk).zip(missing.chunks(chunk)) {
                 scope.spawn(move || {
                     for (slot, workload) in out_chunk.iter_mut().zip(work_chunk) {
-                        let mut recorder = SummaryRecorder::new();
-                        workload.emit(&mut recorder);
-                        *slot = Some(recorder.finish());
+                        *slot = Some(TraceSummary::record(|r| workload.emit(r)));
                     }
                 });
             }
@@ -471,41 +425,6 @@ impl Engine {
             self.summary_cache.insert(workload.name(), summary);
         }
     }
-}
-
-/// Prices every `(workload, model)` cell, row-major, splitting the cell
-/// range across `threads` scoped workers over disjoint output chunks.
-/// Each cell replays the workload's recorded stream into a fresh
-/// accumulator from its model.
-fn price_cells(
-    models: &[Box<dyn ArchModel>],
-    summaries: &[&TraceSummary],
-    threads: usize,
-) -> Vec<CostReport> {
-    let total = summaries.len() * models.len();
-    let mut cells: Vec<Option<CostReport>> = (0..total).map(|_| None).collect();
-    if total == 0 {
-        return Vec::new();
-    }
-    let chunk = total.div_ceil(threads.max(1));
-    thread::scope(|scope| {
-        for (chunk_index, out_chunk) in cells.chunks_mut(chunk).enumerate() {
-            let start = chunk_index * chunk;
-            scope.spawn(move || {
-                for (offset, slot) in out_chunk.iter_mut().enumerate() {
-                    let index = start + offset;
-                    let (w, m) = (index / models.len(), index % models.len());
-                    let mut acc = models[m].accumulator();
-                    summaries[w].replay_into(&mut *acc);
-                    *slot = Some(acc.finish());
-                }
-            });
-        }
-    });
-    cells
-        .into_iter()
-        .map(|cell| cell.expect("every cell chunk was priced"))
-        .collect()
 }
 
 #[cfg(test)]
@@ -626,10 +545,10 @@ mod tests {
 
     #[test]
     fn price_streamed_matches_matrix_cells() {
-        let mut e = engine();
-        let matrix = e.run();
+        let matrix = engine().run();
+        let models: [&dyn ArchModel; 2] = [&PerByte(1.0), &PerByte(4.0)];
         for workload in [Moves(8), Moves(64)] {
-            let streamed = e.price_streamed(&workload);
+            let streamed = darth_pum::eval::price_on_all(&workload, models);
             assert_eq!(streamed.len(), 2);
             for (report, model) in streamed.iter().zip(["per-byte-1", "per-byte-4"]) {
                 assert_eq!(Some(report), matrix.cell(&workload.name(), model));
@@ -663,38 +582,26 @@ mod tests {
     }
 
     #[test]
-    fn run_fanout_is_bit_identical_to_run() {
-        let mut per_cell = engine();
-        let reference = per_cell.run();
-        for threading in [
-            Threading::Serial,
-            Threading::Parallel,
-            Threading::Workers(3),
-        ] {
-            let mut fanned = engine();
-            fanned.set_threading(threading);
-            assert_eq!(fanned.run_fanout(), reference, "{threading:?}");
+    fn run_is_bit_identical_at_any_worker_count() {
+        let mut serial = engine();
+        serial.set_threading(Threading::Serial);
+        let reference = serial.run();
+        for threading in [Threading::Parallel, Threading::Workers(3)] {
+            let mut sharded = engine();
+            sharded.set_threading(threading);
+            assert_eq!(sharded.run(), reference, "{threading:?}");
         }
     }
 
     #[test]
-    fn run_fanout_handles_degenerate_registries() {
-        assert!(Engine::new().run_fanout().cells.is_empty());
+    fn run_handles_degenerate_registries() {
+        assert!(Engine::new().run().cells.is_empty());
         // Workloads but no models: rows exist, zero columns.
         let mut rows_only = Engine::new();
         rows_only.register_workload(Box::new(Moves(8)));
-        let matrix = rows_only.run_fanout();
+        let matrix = rows_only.run();
         assert_eq!(matrix.workloads.len(), 1);
         assert!(matrix.models.is_empty());
         assert!(matrix.cells.is_empty());
-    }
-
-    #[test]
-    fn worker_count_helpers_are_reexported() {
-        // The implementations (and their unit tests) live in
-        // `darth_pum::workers`; this pins the re-export path downstream
-        // binaries compile against.
-        assert_eq!(parse_worker_count("4"), Ok(4));
-        assert_eq!(forced_workers("DARTH_EVAL_THREADS_UNSET_FOR_TEST"), None);
     }
 }

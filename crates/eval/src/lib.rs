@@ -6,14 +6,14 @@
 //! *open*, *fast*, and *O(1)-memory per cell*:
 //!
 //! * [`engine::Engine`] holds registries of `Box<dyn Workload>` and
-//!   `Box<dyn ArchModel>` (the traits live in [`darth_pum::eval`], next
-//!   to [`darth_pum::trace::Trace`]), memoizes each workload's emission
-//!   as a compressed run-length [`darth_pum::trace::TraceSummary`], and
-//!   prices the full matrix by replaying summaries into streaming
-//!   accumulators, with `std::thread::scope` workers over disjoint
-//!   output slices — serial and parallel runs are bit-identical, and no
-//!   trace is ever materialized. [`engine::Engine::price_streamed`] fans
-//!   one emission into *all* registered models in a single pass.
+//!   `Box<dyn ArchModel>` (the traits live in [`darth_pum::eval`]),
+//!   memoizes each workload's emission as a compressed run-length
+//!   [`darth_pum::trace::TraceSummary`], and prices the full matrix
+//!   ([`engine::Engine::run`]) by replaying each summary once into a
+//!   fan-out over every model's streaming accumulator, with
+//!   `std::thread::scope` workers over disjoint output slices — runs are
+//!   bit-identical at any worker count, and no trace is ever
+//!   materialized.
 //! * [`engine::EvalMatrix`] is the structured result: addressable cells,
 //!   ratio/geomean helpers for the figure summaries, and a JSON report
 //!   ([`engine::EvalMatrix::to_json`]) so every run can drop a
@@ -31,7 +31,7 @@
 //!   custom axes), priced into a [`dse::SweepMatrix`] with
 //!   Pareto-frontier extraction and best-config tables — one `Fanout`
 //!   replay pass per workload prices every design point
-//!   ([`engine::Engine::run_fanout`]).
+//!   ([`engine::Engine::run`]).
 //! * [`json`] is the tiny offline JSON writer behind the reports
 //!   (borrowing: `JsonValue<'a>` keys and names are `Cow`s, so report
 //!   trees reference the matrix instead of cloning it).

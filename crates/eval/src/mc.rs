@@ -254,7 +254,35 @@ fn metric_for(exec_name: &str) -> ErrorMetric {
 }
 
 /// One trial's error versus the golden outputs.
-fn trial_error(metric: ErrorMetric, golden: &[ExecOutput], got: &[ExecOutput]) -> f64 {
+///
+/// # Errors
+///
+/// Returns [`darth_pum::Error::Shape`] when the trial's outputs differ
+/// from the golden in count, labels or cell lengths — shape drift is an
+/// error, never scored on the matching prefix.
+fn trial_error(
+    metric: ErrorMetric,
+    golden: &[ExecOutput],
+    got: &[ExecOutput],
+) -> darth_pum::Result<f64> {
+    let same_shape = golden.len() == got.len()
+        && golden
+            .iter()
+            .zip(got)
+            .all(|(g, o)| g.label == o.label && g.cells.len() == o.cells.len());
+    if !same_shape {
+        let shape = |outputs: &[ExecOutput]| -> Vec<(String, usize)> {
+            outputs
+                .iter()
+                .map(|o| (o.label.clone(), o.cells.len()))
+                .collect()
+        };
+        return Err(darth_pum::Error::Shape(format!(
+            "trial outputs {:?} do not match the golden {:?}",
+            shape(got),
+            shape(golden)
+        )));
+    }
     let gold_cells = golden.iter().flat_map(|o| o.cells.iter().copied());
     let got_cells = got.iter().flat_map(|o| o.cells.iter().copied());
     let mut cells = 0_usize;
@@ -268,13 +296,13 @@ fn trial_error(metric: ErrorMetric, golden: &[ExecOutput], got: &[ExecOutput]) -
         };
     }
     if cells == 0 {
-        return 0.0;
+        return Ok(0.0);
     }
-    match metric {
+    Ok(match metric {
         // Cells are bytes for AES readbacks: normalise popcount to bits.
         ErrorMetric::BitError => accum / (8.0 * cells as f64),
         ErrorMetric::Absolute | ErrorMetric::Relative => accum / cells as f64,
-    }
+    })
 }
 
 /// Runs the full Monte-Carlo campaign: `points × workloads × trials`
@@ -284,7 +312,9 @@ fn trial_error(metric: ErrorMetric, golden: &[ExecOutput], got: &[ExecOutput]) -
 /// # Errors
 ///
 /// Returns job-construction or execution errors from the functional
-/// machine (e.g. an invalid tile geometry in a design point).
+/// machine (e.g. an invalid tile geometry in a design point), and
+/// [`darth_pum::Error::Shape`] when any trial's outputs differ from the
+/// workload's golden in labels or lengths.
 pub fn measure_accuracy(
     points: &[DesignPoint],
     workloads: &[Box<dyn Executable>],
@@ -327,7 +357,8 @@ pub fn measure_accuracy(
             let mut worst_error = 0.0_f64;
             let mut exact_trials = 0_usize;
             for run in trials {
-                let err = trial_error(metric, golden, &run.outputs);
+                let err = trial_error(metric, golden, &run.outputs)
+                    .map_err(|e| darth_pum::Error::Shape(format!("{name}: {e}")))?;
                 mean_error += err;
                 worst_error = worst_error.max(err);
                 if run.outputs == *golden {
@@ -422,9 +453,12 @@ mod tests {
             label: "ct".into(),
             cells: vec![0x01, 0xFF, 0x0F, 0xF0],
         }];
-        let ber = trial_error(ErrorMetric::BitError, &gold, &got);
+        let ber = trial_error(ErrorMetric::BitError, &gold, &got).expect("same shape");
         assert!((ber - 1.0 / 32.0).abs() < 1e-12, "ber = {ber}");
-        assert_eq!(trial_error(ErrorMetric::BitError, &gold, &gold), 0.0);
+        assert_eq!(
+            trial_error(ErrorMetric::BitError, &gold, &gold).expect("same shape"),
+            0.0
+        );
     }
 
     #[test]
@@ -437,7 +471,7 @@ mod tests {
             label: "y".into(),
             cells: vec![3, 90],
         }];
-        let err = trial_error(ErrorMetric::Relative, &gold, &got);
+        let err = trial_error(ErrorMetric::Relative, &gold, &got).expect("same shape");
         // (|3-0|/1 + |90-100|/100) / 2 = (3 + 0.1) / 2
         assert!((err - 1.55).abs() < 1e-12, "err = {err}");
     }
@@ -452,8 +486,77 @@ mod tests {
             label: "y".into(),
             cells: vec![12, -4],
         }];
-        let err = trial_error(ErrorMetric::Absolute, &gold, &got);
+        let err = trial_error(ErrorMetric::Absolute, &gold, &got).expect("same shape");
         assert!((err - 1.0).abs() < 1e-12, "err = {err}");
+    }
+
+    #[test]
+    fn shape_drift_is_an_error_not_a_prefix_score() {
+        let output = |label: &str, cells: Vec<i64>| ExecOutput {
+            label: label.into(),
+            cells,
+        };
+        let gold = vec![output("y", vec![1, 2, 3]), output("z", vec![4])];
+        let drifted = [
+            // Truncated cells: the prefix matches exactly.
+            vec![output("y", vec![1, 2]), output("z", vec![4])],
+            // A missing output.
+            vec![output("y", vec![1, 2, 3])],
+            // An extra output.
+            vec![
+                output("y", vec![1, 2, 3]),
+                output("z", vec![4]),
+                output("w", vec![0]),
+            ],
+            // Extra cells.
+            vec![output("y", vec![1, 2, 3, 9]), output("z", vec![4])],
+            // A relabelled output.
+            vec![output("y", vec![1, 2, 3]), output("q", vec![4])],
+        ];
+        for metric in [
+            ErrorMetric::BitError,
+            ErrorMetric::Absolute,
+            ErrorMetric::Relative,
+        ] {
+            for got in &drifted {
+                let result = trial_error(metric, &gold, got);
+                assert!(
+                    matches!(result, Err(darth_pum::Error::Shape(_))),
+                    "{metric:?} scored {got:?} as {result:?}"
+                );
+            }
+        }
+    }
+
+    /// The standard reduction job paired with a golden one cell too long,
+    /// so every trial's (exact) output is a truncation of it.
+    struct LongGolden(ReduceExec);
+
+    impl Executable for LongGolden {
+        fn exec_name(&self) -> String {
+            self.0.exec_name()
+        }
+        fn job(&self) -> darth_pum::Result<darth_pum::ExecJob> {
+            self.0.job()
+        }
+        fn golden(&self) -> darth_pum::Result<Vec<ExecOutput>> {
+            let mut golden = self.0.golden()?;
+            golden[0].cells.push(0);
+            Ok(golden)
+        }
+    }
+
+    #[test]
+    fn measure_accuracy_rejects_truncated_trial_outputs() {
+        let points = crate::dse::smoke_sweep().generate().expect("valid grid");
+        let workloads: Vec<Box<dyn Executable>> =
+            vec![Box::new(LongGolden(ReduceExec::standard()))];
+        let mc = McConfig::zero_sigma().with_trials(1).with_workers(1);
+        let result = measure_accuracy(&points[..1], &workloads, &mc);
+        assert!(
+            matches!(result, Err(darth_pum::Error::Shape(_))),
+            "{result:?}"
+        );
     }
 
     #[test]

@@ -211,7 +211,7 @@ pub fn extended_workloads() -> Vec<Box<dyn Workload>> {
 /// too large to materialize — the streaming pipeline's headroom proof.
 ///
 /// * [`BulkAesWorkload::million_blocks`] — 2²⁰ AES-128 blocks as one
-///   work item (a ~71M-op stream; materialized, ~3 GB of `KernelOp`s);
+///   work item (a ~74M-op stream, ~3 GB if stored op by op);
 /// * a BERT-large encoder at a 4096-token context and a GPT-2-XL-scale
 ///   48-layer stack ([`EncoderWorkload::large_scale`]);
 /// * ResNet-110 ([`ResNetWorkload::resnet110`]).
@@ -254,20 +254,19 @@ pub fn all_models() -> Vec<Box<dyn ArchModel>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use darth_apps::aes::workload::block_trace;
-    use darth_apps::aes::workload::AesVariant;
+    use darth_apps::aes::workload::AesWorkload;
     use darth_baselines::app_accel::AppAccelKind;
 
     #[test]
     fn paper_darth_applies_early_termination_to_ramp_aes_only() {
-        let aes = block_trace(AesVariant::Aes128);
+        let aes = AesWorkload::paper();
         let ramp = PaperDarthModel::paper(AdcKind::Ramp);
         let mut tuned = ramp.model;
         tuned.early_levels = Some(4);
-        assert_eq!(ArchModel::price(&ramp, &aes), tuned.price(&aes));
+        assert_eq!(ramp.price(&aes), tuned.price(&aes));
         // SAR pricing is untouched by the wrapper.
         let sar = PaperDarthModel::paper(AdcKind::Sar);
-        assert_eq!(ArchModel::price(&sar, &aes), sar.model.price(&aes));
+        assert_eq!(sar.price(&aes), sar.model.price(&aes));
     }
 
     #[test]

@@ -1,21 +1,22 @@
-//! The streaming/materialized equivalence regression: for every
-//! `(workload, model)` cell of the extended registry (plus small bulk
-//! scenarios), pricing the live op stream, pricing the materialized
-//! `Trace`, replaying the engine's run-length summary, and the engine's
-//! own serial and parallel runs must all be **bit-identical**.
+//! The streaming equivalence regression: for every `(workload, model)`
+//! cell of the extended registry (plus small bulk scenarios), pricing
+//! the live op stream, replaying the engine's run-length summary, the
+//! fused one-pass fanout (`price_on_all`), and the engine's own runs at
+//! every worker count must all be **bit-identical**.
 //!
-//! This is the guarantee the whole streaming refactor rests on: the
-//! figure pipeline materializes nothing anymore, so any divergence
-//! between the paths would silently change published numbers.
+//! This is the guarantee the engine's summary cache rests on: the
+//! figure pipeline prices recordings, not live emissions, so any
+//! divergence between the paths would silently change published
+//! numbers.
 
 use darth_apps::aes::workload::{AesVariant, BulkAesWorkload};
 use darth_eval::registry::{all_models, extended_workloads, large_workloads};
 use darth_eval::{Engine, Threading};
 use darth_pum::eval::{price_on_all, ArchModel, Workload};
-use darth_pum::trace::{SummaryRecorder, Trace};
+use darth_pum::trace::TraceSummary;
 
 /// The equivalence corpus: every extended-registry scenario plus bulk
-/// AES at sizes small enough to materialize in a test.
+/// AES streams.
 fn workloads() -> Vec<Box<dyn Workload>> {
     let mut workloads = extended_workloads();
     workloads.push(Box::new(BulkAesWorkload {
@@ -29,52 +30,48 @@ fn workloads() -> Vec<Box<dyn Workload>> {
     workloads
 }
 
-/// `price(stream)` == `price(&Trace)` == summary replay, for every cell.
+/// `price(live stream)` == `price(recorded summary)`, for every cell.
 #[test]
-fn streamed_materialized_and_replayed_pricing_are_bit_identical() {
+fn streamed_and_replayed_pricing_are_bit_identical() {
     let models = all_models();
     for workload in workloads() {
-        let trace = Trace::from_workload(workload.as_ref());
-        let mut recorder = SummaryRecorder::new();
-        workload.emit(&mut recorder);
-        let summary = recorder.finish();
+        let summary = TraceSummary::record(|r| workload.emit(r));
         for model in &models {
-            // Live stream into a fresh accumulator.
-            let mut acc = model.accumulator();
-            workload.emit(&mut *acc);
-            let streamed = acc.finish();
-            // The materialized path (op-by-op, no run-length batching).
-            let materialized = model.price(&trace);
-            // The engine's cached form: run-length summary replay.
-            let mut acc = model.accumulator();
-            summary.replay_into(&mut *acc);
-            let replayed = acc.finish();
+            let streamed = model.price(workload.as_ref());
+            let replayed = model.price(&summary);
             let cell = format!("({}, {})", workload.name(), model.name());
-            assert_eq!(streamed, materialized, "stream vs materialized {cell}");
             assert_eq!(streamed, replayed, "stream vs summary replay {cell}");
         }
     }
 }
 
-/// The fused fanout (one emission, all models at once) matches
-/// per-model streaming, and the engine's serial and parallel matrices
-/// agree with both.
+/// The engine's matrices agree at every worker count, and every cell
+/// matches both the fused fanout (one emission, all models at once) and
+/// per-model live streaming.
 #[test]
 fn engine_cells_match_direct_streaming_serial_and_parallel() {
-    let mut serial = Engine::new();
-    let mut parallel = Engine::new();
-    for engine in [&mut serial, &mut parallel] {
+    let matrices: Vec<_> = [
+        Threading::Serial,
+        Threading::Parallel,
+        Threading::Workers(3),
+    ]
+    .into_iter()
+    .map(|threading| {
+        let mut engine = Engine::new();
         for workload in workloads() {
             engine.register_workload(workload);
         }
         for model in all_models() {
             engine.register_model(model);
         }
+        engine.set_threading(threading);
+        (threading, engine.run())
+    })
+    .collect();
+    let serial_matrix = &matrices[0].1;
+    for (threading, matrix) in &matrices[1..] {
+        assert_eq!(serial_matrix, matrix, "serial vs {threading:?} run");
     }
-    serial.set_threading(Threading::Serial);
-    parallel.set_threading(Threading::Workers(5));
-    let serial_matrix = serial.run();
-    assert_eq!(serial_matrix, parallel.run(), "serial vs parallel run");
 
     let models = all_models();
     let model_refs: Vec<&dyn ArchModel> = models.iter().map(AsRef::as_ref).collect();
@@ -86,9 +83,14 @@ fn engine_cells_match_direct_streaming_serial_and_parallel() {
                 .cell(&workload.name(), &model.name())
                 .expect("cell priced");
             assert_eq!(report, cell, "fanout vs engine ({})", workload.name());
+            assert_eq!(
+                &model.price(workload.as_ref()),
+                cell,
+                "stream vs engine ({}, {})",
+                workload.name(),
+                model.name()
+            );
         }
-        // Engine::price_streamed is the same fused pass.
-        assert_eq!(serial.price_streamed(workload.as_ref()), fused);
     }
 }
 
@@ -110,9 +112,7 @@ fn large_registry_prices_by_replay_without_materializing() {
     );
     let models = all_models();
     for workload in &workloads {
-        let mut recorder = SummaryRecorder::new();
-        workload.emit(&mut recorder);
-        let summary = recorder.finish();
+        let summary = TraceSummary::record(|r| workload.emit(r));
         // Compact: far fewer stored runs than streamed events.
         let stored_runs: usize = summary.kernels.iter().map(|k| k.runs.len()).sum();
         assert!(
@@ -128,9 +128,7 @@ fn large_registry_prices_by_replay_without_materializing() {
             workload.name()
         );
         for model in &models {
-            let mut acc = model.accumulator();
-            summary.replay_into(&mut *acc);
-            let report = acc.finish();
+            let report = model.price(&summary);
             assert!(
                 report.latency_s > 0.0 && report.latency_s.is_finite(),
                 "({}, {}) latency {}",
@@ -142,10 +140,9 @@ fn large_registry_prices_by_replay_without_materializing() {
             assert!(report.throughput_items_per_s > 0.0);
         }
     }
-    // The headline scenario really is ≥ 1M blocks / ≥ 70M op events.
-    let mut recorder = SummaryRecorder::new();
-    workloads[0].emit(&mut recorder);
-    let bulk = recorder.finish();
-    assert!(bulk.op_count() > 70_000_000);
-    assert!(bulk.materialized_bytes_estimate() > 2_000_000_000);
+    // The headline scenario really is ≥ 1M blocks: 71 op events per
+    // AES-128 block (1 move, 10 S-box, 20 ShiftRows, 18 MixColumns and
+    // 22 AddRoundKey ops), all folded into a handful of summary runs.
+    let bulk = TraceSummary::record(|r| workloads[0].emit(r));
+    assert!(bulk.op_count() >= 71 << 20, "{}", bulk.op_count());
 }

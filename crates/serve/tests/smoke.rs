@@ -154,19 +154,14 @@ fn overload_forms_batches_and_bounded_queues_reject() {
 }
 
 #[test]
-fn warm_serving_beats_cold_per_request_preparation() {
+fn warm_and_cold_serving_arms_agree_on_every_request() {
     let classes = standard_classes().expect("classes compile");
     let aes = &classes[0];
+    // `measure_warm_vs_cold` errors when any request's warm (resident
+    // program) and cold (per-request prepare) outputs differ.
     let report = measure_warm_vs_cold(aes, 20).expect("warm/cold arms agree");
     assert_eq!(report.requests, 20);
     assert!(report.cold_s > 0.0 && report.warm_s > 0.0);
-    // The resident program skips per-request decode + compile + tile
-    // construction + setup execution; even on a noisy host that is a
-    // decisive win.
-    assert!(
-        report.speedup > 1.0,
-        "resident serving ({}s) did not beat cold prepare ({}s)",
-        report.warm_s,
-        report.cold_s
-    );
+    // The warm-vs-cold speedup is wall-clock, so it is recorded by
+    // `make serve` (BENCH_serve.json), not asserted here.
 }

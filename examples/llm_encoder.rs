@@ -1,11 +1,13 @@
 //! An integer transformer encoder pass (§5.2): I-BERT kernels with the
-//! DCE-attention / ACE-FFN placement, plus the BERT-base workload trace.
+//! DCE-attention / ACE-FFN placement, plus the BERT-base workload stream.
 //!
 //! Run with: `cargo run --release --example llm_encoder`
 
 use darth_apps::llm::encoder::{Encoder, EncoderConfig};
 use darth_apps::llm::intops::to_q;
-use darth_apps::llm::workload::encoder_trace;
+use darth_apps::llm::workload::EncoderWorkload;
+use darth_pum::eval::Workload;
+use darth_pum::trace::TraceSummary;
 use darth_reram::NoiseRng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -29,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         output[0].len()
     );
 
-    let trace = encoder_trace(&EncoderConfig::bert_base());
+    let trace = TraceSummary::record(|r| EncoderWorkload::paper().emit(r));
     println!("\nBERT-base trace (per sequence):");
     for kernel in &trace.kernels {
         println!(

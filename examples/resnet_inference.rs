@@ -6,7 +6,8 @@
 
 use darth_apps::cnn::data::{evaluate, train_classifier, Dataset};
 use darth_apps::cnn::resnet::{AnalogNoise, ResNet};
-use darth_apps::cnn::workload::inference_trace;
+use darth_apps::cnn::workload::emit_inference;
+use darth_pum::trace::TraceSummary;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A reduced-size network keeps the example fast; the bench harness
@@ -22,12 +23,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("test accuracy (digital):     {:.1}%", clean * 100.0);
     println!("test accuracy (analog+ADC):  {:.1}%", noisy * 100.0);
 
-    // The Figure 15 workload trace for the full network.
+    // The Figure 15 workload stream for the full network, recorded.
     let full = ResNet::resnet20(1)?;
-    let trace = inference_trace(&full)?;
+    let trace = TraceSummary::record(|r| emit_inference(&full, "resnet-20", r));
     println!(
         "\nfull ResNet-20 trace: {} layers, {:.1}M MACs, {:.1}% MVM work",
-        trace.kernels.len(),
+        trace.kernel_count(),
         trace.macs() as f64 / 1e6,
         trace.mvm_fraction() * 100.0
     );

@@ -439,8 +439,8 @@ proptest! {
         prop_assert_eq!(validated.is_ok(), built.is_ok());
         if let Ok(model) = built {
             // A valid point prices real work to positive, finite costs.
-            let trace = darth_apps::gemm::GemmWorkload::square(32).trace();
-            let report = darth_pum::eval::ArchModel::price(&model, &trace);
+            let gemm = darth_apps::gemm::GemmWorkload::square(32);
+            let report = darth_pum::eval::ArchModel::price(&model, &gemm);
             prop_assert!(report.latency_s.is_finite() && report.latency_s > 0.0);
             prop_assert!(
                 report.energy_per_item_j.is_finite() && report.energy_per_item_j > 0.0

@@ -84,8 +84,9 @@ fn functional_simulator_is_reachable() {
 
 #[test]
 fn baseline_models_are_reachable() {
-    let trace = apps::aes::workload::block_trace(apps::aes::workload::AesVariant::Aes128);
-    let report = baselines::BaselineModel::paper(analog::AdcKind::Sar).price(&trace);
+    use pum::eval::ArchModel;
+    let workload = apps::aes::workload::AesWorkload::paper();
+    let report = baselines::BaselineModel::paper(analog::AdcKind::Sar).price(&workload);
     assert!(report.latency_s > 0.0);
     assert!(report.energy_per_item_j > 0.0);
 }
