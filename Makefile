@@ -15,7 +15,7 @@ EVAL_LARGE_CAP_KB ?= 2097152
 ## Generous because a cold tree pays the release build inside it.
 SIM_VERIFY_BUDGET_S ?= 600
 
-.PHONY: all build test verify doc lint fmt fmt-check bench bench-check figures eval eval-large equivalence dse dse-smoke sim-verify kir-verify serve serve-smoke mc mc-smoke loc clean
+.PHONY: all build test verify doc lint fmt fmt-check bench bench-check figures eval eval-large equivalence dse dse-smoke sim-verify kir-verify serve serve-smoke mc mc-smoke hostbench-check loc clean
 
 all: verify
 
@@ -23,18 +23,27 @@ all: verify
 ## (clippy and rustfmt, both warnings-as-errors), then — explicitly —
 ## the streaming/replay equivalence regression, the DSE smoke sweep, the
 ## functional-simulator differential gate, the kernel-IR compiler gate,
-## the serving smoke suite and the Monte-Carlo smoke suite.
-verify: build test lint fmt-check equivalence dse-smoke sim-verify kir-verify serve-smoke mc-smoke
+## the serving smoke suite, the Monte-Carlo smoke suite and the host
+## benchmark's compile check.
+verify: build test lint fmt-check equivalence dse-smoke sim-verify kir-verify serve-smoke mc-smoke hostbench-check
+
+## The host benchmark (hostbench/, a package of its own outside the
+## workspace) must keep compiling against the workspace API on its
+## committed lockfile: `--locked` fails loudly on any change that would
+## rewrite hostbench/Cargo.lock. Builds into the gitignored
+## hostbench/target/.
+hostbench-check:
+	$(CARGO) check --offline --locked --manifest-path hostbench/Cargo.toml
 
 ## The golden-model differential gate: the standard registry
 ## (AES-128/192/256 on FIPS-197 vectors, integer GEMM, a conv layer)
 ## executes on the functional ISA simulator and must match its golden
 ## software references bit-exactly, cell by cell, while the paired
 ## priced twins flow through the analytical engine. The fast path
-## (packed bit-planes + precompiled dispatch + sharded tiles) then
-## replays the executor-pair suite in release at bulk scale — 1000 AES
-## blocks — and must match the reference interpreter result-, energy-
-## and cycle-exactly. Also refuses any `#[ignore]`d test in the tier-1
+## (packed bit-planes + sharded tiles, on the reference's own
+## instruction dispatch) then replays the executor-pair suite in release
+## at bulk scale — 1000 AES blocks — and must match the reference
+## executor result-, energy- and cycle-exactly. Also refuses any `#[ignore]`d test in the tier-1
 ## tree — a silently skipped differential case must fail the build,
 ## not hide.
 sim-verify:

@@ -1,7 +1,7 @@
 //! Criterion bench + machine-readable throughput report for the two
 //! functional-simulator backends: the reference interpreter
 //! (`SimExecutor`) and the fast path (`FastExecutor`: packed bit-planes,
-//! precompiled dispatch, sharded tiles).
+//! sharded tiles).
 //!
 //! Criterion covers per-block latency; the self-timed section then runs
 //! a bulk-AES batch through both backends — fast at 1 worker and at one
@@ -84,7 +84,7 @@ fn throughput_report() {
         elapsed: start.elapsed(),
     });
 
-    // Fast path at 1 worker (packed planes + precompiled dispatch alone)
+    // Fast path at 1 worker (packed planes alone)
     // and at one worker per core (sharding on top).
     for workers in [1, cores] {
         let fast = FastExecutor::new().with_workers(workers);

@@ -16,10 +16,11 @@ use crate::{Error, Result};
 use darth_digital::{BoolOp, DcePipeline, PackedPipeline, Pipeline};
 use darth_isa::iiu::ReductionRegs;
 use darth_isa::instruction::{Instruction, IsaBoolOp, Program};
-use darth_isa::VaCoreId;
+use darth_isa::{PipelineId, VaCoreId, Vr};
 use darth_reram::{Cycles, EnergyMeter};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::marker::PhantomData;
 
 /// Host-staged bulk data referenced by instruction handles.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -102,23 +103,23 @@ pub type DarthPumChip = GenericChip<Pipeline>;
 /// The fast-path chip: packed bit-plane pipelines.
 pub type FastChip = GenericChip<PackedPipeline>;
 
-/// The per-instruction dispatch closure of a [`CompiledProgram`].
-type OpThunk<P> = Box<dyn Fn(&mut GenericChip<P>, &SideChannel) -> Result<()> + Send + Sync>;
-
-/// A decoded instruction stream precompiled into a jump table of
-/// monomorphic op closures.
+/// A decoded program prepared for repeated runs: its executed prefix and
+/// the run statistics that prefix will report.
 ///
-/// Operand casts, the Boolean-op mapping and the instruction `match` are
-/// all paid once at [`GenericChip::compile`] time; repeated
-/// [`GenericChip::run_compiled`] runs dispatch straight through the boxed
-/// thunks. Run statistics (executed-prefix length, analog count,
-/// per-mnemonic histogram) are precomputed too, so a run only pays for
-/// the work the instructions actually do.
+/// [`GenericChip::compile`] finds the first `halt` and precomputes the
+/// executed-prefix length, analog count and per-mnemonic histogram once,
+/// so repeated [`GenericChip::run_compiled`] runs only pay for the work
+/// the instructions actually do. Execution itself is the interpreter's:
+/// both entry points dispatch through the one `match` over
+/// [`Instruction`]. The type parameter ties a compiled program to the
+/// chip flavour it was compiled for.
 pub struct CompiledProgram<P: DcePipeline> {
-    thunks: Vec<OpThunk<P>>,
+    /// The instructions before the first `halt`.
+    body: Vec<Instruction>,
     instructions: u64,
     analog_instructions: u64,
     histogram: BTreeMap<&'static str, u64>,
+    chip: PhantomData<fn() -> P>,
 }
 
 impl<P: DcePipeline> CompiledProgram<P> {
@@ -145,10 +146,20 @@ impl<P: DcePipeline> CompiledProgram<P> {
 impl<P: DcePipeline> std::fmt::Debug for CompiledProgram<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CompiledProgram")
-            .field("thunks", &self.thunks.len())
+            .field("body", &self.body.len())
             .field("instructions", &self.instructions)
             .field("analog_instructions", &self.analog_instructions)
             .finish()
+    }
+}
+
+/// The executed prefix of `program`: the instructions before the first
+/// `halt`, and whether a `halt` ends it.
+fn executed_prefix(program: &Program) -> (&[Instruction], bool) {
+    let all = program.instructions.as_slice();
+    match all.iter().position(|i| matches!(i, Instruction::Halt)) {
+        Some(halt) => (&all[..halt], true),
+        None => (all, false),
     }
 }
 
@@ -204,72 +215,59 @@ impl<P: DcePipeline> GenericChip<P> {
     /// Executes a program against the functional tile.
     ///
     /// Returns statistics; results live in the tile's pipelines and can be
-    /// read back through [`GenericChip::tile`].
+    /// read back through [`GenericChip::tile`]. Front-end cycles are
+    /// issued as in [`GenericChip::run_compiled`].
     ///
     /// # Errors
     ///
     /// Returns the first execution error (bad operands, arbiter conflicts,
     /// missing side-channel data).
     pub fn execute(&mut self, program: &Program, data: &SideChannel) -> Result<RunStats> {
-        let mut stats = RunStats::default();
-        for inst in program.iter() {
-            stats.instructions += 1;
-            if inst.is_analog() {
-                stats.analog_instructions += 1;
-            }
-            stats.issue_cycles += self.front_end.issue(1).get();
-            match *inst {
-                Instruction::Halt => break,
-                other => self.execute_one(&other, data)?,
-            }
-        }
-        Ok(stats)
+        let (body, halted) = executed_prefix(program);
+        let issue_cycles = self.run_prefix(body, halted, data)?;
+        Ok(RunStats {
+            instructions: body.len() as u64 + u64::from(halted),
+            analog_instructions: body.iter().filter(|i| i.is_analog()).count() as u64,
+            issue_cycles,
+        })
     }
 
-    /// Precompiles `program` into a [`CompiledProgram`] jump table.
+    /// Prepares `program` for repeated [`GenericChip::run_compiled`] runs.
     ///
-    /// Only the executed prefix (through the first `halt`, inclusive) is
-    /// compiled; instructions after a `halt` never run in the interpreter
-    /// either. Unknown opcodes compile into thunks that fail exactly as
-    /// [`GenericChip::execute`] would.
+    /// Only the executed prefix (through the first `halt`, inclusive)
+    /// counts; instructions after a `halt` never run. Unknown opcodes are
+    /// kept and fail at run time exactly as [`GenericChip::execute`]
+    /// fails on them.
     pub fn compile(program: &Program) -> CompiledProgram<P> {
-        let mut thunks = Vec::with_capacity(program.len());
-        let mut instructions = 0u64;
-        let mut analog_instructions = 0u64;
+        let (body, halted) = executed_prefix(program);
         // Count per static mnemonic first (a handful of distinct entries)
         // so the per-instruction loop never allocates key strings.
         let mut counts: Vec<(&'static str, u64)> = Vec::new();
-        for inst in program.iter() {
-            instructions += 1;
-            if inst.is_analog() {
-                analog_instructions += 1;
-            }
+        let halt = halted.then_some(&Instruction::Halt);
+        for inst in body.iter().chain(halt) {
             let mnemonic = inst.mnemonic();
             match counts.iter_mut().find(|(m, _)| *m == mnemonic) {
                 Some((_, n)) => *n += 1,
                 None => counts.push((mnemonic, 1)),
             }
-            if matches!(inst, Instruction::Halt) {
-                break;
-            }
-            thunks.push(Self::compile_one(inst));
         }
-        let histogram = counts.into_iter().collect();
         CompiledProgram {
-            thunks,
-            instructions,
-            analog_instructions,
-            histogram,
+            body: body.to_vec(),
+            instructions: body.len() as u64 + u64::from(halted),
+            analog_instructions: body.iter().filter(|i| i.is_analog()).count() as u64,
+            histogram: counts.into_iter().collect(),
+            chip: PhantomData,
         }
     }
 
     /// Runs a [`CompiledProgram`] against the chip.
     ///
     /// Bit-identical to interpreting the same program with
-    /// [`GenericChip::execute`]: the thunks call the same tile methods in
-    /// the same order, and the front end issues one cycle per executed
-    /// instruction either way ([`FrontEnd::issue`] is linear in its
-    /// count).
+    /// [`GenericChip::execute`]: both run the same loop. The front end
+    /// issues one cycle as each instruction is reached, before it
+    /// executes, and one for a terminating `halt` after the prefix
+    /// completes; a failing instruction has therefore been issued, and
+    /// nothing after it has.
     ///
     /// # Errors
     ///
@@ -280,10 +278,8 @@ impl<P: DcePipeline> GenericChip<P> {
         program: &CompiledProgram<P>,
         data: &SideChannel,
     ) -> Result<RunStats> {
-        let issue_cycles = self.front_end.issue(program.instructions).get();
-        for thunk in &program.thunks {
-            thunk(self, data)?;
-        }
+        let halted = program.instructions > program.body.len() as u64;
+        let issue_cycles = self.run_prefix(&program.body, halted, data)?;
         Ok(RunStats {
             instructions: program.instructions,
             analog_instructions: program.analog_instructions,
@@ -291,365 +287,60 @@ impl<P: DcePipeline> GenericChip<P> {
         })
     }
 
-    /// Compiles one instruction into its dispatch thunk, hoisting operand
-    /// casts and opcode mapping out of the run loop. Mirrors
-    /// [`GenericChip::execute_one`] arm for arm.
-    fn compile_one(inst: &Instruction) -> OpThunk<P> {
-        match *inst {
-            Instruction::Nop | Instruction::FenceAd | Instruction::Halt => Box::new(|_, _| Ok(())),
-            Instruction::Bool {
-                op,
-                pipe,
-                dst,
-                a,
-                b,
-            } => {
-                let bool_op = match op {
-                    IsaBoolOp::Nor => BoolOp::Nor,
-                    IsaBoolOp::Or => BoolOp::Or,
-                    IsaBoolOp::And => BoolOp::And,
-                    IsaBoolOp::Nand => BoolOp::Nand,
-                    IsaBoolOp::Xor => BoolOp::Xor,
-                    IsaBoolOp::Xnor => BoolOp::Xnor,
-                };
-                let (pipe, dst, a, b) =
-                    (pipe.0 as usize, dst.0 as usize, a.0 as usize, b.0 as usize);
-                Box::new(move |chip, _| {
-                    chip.require_digital()?;
-                    chip.tile.pipeline_mut(pipe)?.bool_op(bool_op, dst, a, b)?;
-                    Ok(())
-                })
-            }
-            Instruction::Not { pipe, dst, a } => {
-                let (pipe, dst, a) = (pipe.0 as usize, dst.0 as usize, a.0 as usize);
-                Box::new(move |chip, _| {
-                    chip.require_digital()?;
-                    chip.tile.pipeline_mut(pipe)?.not(dst, a)?;
-                    Ok(())
-                })
-            }
-            Instruction::Add { pipe, dst, a, b } => {
-                let (pipe, dst, a, b) =
-                    (pipe.0 as usize, dst.0 as usize, a.0 as usize, b.0 as usize);
-                Box::new(move |chip, _| {
-                    chip.require_digital()?;
-                    chip.tile.pipeline_mut(pipe)?.add(dst, a, b)?;
-                    Ok(())
-                })
-            }
-            Instruction::Sub { pipe, dst, a, b } => {
-                let (pipe, dst, a, b) =
-                    (pipe.0 as usize, dst.0 as usize, a.0 as usize, b.0 as usize);
-                Box::new(move |chip, _| {
-                    chip.require_digital()?;
-                    chip.tile.pipeline_mut(pipe)?.sub(dst, a, b)?;
-                    Ok(())
-                })
-            }
-            Instruction::Mul {
-                pipe,
-                dst,
-                a,
-                b,
-                width,
-            } => {
-                let (pipe, dst, a, b) =
-                    (pipe.0 as usize, dst.0 as usize, a.0 as usize, b.0 as usize);
-                Box::new(move |chip, _| {
-                    chip.require_digital()?;
-                    chip.tile.pipeline_mut(pipe)?.mul(dst, a, b, width)?;
-                    Ok(())
-                })
-            }
-            Instruction::CmpLt { pipe, dst, a, b } => {
-                let (pipe, dst, a, b) =
-                    (pipe.0 as usize, dst.0 as usize, a.0 as usize, b.0 as usize);
-                Box::new(move |chip, _| {
-                    chip.require_digital()?;
-                    chip.tile.pipeline_mut(pipe)?.cmp_lt(dst, a, b)?;
-                    Ok(())
-                })
-            }
-            Instruction::Select {
-                pipe,
-                dst,
-                cond,
-                a,
-                b,
-            } => {
-                let (pipe, dst, cond, a, b) = (
-                    pipe.0 as usize,
-                    dst.0 as usize,
-                    cond.0 as usize,
-                    a.0 as usize,
-                    b.0 as usize,
-                );
-                Box::new(move |chip, _| {
-                    chip.require_digital()?;
-                    chip.tile.pipeline_mut(pipe)?.select(dst, cond, a, b)?;
-                    Ok(())
-                })
-            }
-            Instruction::Relu { pipe, dst, a } => {
-                let (pipe, dst, a) = (pipe.0 as usize, dst.0 as usize, a.0 as usize);
-                Box::new(move |chip, _| {
-                    chip.require_digital()?;
-                    chip.tile.pipeline_mut(pipe)?.relu(dst, a)?;
-                    Ok(())
-                })
-            }
-            Instruction::ShiftLeft {
-                pipe,
-                dst,
-                src,
-                amount,
-            } => {
-                let (pipe, dst, src, amount) = (
-                    pipe.0 as usize,
-                    dst.0 as usize,
-                    src.0 as usize,
-                    amount as usize,
-                );
-                Box::new(move |chip, _| {
-                    chip.require_digital()?;
-                    chip.tile.pipeline_mut(pipe)?.shl(dst, src, amount)?;
-                    Ok(())
-                })
-            }
-            Instruction::ShiftRight {
-                pipe,
-                dst,
-                src,
-                amount,
-            } => {
-                let (pipe, dst, src, amount) = (
-                    pipe.0 as usize,
-                    dst.0 as usize,
-                    src.0 as usize,
-                    amount as usize,
-                );
-                Box::new(move |chip, _| {
-                    chip.require_digital()?;
-                    chip.tile.pipeline_mut(pipe)?.shr(dst, src, amount)?;
-                    Ok(())
-                })
-            }
-            Instruction::RotateLeft {
-                pipe,
-                dst,
-                src,
-                tmp,
-                amount,
-                width,
-            } => {
-                let (pipe, dst, src, tmp, amount, width) = (
-                    pipe.0 as usize,
-                    dst.0 as usize,
-                    src.0 as usize,
-                    tmp.0 as usize,
-                    amount as usize,
-                    width as usize,
-                );
-                Box::new(move |chip, _| {
-                    chip.require_digital()?;
-                    chip.tile
-                        .pipeline_mut(pipe)?
-                        .rotate_left(dst, src, tmp, amount, width)?;
-                    Ok(())
-                })
-            }
-            Instruction::CopyVr { pipe, dst, src } => {
-                let (pipe, dst, src) = (pipe.0 as usize, dst.0 as usize, src.0 as usize);
-                Box::new(move |chip, _| {
-                    chip.require_digital()?;
-                    chip.tile.pipeline_mut(pipe)?.copy_vr(dst, src)?;
-                    Ok(())
-                })
-            }
-            Instruction::CopyAcross {
-                src_pipe,
-                src,
-                dst_pipe,
-                dst,
-            } => {
-                let (src_pipe, src, dst_pipe, dst) = (
-                    src_pipe.0 as usize,
-                    src.0 as usize,
-                    dst_pipe.0 as usize,
-                    dst.0 as usize,
-                );
-                Box::new(move |chip, _| {
-                    chip.require_digital()?;
-                    let (dst_p, src_p) = chip.tile.pipeline_pair(dst_pipe, src_pipe)?;
-                    dst_p.copy_from(src_p, src, dst)?;
-                    Ok(())
-                })
-            }
-            Instruction::ElementLoad {
-                pipe,
-                addr,
-                table_pipe,
-                dst,
-            } => {
-                let (pipe, addr, table_pipe, dst) = (
-                    pipe.0 as usize,
-                    addr.0 as usize,
-                    table_pipe.0 as usize,
-                    dst.0 as usize,
-                );
-                Box::new(move |chip, _| {
-                    chip.require_digital()?;
-                    let (p, table) = chip.tile.pipeline_pair(pipe, table_pipe)?;
-                    p.elementwise_load(addr, table, dst)?;
-                    Ok(())
-                })
-            }
-            Instruction::PipeReverse { pipe } => {
-                let pipe = pipe.0 as usize;
-                Box::new(move |chip, _| {
-                    chip.require_digital()?;
-                    chip.tile.pipeline_mut(pipe)?.reverse();
-                    Ok(())
-                })
-            }
-            Instruction::WriteImm {
-                pipe,
-                vr,
-                element,
-                value,
-            } => {
-                let (pipe, vr, element) = (pipe.0 as usize, vr.0 as usize, element as usize);
-                Box::new(move |chip, _| {
-                    chip.tile
-                        .pipeline_mut(pipe)?
-                        .write_value(vr, element, value)?;
-                    Ok(())
-                })
-            }
-            Instruction::PipeReserve { pipe } => {
-                let _ = pipe;
-                Box::new(|_, _| Ok(()))
-            }
-            Instruction::AllocVaCore {
-                vacore,
-                element_bits,
-                bits_per_cell,
-                input_bits,
-                input_signed,
-            } => Box::new(move |chip, _| {
-                if !chip.analog_enabled {
-                    return Err(Error::DomainDisabled("analog"));
-                }
-                let allocated = chip.tile.alloc_vacore(
-                    element_bits,
-                    bits_per_cell,
-                    input_bits,
-                    input_signed,
-                )?;
-                if allocated != vacore {
-                    return Err(Error::VaCore(format!(
-                        "program expected vACore {vacore}, firmware allocated {allocated}"
-                    )));
-                }
-                Ok(())
-            }),
-            Instruction::FreeVaCore { vacore } => {
-                Box::new(move |chip, _| chip.tile.free_vacore(vacore))
-            }
-            Instruction::ProgMatrix {
-                vacore,
-                matrix_handle,
-            } => Box::new(move |chip, data| {
-                if !chip.analog_enabled {
-                    return Err(Error::DomainDisabled("analog"));
-                }
-                let matrix = data
-                    .matrices
-                    .get(&matrix_handle)
-                    .ok_or(Error::UnknownMatrix(matrix_handle as usize))?;
-                chip.tile.set_matrix(vacore, matrix)?;
-                Ok(())
-            }),
-            Instruction::UpdateRow {
-                vacore,
-                row,
-                data_handle,
-            } => Box::new(move |chip, data| {
-                let values = data
-                    .vectors
-                    .get(&data_handle)
-                    .ok_or(Error::UnknownMatrix(data_handle as usize))?;
-                chip.tile.update_row(vacore, row as usize, values)?;
-                Ok(())
-            }),
-            Instruction::UpdateCol {
-                vacore,
-                col,
-                data_handle,
-            } => Box::new(move |chip, data| {
-                let values = data
-                    .vectors
-                    .get(&data_handle)
-                    .ok_or(Error::UnknownMatrix(data_handle as usize))?;
-                chip.update_col(vacore, col as usize, values)
-            }),
-            Instruction::Mvm {
-                vacore,
-                input_pipe,
-                input_vr,
-                dst_pipe,
-                dst_vr,
-                early_levels,
-            } => {
-                let (input_pipe, input_vr, dst_pipe, dst_vr) = (
-                    input_pipe.0 as usize,
-                    input_vr.0 as usize,
-                    dst_pipe.0 as usize,
-                    dst_vr.0 as usize,
-                );
-                Box::new(move |chip, _| {
-                    if !chip.analog_enabled {
-                        return Err(Error::DomainDisabled("analog"));
-                    }
-                    chip.exec_mvm_instruction(
-                        vacore,
-                        input_pipe,
-                        input_vr,
-                        dst_pipe,
-                        dst_vr,
-                        early_levels,
-                    )
-                })
-            }
-            Instruction::SetAnalogMode { enabled } => Box::new(move |chip, _| {
-                chip.analog_enabled = enabled;
-                Ok(())
-            }),
-            Instruction::SetDigitalMode { enabled } => Box::new(move |chip, _| {
-                chip.digital_enabled = enabled;
-                Ok(())
-            }),
-            other => {
-                let mnemonic = other.mnemonic();
-                Box::new(move |_, _| {
-                    Err(Error::InvalidConfig(format!(
-                        "instruction `{mnemonic}` is not implemented by this chip model"
-                    )))
-                })
-            }
+    /// The run loop shared by [`GenericChip::execute`] and
+    /// [`GenericChip::run_compiled`]: issues and executes each instruction
+    /// of `body` in order, then issues the terminating `halt`, if any.
+    /// Returns the issue cycles consumed.
+    fn run_prefix(
+        &mut self,
+        body: &[Instruction],
+        halted: bool,
+        data: &SideChannel,
+    ) -> Result<u64> {
+        let mut issue_cycles = 0;
+        for inst in body {
+            issue_cycles += self.front_end.issue(1).get();
+            self.execute_one(inst, data)?;
+        }
+        if halted {
+            issue_cycles += self.front_end.issue(1).get();
+        }
+        Ok(issue_cycles)
+    }
+
+    /// Fails with [`Error::DomainDisabled`] unless `enabled`.
+    fn require(enabled: bool, domain: &'static str) -> Result<()> {
+        if enabled {
+            Ok(())
+        } else {
+            Err(Error::DomainDisabled(domain))
         }
     }
 
-    fn require_digital(&self) -> Result<()> {
-        if !self.digital_enabled {
-            return Err(Error::DomainDisabled("digital"));
-        }
-        Ok(())
+    /// The pipeline a DCE instruction targets, checked after the digital
+    /// domain.
+    fn digital_pipe(&mut self, pipe: PipelineId) -> Result<&mut P> {
+        Self::require(self.digital_enabled, "digital")?;
+        self.tile.pipeline_mut(usize::from(pipe.0))
     }
 
+    /// The two pipelines of a cross-pipeline DCE instruction, checked
+    /// after the digital domain.
+    fn digital_pair(&mut self, a: PipelineId, b: PipelineId) -> Result<(&mut P, &P)> {
+        Self::require(self.digital_enabled, "digital")?;
+        self.tile.pipeline_pair(usize::from(a.0), usize::from(b.0))
+    }
+
+    /// Executes one instruction — the chip's only instruction dispatch.
     fn execute_one(&mut self, inst: &Instruction, data: &SideChannel) -> Result<()> {
+        let r = |vr: Vr| usize::from(vr.0);
         match *inst {
-            Instruction::Nop | Instruction::FenceAd | Instruction::Halt => Ok(()),
+            // `presv` marks a pipeline's registers dead for MVM landing;
+            // the functional model needs no action beyond arbiter intent.
+            Instruction::Nop
+            | Instruction::FenceAd
+            | Instruction::Halt
+            | Instruction::PipeReserve { .. } => Ok(()),
             Instruction::Bool {
                 op,
                 pipe,
@@ -657,8 +348,8 @@ impl<P: DcePipeline> GenericChip<P> {
                 a,
                 b,
             } => {
-                self.require_digital()?;
-                let bool_op = match op {
+                let pipe = self.digital_pipe(pipe)?;
+                let op = match op {
                     IsaBoolOp::Nor => BoolOp::Nor,
                     IsaBoolOp::Or => BoolOp::Or,
                     IsaBoolOp::And => BoolOp::And,
@@ -666,38 +357,14 @@ impl<P: DcePipeline> GenericChip<P> {
                     IsaBoolOp::Xor => BoolOp::Xor,
                     IsaBoolOp::Xnor => BoolOp::Xnor,
                 };
-                self.tile.pipeline_mut(pipe.0 as usize)?.bool_op(
-                    bool_op,
-                    dst.0 as usize,
-                    a.0 as usize,
-                    b.0 as usize,
-                )?;
-                Ok(())
+                Ok(pipe.bool_op(op, r(dst), r(a), r(b))?)
             }
-            Instruction::Not { pipe, dst, a } => {
-                self.require_digital()?;
-                self.tile
-                    .pipeline_mut(pipe.0 as usize)?
-                    .not(dst.0 as usize, a.0 as usize)?;
-                Ok(())
-            }
+            Instruction::Not { pipe, dst, a } => Ok(self.digital_pipe(pipe)?.not(r(dst), r(a))?),
             Instruction::Add { pipe, dst, a, b } => {
-                self.require_digital()?;
-                self.tile.pipeline_mut(pipe.0 as usize)?.add(
-                    dst.0 as usize,
-                    a.0 as usize,
-                    b.0 as usize,
-                )?;
-                Ok(())
+                Ok(self.digital_pipe(pipe)?.add(r(dst), r(a), r(b))?)
             }
             Instruction::Sub { pipe, dst, a, b } => {
-                self.require_digital()?;
-                self.tile.pipeline_mut(pipe.0 as usize)?.sub(
-                    dst.0 as usize,
-                    a.0 as usize,
-                    b.0 as usize,
-                )?;
-                Ok(())
+                Ok(self.digital_pipe(pipe)?.sub(r(dst), r(a), r(b))?)
             }
             Instruction::Mul {
                 pipe,
@@ -705,24 +372,9 @@ impl<P: DcePipeline> GenericChip<P> {
                 a,
                 b,
                 width,
-            } => {
-                self.require_digital()?;
-                self.tile.pipeline_mut(pipe.0 as usize)?.mul(
-                    dst.0 as usize,
-                    a.0 as usize,
-                    b.0 as usize,
-                    width,
-                )?;
-                Ok(())
-            }
+            } => Ok(self.digital_pipe(pipe)?.mul(r(dst), r(a), r(b), width)?),
             Instruction::CmpLt { pipe, dst, a, b } => {
-                self.require_digital()?;
-                self.tile.pipeline_mut(pipe.0 as usize)?.cmp_lt(
-                    dst.0 as usize,
-                    a.0 as usize,
-                    b.0 as usize,
-                )?;
-                Ok(())
+                Ok(self.digital_pipe(pipe)?.cmp_lt(r(dst), r(a), r(b))?)
             }
             Instruction::Select {
                 pipe,
@@ -730,51 +382,28 @@ impl<P: DcePipeline> GenericChip<P> {
                 cond,
                 a,
                 b,
-            } => {
-                self.require_digital()?;
-                self.tile.pipeline_mut(pipe.0 as usize)?.select(
-                    dst.0 as usize,
-                    cond.0 as usize,
-                    a.0 as usize,
-                    b.0 as usize,
-                )?;
-                Ok(())
-            }
+            } => Ok(self
+                .digital_pipe(pipe)?
+                .select(r(dst), r(cond), r(a), r(b))?),
             Instruction::Relu { pipe, dst, a } => {
-                self.require_digital()?;
-                self.tile
-                    .pipeline_mut(pipe.0 as usize)?
-                    .relu(dst.0 as usize, a.0 as usize)?;
-                Ok(())
+                Ok(self.digital_pipe(pipe)?.relu(r(dst), r(a))?)
             }
             Instruction::ShiftLeft {
                 pipe,
                 dst,
                 src,
                 amount,
-            } => {
-                self.require_digital()?;
-                self.tile.pipeline_mut(pipe.0 as usize)?.shl(
-                    dst.0 as usize,
-                    src.0 as usize,
-                    amount as usize,
-                )?;
-                Ok(())
-            }
+            } => Ok(self
+                .digital_pipe(pipe)?
+                .shl(r(dst), r(src), amount.into())?),
             Instruction::ShiftRight {
                 pipe,
                 dst,
                 src,
                 amount,
-            } => {
-                self.require_digital()?;
-                self.tile.pipeline_mut(pipe.0 as usize)?.shr(
-                    dst.0 as usize,
-                    src.0 as usize,
-                    amount as usize,
-                )?;
-                Ok(())
-            }
+            } => Ok(self
+                .digital_pipe(pipe)?
+                .shr(r(dst), r(src), amount.into())?),
             Instruction::RotateLeft {
                 pipe,
                 dst,
@@ -782,23 +411,15 @@ impl<P: DcePipeline> GenericChip<P> {
                 tmp,
                 amount,
                 width,
-            } => {
-                self.require_digital()?;
-                self.tile.pipeline_mut(pipe.0 as usize)?.rotate_left(
-                    dst.0 as usize,
-                    src.0 as usize,
-                    tmp.0 as usize,
-                    amount as usize,
-                    width as usize,
-                )?;
-                Ok(())
-            }
+            } => Ok(self.digital_pipe(pipe)?.rotate_left(
+                r(dst),
+                r(src),
+                r(tmp),
+                amount.into(),
+                width.into(),
+            )?),
             Instruction::CopyVr { pipe, dst, src } => {
-                self.require_digital()?;
-                self.tile
-                    .pipeline_mut(pipe.0 as usize)?
-                    .copy_vr(dst.0 as usize, src.0 as usize)?;
-                Ok(())
+                Ok(self.digital_pipe(pipe)?.copy_vr(r(dst), r(src))?)
             }
             Instruction::CopyAcross {
                 src_pipe,
@@ -806,12 +427,8 @@ impl<P: DcePipeline> GenericChip<P> {
                 dst_pipe,
                 dst,
             } => {
-                self.require_digital()?;
-                let (dst_p, src_p) = self
-                    .tile
-                    .pipeline_pair(dst_pipe.0 as usize, src_pipe.0 as usize)?;
-                dst_p.copy_from(src_p, src.0 as usize, dst.0 as usize)?;
-                Ok(())
+                let (dst_p, src_p) = self.digital_pair(dst_pipe, src_pipe)?;
+                Ok(dst_p.copy_from(src_p, r(src), r(dst))?)
             }
             Instruction::ElementLoad {
                 pipe,
@@ -819,16 +436,11 @@ impl<P: DcePipeline> GenericChip<P> {
                 table_pipe,
                 dst,
             } => {
-                self.require_digital()?;
-                let (p, table) = self
-                    .tile
-                    .pipeline_pair(pipe.0 as usize, table_pipe.0 as usize)?;
-                p.elementwise_load(addr.0 as usize, table, dst.0 as usize)?;
-                Ok(())
+                let (p, table) = self.digital_pair(pipe, table_pipe)?;
+                Ok(p.elementwise_load(r(addr), table, r(dst))?)
             }
             Instruction::PipeReverse { pipe } => {
-                self.require_digital()?;
-                self.tile.pipeline_mut(pipe.0 as usize)?.reverse();
+                self.digital_pipe(pipe)?.reverse();
                 Ok(())
             }
             Instruction::WriteImm {
@@ -837,18 +449,8 @@ impl<P: DcePipeline> GenericChip<P> {
                 element,
                 value,
             } => {
-                self.tile.pipeline_mut(pipe.0 as usize)?.write_value(
-                    vr.0 as usize,
-                    element as usize,
-                    value,
-                )?;
-                Ok(())
-            }
-            Instruction::PipeReserve { pipe } => {
-                // Marks the pipeline's registers dead for MVM landing; the
-                // functional model needs no action beyond arbiter intent.
-                let _ = pipe;
-                Ok(())
+                let pipe = self.tile.pipeline_mut(usize::from(pipe.0))?;
+                Ok(pipe.write_value(r(vr), element.into(), value)?)
             }
             Instruction::AllocVaCore {
                 vacore,
@@ -857,9 +459,7 @@ impl<P: DcePipeline> GenericChip<P> {
                 input_bits,
                 input_signed,
             } => {
-                if !self.analog_enabled {
-                    return Err(Error::DomainDisabled("analog"));
-                }
+                Self::require(self.analog_enabled, "analog")?;
                 let allocated = self.tile.alloc_vacore(
                     element_bits,
                     bits_per_cell,
@@ -878,15 +478,12 @@ impl<P: DcePipeline> GenericChip<P> {
                 vacore,
                 matrix_handle,
             } => {
-                if !self.analog_enabled {
-                    return Err(Error::DomainDisabled("analog"));
-                }
+                Self::require(self.analog_enabled, "analog")?;
                 let matrix = data
                     .matrices
                     .get(&matrix_handle)
-                    .ok_or(Error::UnknownMatrix(matrix_handle as usize))?;
-                self.tile.set_matrix(vacore, matrix)?;
-                Ok(())
+                    .ok_or(Error::UnknownMatrix(matrix_handle.into()))?;
+                self.tile.set_matrix(vacore, matrix).map(drop)
             }
             Instruction::UpdateRow {
                 vacore,
@@ -896,9 +493,8 @@ impl<P: DcePipeline> GenericChip<P> {
                 let values = data
                     .vectors
                     .get(&data_handle)
-                    .ok_or(Error::UnknownMatrix(data_handle as usize))?;
-                self.tile.update_row(vacore, row as usize, values)?;
-                Ok(())
+                    .ok_or(Error::UnknownMatrix(data_handle.into()))?;
+                self.tile.update_row(vacore, row.into(), values).map(drop)
             }
             Instruction::UpdateCol {
                 vacore,
@@ -909,8 +505,8 @@ impl<P: DcePipeline> GenericChip<P> {
                 let values = data
                     .vectors
                     .get(&data_handle)
-                    .ok_or(Error::UnknownMatrix(data_handle as usize))?;
-                self.update_col(vacore, col as usize, values)
+                    .ok_or(Error::UnknownMatrix(data_handle.into()))?;
+                self.update_col(vacore, col.into(), values)
             }
             Instruction::Mvm {
                 vacore,
@@ -920,15 +516,13 @@ impl<P: DcePipeline> GenericChip<P> {
                 dst_vr,
                 early_levels,
             } => {
-                if !self.analog_enabled {
-                    return Err(Error::DomainDisabled("analog"));
-                }
+                Self::require(self.analog_enabled, "analog")?;
                 self.exec_mvm_instruction(
                     vacore,
-                    input_pipe.0 as usize,
-                    input_vr.0 as usize,
-                    dst_pipe.0 as usize,
-                    dst_vr.0 as usize,
+                    usize::from(input_pipe.0),
+                    r(input_vr),
+                    usize::from(dst_pipe.0),
+                    r(dst_vr),
                     early_levels,
                 )
             }
@@ -1035,6 +629,7 @@ impl<P: DcePipeline> GenericChip<P> {
 mod tests {
     use super::*;
     use darth_isa::asm::assemble;
+    use darth_reram::NoiseRng;
 
     fn chip() -> DarthPumChip {
         DarthPumChip::new(ChipParams::default(), HctConfig::small_test()).expect("valid")
@@ -1156,88 +751,166 @@ mod tests {
              wimm p0 v9 0 1\n"
         ))
         .expect("parses");
+        let compiled = DarthPumChip::compile(&program);
+        assert_eq!(compiled.instructions(), 7, "prefix stops at halt");
+        assert_eq!(compiled.analog_instructions(), 2);
+        let expected: BTreeMap<&str, u64> = [
+            ("valloc", 1),
+            ("progm", 1),
+            ("wimm", 2),
+            ("mvm", 1),
+            ("add", 1),
+            ("halt", 1),
+        ]
+        .into_iter()
+        .collect();
+        assert_eq!(compiled.histogram(), &expected, "nothing after halt");
         let mut interpreted = chip();
         let interp_stats = interpreted.execute(&program, &data).expect("runs");
         let mut compiled_chip = chip();
-        let compiled = DarthPumChip::compile(&program);
-        assert_eq!(compiled.instructions(), 7, "prefix stops at halt");
-        assert_eq!(compiled.histogram()["halt"], 1);
         let compiled_stats = compiled_chip.run_compiled(&compiled, &data).expect("runs");
         assert_eq!(interp_stats, compiled_stats);
-        for (vr, e) in [(4usize, 0usize), (4, 1), (5, 0), (5, 1), (9, 0)] {
-            let a = interpreted
-                .tile_mut()
-                .pipeline_mut(1)
-                .expect("exists")
-                .read_value(vr, e)
-                .expect("in range");
-            let b = compiled_chip
-                .tile_mut()
-                .pipeline_mut(1)
-                .expect("exists")
-                .read_value(vr, e)
-                .expect("in range");
-            assert_eq!(a, b, "v{vr}[{e}]");
-        }
         assert_eq!(
             interpreted.front_end().issued(),
             compiled_chip.front_end().issued(),
             "issue accounting must match for identical energy"
         );
+        // Without a halt the whole program is the prefix.
+        let unhalted = assemble("nop\nwimm p0 v0 0 1\n").expect("parses");
+        assert_eq!(DarthPumChip::compile(&unhalted).instructions(), 2);
+    }
+
+    /// Instruction templates for random programs. Each placeholder draws
+    /// an operand: `P` a pipeline, `V` a register, `D` an MVM landing
+    /// register, `A` a vACore, `H` a side-channel handle, `I` a row or
+    /// column, `E` an element, `X` an immediate, `N` a shift amount, `W` a
+    /// multiply width, `B` a mode flag.
+    const TEMPLATES: &str = "nop|fence|presv P|nor P V V V|or P V V V|and P V V V|\
+        nand P V V V|xor P V V V|xnor P V V V|not P V V|add P V V V|sub P V V V|\
+        mul P V V V W|cmplt P V V V|select P V V V V|relu P V V|shl P V V N|shr P V V N|\
+        rotl P V V V N 8|copy P V V|copyx P V P V|eload P V P V|prev P|wimm P V E X|\
+        wimm P V E X|mvm A P V P D 0|mvm A P V P D 0|progm A H|updrow A I H|updcol A I H|\
+        valloc A 4 4 3 0|vfree A|amode B|dmode B|halt";
+
+    /// One random assembly line for the `small_test` tile (4 pipelines of
+    /// 40 registers, 64 elements). Operands are mostly in range so that
+    /// many programs complete, and registers mostly come from a few low
+    /// ones so that values flow between instructions; an occasional
+    /// draw beyond (up to out of range) keeps the rest and the error
+    /// paths covered.
+    fn random_line(rng: &mut NoiseRng) -> String {
+        let templates: Vec<&str> = TEMPLATES.split('|').collect();
+        let template = templates[rng.index(templates.len())];
+        let mut pick = |valid: usize, over: usize| {
+            if rng.chance(0.03) {
+                valid + rng.index(over)
+            } else {
+                rng.index(valid)
+            }
+        };
+        let operands = template.split(' ').map(|token| match token {
+            "P" => format!("p{}", pick(4, 1)),
+            "V" => format!("v{}", pick(6, 36)),
+            "D" => format!("v{}", pick(30, 12)),
+            "A" => format!("ac{}", pick(1, 1)),
+            "H" | "I" => pick(2, 1).to_string(),
+            "E" => pick(64, 2).to_string(),
+            "X" => pick(64, 1).to_string(),
+            "N" => pick(8, 1).to_string(),
+            "W" => (1 + pick(8, 1)).to_string(),
+            "B" => usize::from(pick(5, 1) > 0).to_string(),
+            literal => literal.to_string(),
+        });
+        operands.collect::<Vec<_>>().join(" ")
+    }
+
+    /// Every pipeline's every register, read out of `chip`.
+    fn pipeline_contents<P: DcePipeline>(chip: &mut GenericChip<P>) -> Vec<Vec<u64>> {
+        let mut contents = Vec::new();
+        for p in 0..chip.tile().config().functional_pipelines {
+            let pipe = chip.tile_mut().pipeline_mut(p).expect("exists");
+            for vr in 0..pipe.vr_count() {
+                contents.push(pipe.read_vector(vr).expect("in range"));
+            }
+        }
+        contents
     }
 
     #[test]
     fn fast_chip_matches_reference_on_hybrid_program() {
         let mut data = SideChannel::new();
-        let handle = data
-            .stage_matrix(vec![vec![5, 9], vec![8, 7]])
-            .expect("stages");
-        let program = assemble(&format!(
-            "valloc ac0 4 4 3 0\n\
-             progm ac0 {handle}\n\
-             wimm p0 v0 0 2\n\
-             wimm p0 v0 1 7\n\
-             mvm ac0 p0 v0 p1 v4 0\n\
-             xor p1 v5 v4 v4\n\
-             add p1 v6 v4 v4\n\
-             halt\n"
-        ))
-        .expect("parses");
-        let mut reference = chip();
-        let ref_stats = reference.execute(&program, &data).expect("runs");
-        let mut fast =
+        for m in 0..2 {
+            data.stage_matrix(vec![vec![5 + m, 9], vec![8, 7 - m]])
+                .expect("stages");
+            data.stage_vector(vec![3 + m, 1]).expect("stages");
+        }
+        let mut reference_chip = chip();
+        let mut fast_chip =
             FastChip::new(ChipParams::default(), HctConfig::small_test()).expect("valid");
-        let compiled = FastChip::compile(&program);
-        let fast_stats = fast.run_compiled(&compiled, &data).expect("runs");
-        assert_eq!(ref_stats, fast_stats);
-        for vr in [4usize, 5, 6] {
-            for e in 0..2 {
-                let a = reference
-                    .tile_mut()
-                    .pipeline_mut(1)
+        let mut rng = NoiseRng::seed_from(0xC0DE_2026);
+        // Random 32-bit data in the low registers most operands name, so
+        // every instruction computes on live values.
+        for p in 0..4 {
+            for vr in 0..6 {
+                let values: Vec<u64> = (0..64).map(|_| rng.next_u64() >> 32).collect();
+                let reference_pipe = reference_chip.tile_mut().pipeline_mut(p);
+                reference_pipe
                     .expect("exists")
-                    .read_value(vr, e)
-                    .expect("in range");
-                let b = fast
-                    .tile_mut()
-                    .pipeline_mut(1)
+                    .write_vector(vr, &values)
+                    .expect("fits");
+                let fast_pipe = fast_chip.tile_mut().pipeline_mut(p);
+                fast_pipe
                     .expect("exists")
-                    .read_value(vr, e)
-                    .expect("in range");
-                assert_eq!(a, b, "v{vr}[{e}]");
+                    .write_vector(vr, &values)
+                    .expect("fits");
             }
         }
-        // Primitive accounting (and therefore energy) matches too.
-        assert_eq!(
-            reference
-                .tile()
-                .pipeline(1)
-                .expect("exists")
-                .primitives_executed(),
-            fast.tile()
-                .pipeline(1)
-                .expect("exists")
-                .primitives_executed()
+        let programs = 300;
+        let mut completed = 0;
+        for case in 0..programs {
+            let mut source = String::new();
+            // Half the programs start from an allocated, programmed vACore
+            // so MVMs and row/column updates can succeed.
+            if rng.chance(0.5) {
+                source += &format!("valloc ac0 4 4 3 0\nprogm ac0 {}\n", rng.index(2));
+            }
+            for _ in 0..=rng.index(6) {
+                source += &random_line(&mut rng);
+                source.push('\n');
+            }
+            let program = assemble(&source).expect("templates assemble");
+            let mut reference = reference_chip.clone();
+            let mut fast = fast_chip.clone();
+            let ref_result = reference.execute(&program, &data);
+            let fast_result = fast.run_compiled(&FastChip::compile(&program), &data);
+            assert_eq!(
+                format!("{ref_result:?}"),
+                format!("{fast_result:?}"),
+                "case {case}:\n{source}"
+            );
+            if ref_result.is_err() {
+                continue;
+            }
+            completed += 1;
+            // Primitive accounting (and therefore energy) matches too.
+            assert_eq!(
+                reference.energy_meter().total(),
+                fast.energy_meter().total(),
+                "case {case}"
+            );
+            assert_eq!(
+                reference.tile().busy_cycles(),
+                fast.tile().busy_cycles(),
+                "case {case}"
+            );
+            assert!(
+                pipeline_contents(&mut reference) == pipeline_contents(&mut fast),
+                "case {case}: pipeline contents differ after\n{source}"
+            );
+        }
+        assert!(
+            completed * 4 >= programs,
+            "only {completed} of {programs} random programs completed"
         );
     }
 

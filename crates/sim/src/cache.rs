@@ -15,10 +15,10 @@
 //! eviction and hit/miss/eviction counters ([`CacheStats`]) that the
 //! serving layer reports per chip.
 
-use crate::fast::{FastExecutor, FastMachine};
+use crate::machine::FastMachine;
 use darth_digital::PackedPipeline;
 use darth_pum::chip::CompiledProgram;
-use darth_pum::eval::{ExecJob, ExecRun, JobSignature, SplitJob};
+use darth_pum::eval::{ExecRun, JobSignature, SplitJob};
 use darth_reram::{Cycles, PicoJoules};
 use std::collections::BTreeMap;
 
@@ -76,26 +76,6 @@ impl ResidentProgram {
             warmed,
             setup_cycles,
             setup_instructions: setup_stats.instructions,
-        })
-    }
-
-    /// Builds the resident form of a monolithic job: an empty setup and
-    /// the whole program as the body. Serving it with an empty input
-    /// replays the job exactly — the degenerate case the cache-aware
-    /// [`FastExecutor::run_cached`] entry point uses for identical
-    /// repeated jobs.
-    ///
-    /// # Errors
-    ///
-    /// As [`ResidentProgram::for_split`].
-    pub fn for_job(job: &ExecJob) -> darth_pum::Result<Self> {
-        ResidentProgram::for_split(SplitJob {
-            name: job.name.clone(),
-            tile: job.tile.clone(),
-            setup: Vec::new(),
-            body: job.program.clone(),
-            data: job.data.clone(),
-            readbacks: job.readbacks.clone(),
         })
     }
 
@@ -259,34 +239,6 @@ impl ProgramCache {
         Ok(resident)
     }
 
-    /// The resident for a monolithic `job` (degenerate split — see
-    /// [`ResidentProgram::for_job`]), building on miss.
-    ///
-    /// # Errors
-    ///
-    /// As [`ProgramCache::get_or_build_split`].
-    pub fn get_or_build_job(&mut self, job: &ExecJob) -> darth_pum::Result<&ResidentProgram> {
-        let signature = job.signature();
-        if !self.entries.contains_key(&signature) {
-            let resident = ResidentProgram::for_job(job)?;
-            // A monolithic resident is keyed by the *job* signature (the
-            // degenerate split signs differently — it domain-separates
-            // sections), so insert under the lookup key explicitly.
-            self.stats.misses += 1;
-            self.evict_to(self.capacity - 1);
-            self.entries.insert(signature, (self.tick, resident));
-        } else {
-            self.stats.hits += 1;
-        }
-        self.tick += 1;
-        let (last_used, resident) = self
-            .entries
-            .get_mut(&signature)
-            .expect("entry was just inserted or found");
-        *last_used = self.tick;
-        Ok(resident)
-    }
-
     /// Evicts least-recently-used entries until at most `target` remain.
     fn evict_to(&mut self, target: usize) {
         while self.entries.len() > target {
@@ -302,66 +254,26 @@ impl ProgramCache {
     }
 }
 
-impl FastExecutor {
-    /// Cache-aware execution: identical repeated jobs (same
-    /// [`ExecJob::signature`]) reuse one resident compiled program and
-    /// warmed prototype machine from `cache` instead of re-decoding,
-    /// re-compiling and re-constructing per call.
-    ///
-    /// # Errors
-    ///
-    /// Returns resident build errors and the first execution or readback
-    /// error.
-    pub fn run_cached(
-        &self,
-        job: &ExecJob,
-        cache: &mut ProgramCache,
-    ) -> darth_pum::Result<ServedRun> {
-        cache.get_or_build_job(job)?.serve(&[])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::machine::SimExecutor;
-    use crate::machine::StatExecutor;
+    use crate::fast::FastExecutor;
+    use crate::machine::{SimExecutor, StatExecutor};
     use darth_isa::asm::assemble;
-    use darth_isa::encode::encode_program;
+    use darth_isa::encode::{encode_program, is_valid_opcode};
     use darth_pum::chip::SideChannel;
     use darth_pum::eval::Readback;
     use darth_pum::hct::HctConfig;
+    use darth_reram::NoiseRng;
 
-    fn digital_job(value: u64) -> ExecJob {
-        let program = assemble(&format!(
-            "wimm p0 v0 0 {value}\n\
-             wimm p0 v1 0 17\n\
-             add p0 v2 v0 v1\n\
-             halt\n"
-        ))
-        .expect("parses");
-        ExecJob {
-            name: format!("digital-{value}"),
-            tile: HctConfig::small_test(),
-            program: encode_program(&program),
-            data: SideChannel::new(),
-            readbacks: vec![Readback {
-                label: "sum".into(),
-                pipe: 0,
-                vr: 2,
-                elements: 1,
-                signed: false,
-            }],
-        }
-    }
-
-    /// A hand-built split: constant 17 staged in setup, per-request
-    /// value via the input section, sum computed by the resident body.
-    fn digital_split() -> SplitJob {
-        let setup = assemble("wimm p0 v1 0 17\n").expect("parses");
+    /// A hand-built split: constant `constant` staged in setup,
+    /// per-request value via the input section, sum computed by the
+    /// resident body.
+    fn split_with(constant: u64) -> SplitJob {
+        let setup = assemble(&format!("wimm p0 v1 0 {constant}\n")).expect("parses");
         let body = assemble("add p0 v2 v0 v1\nhalt\n").expect("parses");
         SplitJob {
-            name: "digital-split".into(),
+            name: format!("digital-split-{constant}"),
             tile: HctConfig::small_test(),
             setup: encode_program(&setup),
             body: encode_program(&body),
@@ -374,6 +286,10 @@ mod tests {
                 signed: false,
             }],
         }
+    }
+
+    fn digital_split() -> SplitJob {
+        split_with(17)
     }
 
     fn input_for(value: u64) -> Vec<u8> {
@@ -409,14 +325,28 @@ mod tests {
     }
 
     #[test]
-    fn run_cached_matches_uncached_and_counts_hits() {
-        let executor = FastExecutor::new();
+    fn cached_split_matches_uncached_and_counts_hits() {
         let mut cache = ProgramCache::new(4);
-        let job = digital_job(25);
-        let (plain, _) = executor.execute_with_stats(&job).expect("runs");
-        let first = executor.run_cached(&job, &mut cache).expect("serves");
-        let second = executor.run_cached(&job, &mut cache).expect("serves");
-        assert_eq!(first.run, plain);
+        let split = digital_split();
+        let input = input_for(25);
+        let (plain, _) = FastExecutor::new()
+            .execute_with_stats(&split.full_job(&input))
+            .expect("runs");
+        let resident = cache.get_or_build_split(&split).expect("builds");
+        let first = resident.serve(&input).expect("serves");
+        let setup_instructions = resident.setup_instructions();
+        let second = cache
+            .get_or_build_split(&split)
+            .expect("hits")
+            .serve(&input)
+            .expect("serves");
+        // The uncached run is the same program with its setup inline.
+        assert_eq!(first.run.outputs, plain.outputs);
+        assert_eq!(
+            first.run.instructions + setup_instructions,
+            plain.instructions
+        );
+        assert_eq!(first.run.analog_instructions, plain.analog_instructions);
         assert_eq!(first, second);
         assert_eq!(cache.stats().misses, 1);
         assert_eq!(cache.stats().hits, 1);
@@ -425,25 +355,58 @@ mod tests {
 
     #[test]
     fn lru_evicts_the_least_recently_used_resident() {
-        let executor = FastExecutor::new();
         let mut cache = ProgramCache::new(2);
-        let a = digital_job(1);
-        let b = digital_job(2);
-        let c = digital_job(3);
-        executor.run_cached(&a, &mut cache).expect("serves");
-        executor.run_cached(&b, &mut cache).expect("serves");
+        let (a, b, c) = (split_with(1), split_with(2), split_with(3));
+        let lookup = |cache: &mut ProgramCache, split: &SplitJob| {
+            cache
+                .get_or_build_split(split)
+                .expect("builds")
+                .serve(&input_for(5))
+                .expect("serves");
+        };
+        lookup(&mut cache, &a);
+        lookup(&mut cache, &b);
         // Touch `a` so `b` is the LRU, then overflow with `c`.
-        executor.run_cached(&a, &mut cache).expect("serves");
-        executor.run_cached(&c, &mut cache).expect("serves");
+        lookup(&mut cache, &a);
+        lookup(&mut cache, &c);
         assert_eq!(cache.stats().evictions, 1);
         assert_eq!(cache.len(), 2);
         // `a` and `c` are warm; `b` was evicted and must rebuild.
-        executor.run_cached(&a, &mut cache).expect("serves");
-        executor.run_cached(&c, &mut cache).expect("serves");
+        lookup(&mut cache, &a);
+        lookup(&mut cache, &c);
         assert_eq!(cache.stats().misses, 3);
-        executor.run_cached(&b, &mut cache).expect("serves");
+        lookup(&mut cache, &b);
         assert_eq!(cache.stats().misses, 4);
         assert!(cache.stats().hit_rate() > 0.0);
+    }
+
+    #[test]
+    fn serve_survives_arbitrary_input_stubs() {
+        let resident = ResidentProgram::for_split(digital_split()).expect("builds");
+        let mut rng = NoiseRng::seed_from(0x5EED_0015);
+        let mut stubs: Vec<Vec<u8>> = (0..64)
+            .map(|len| (0..len).map(|_| rng.next_u64() as u8).collect())
+            .collect();
+        // Random well-formed records: a valid opcode byte, random fields.
+        let opcodes: Vec<u8> = (0..=u8::MAX).filter(|&b| is_valid_opcode(b)).collect();
+        for _ in 0..64 {
+            let mut stub = Vec::new();
+            for _ in 0..=rng.index(3) {
+                let mut record: Vec<u8> = (0..16).map(|_| rng.next_u64() as u8).collect();
+                record[0] = opcodes[rng.index(opcodes.len())];
+                stub.extend(record);
+            }
+            stubs.push(stub);
+        }
+        let before = resident.serve(&input_for(9)).expect("serves");
+        let mut served = 0;
+        for stub in &stubs {
+            // `Ok` or `Err`, never a panic.
+            served += usize::from(resident.serve(stub).is_ok());
+        }
+        assert!(served > 0, "the empty stub at least must serve");
+        // No stub reached the warmed prototype.
+        assert_eq!(resident.serve(&input_for(9)).expect("serves"), before);
     }
 
     #[test]

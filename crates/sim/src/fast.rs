@@ -1,20 +1,17 @@
-//! The fast execution path: packed bit-planes, precompiled dispatch,
-//! sharded tiles.
+//! The fast execution path: packed bit-planes and sharded tiles.
 //!
-//! Three independent speedups compose here, every one pinned to the
-//! reference interpreter by the differential suite:
+//! Two independent speedups compose here, both pinned to the reference
+//! executor by the differential suite:
 //!
-//! 1. **Packed bit-planes** — [`FastMachine`] instantiates a
+//! 1. **Packed bit-planes** — [`FastMachine`] is the
+//!    [`Machine`](crate::machine::Machine) over a
 //!    [`darth_pum::chip::FastChip`], whose DCE pipelines store each
 //!    bit-plane column as `u64` words
 //!    ([`darth_digital::PackedPipeline`]), so a gate program evaluates 64
-//!    cells per bitwise op instead of one.
-//! 2. **Precompiled dispatch** — jobs compile once into a
-//!    [`CompiledProgram`] jump table
-//!    ([`darth_pum::chip::GenericChip::compile`]); decode, operand casts
-//!    and the instruction `match` are paid per program, not per dynamic
-//!    instruction.
-//! 3. **Sharded tiles** — [`FastExecutor::execute_batch`] spreads
+//!    cells per bitwise op instead of one. Instruction dispatch is the
+//!    reference chip's own: both chips run compiled programs
+//!    ([`darth_pum::chip::GenericChip::compile`]) through one `match`.
+//! 2. **Sharded tiles** — [`FastExecutor::execute_batch`] spreads
 //!    independent tile jobs across `std::thread::scope` workers over
 //!    disjoint output slices (no locks, no shared mutable state), reusing
 //!    the eval engine's worker convention: an explicit
@@ -22,126 +19,18 @@
 //!    ([`darth_pum::workers::forced_workers`]), else one worker per
 //!    available core. Results are bit-identical at any worker count.
 
-use crate::machine::{read_chip_output, SimStats, StatExecutor};
+use crate::machine::{FastMachine, SimStats, StatExecutor};
 use darth_digital::PackedPipeline;
-use darth_isa::instruction::Program;
-use darth_pum::chip::{CompiledProgram, FastChip, SideChannel};
-use darth_pum::eval::{ExecJob, ExecOutput, ExecRun, Executor, Readback};
+use darth_pum::chip::CompiledProgram;
+use darth_pum::eval::{ExecJob, ExecRun, Executor};
 use darth_pum::hct::HctConfig;
-use darth_pum::params::ChipParams;
 use darth_pum::workers::forced_workers;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
-
-/// Process-wide count of [`FastMachine::new`] tile constructions.
-///
-/// Clones are deliberately *not* counted: the whole point of the
-/// prototype caches is that stamping a machine out of a warm prototype
-/// skips tile construction, and tests pin that by watching this counter
-/// stand still.
-static CONSTRUCTIONS: AtomicU64 = AtomicU64::new(0);
-
-/// A fast functional machine: the packed-pipeline twin of
-/// [`crate::SimMachine`], executing precompiled programs.
-///
-/// `Clone` copies the full machine state; a clone of a freshly built
-/// machine is indistinguishable from calling [`FastMachine::new`] again
-/// with the same config (construction is deterministic, RNG seed
-/// included), which is what lets the batch executor stamp out per-job
-/// machines from a prototype instead of rebuilding the tile each time.
-#[derive(Debug, Clone)]
-pub struct FastMachine {
-    chip: FastChip,
-    histogram: BTreeMap<&'static str, u64>,
-}
-
-impl FastMachine {
-    /// Builds a machine around one functional tile.
-    ///
-    /// # Errors
-    ///
-    /// Propagates tile construction errors.
-    pub fn new(tile: HctConfig) -> darth_pum::Result<Self> {
-        CONSTRUCTIONS.fetch_add(1, Ordering::Relaxed);
-        Ok(FastMachine {
-            chip: FastChip::new(ChipParams::default(), tile)?,
-            histogram: BTreeMap::new(),
-        })
-    }
-
-    /// Process-wide count of tile constructions via [`FastMachine::new`].
-    /// Clones of an existing machine do **not** count — that is the
-    /// invariant the prototype caches exist to exploit, and what
-    /// construction-count regression tests pin.
-    pub fn constructions() -> u64 {
-        CONSTRUCTIONS.load(Ordering::Relaxed)
-    }
-
-    /// The underlying chip (state inspection).
-    pub fn chip(&self) -> &FastChip {
-        &self.chip
-    }
-
-    /// Mutable chip access (host staging between runs).
-    pub fn chip_mut(&mut self) -> &mut FastChip {
-        &mut self.chip
-    }
-
-    /// Precompiles a decoded program into the fast chip's jump table.
-    pub fn compile(program: &Program) -> CompiledProgram<PackedPipeline> {
-        FastChip::compile(program)
-    }
-
-    /// Executes a precompiled program, reporting the same per-run
-    /// statistics as [`crate::SimMachine::run`] — the executed prefix's
-    /// mnemonic histogram is precomputed by the compiler, so a run only
-    /// clones it.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first execution error.
-    pub fn run_compiled(
-        &mut self,
-        program: &CompiledProgram<PackedPipeline>,
-        data: &SideChannel,
-    ) -> darth_pum::Result<SimStats> {
-        let busy_before = self.chip.tile().busy_cycles();
-        let energy_before = self.chip.energy_meter().total();
-        let run = self.chip.run_compiled(program, data)?;
-        // Interned `&'static str` keys: merging into the lifetime
-        // histogram is entry-API on `Copy` keys — no per-run key clones.
-        let histogram = program.histogram().clone();
-        for (&mnemonic, count) in &histogram {
-            *self.histogram.entry(mnemonic).or_insert(0) += count;
-        }
-        Ok(SimStats {
-            run,
-            histogram,
-            busy_cycles: self.chip.tile().busy_cycles().saturating_sub(busy_before),
-            energy: self.chip.energy_meter().total() - energy_before,
-        })
-    }
-
-    /// Executed instructions by mnemonic, across all runs so far.
-    pub fn histogram(&self) -> &BTreeMap<&'static str, u64> {
-        &self.histogram
-    }
-
-    /// Reads one output location from the finished machine.
-    ///
-    /// # Errors
-    ///
-    /// Returns pipeline/register range errors.
-    pub fn read_output(&mut self, readback: &Readback) -> darth_pum::Result<ExecOutput> {
-        read_chip_output(&mut self.chip, readback)
-    }
-}
 
 /// An [`ExecJob`] decoded, precompiled **and** tile-constructed exactly
 /// once by [`FastExecutor::prepare`]; reusable across runs.
 ///
-/// Besides the compiled jump table, the handle carries a never-run
+/// Besides the compiled program, the handle carries a never-run
 /// prototype [`FastMachine`] for the job's tile config:
 /// [`FastExecutor::run_prepared`] clones it instead of rebuilding the
 /// tile per call, the same trick the batch path's per-worker prototype
@@ -154,7 +43,7 @@ pub struct PreparedFastJob<'j> {
 }
 
 impl PreparedFastJob<'_> {
-    /// The compiled jump table.
+    /// The compiled program.
     pub fn compiled(&self) -> &CompiledProgram<PackedPipeline> {
         &self.compiled
     }
@@ -165,9 +54,9 @@ impl PreparedFastJob<'_> {
     }
 }
 
-/// The fast-path [`Executor`]: packed pipelines, precompiled dispatch,
-/// and batch sharding — bit-identical to [`crate::SimExecutor`] (the
-/// differential suite enforces it).
+/// The fast-path [`Executor`]: packed pipelines and batch sharding —
+/// bit-identical to [`crate::SimExecutor`] (the differential suite
+/// enforces it).
 #[derive(Debug, Clone, Default)]
 pub struct FastExecutor {
     workers: Option<usize>,
@@ -200,19 +89,18 @@ impl FastExecutor {
             .min(jobs.max(1))
     }
 
-    /// Decodes and precompiles `job`'s instruction stream — the
-    /// compile-only half of [`FastExecutor::prepare`], shared with the
-    /// batch path so batch jobs never build a per-job prototype machine.
+    /// Decodes and compiles `job`'s instruction stream — the compile-only
+    /// half of [`FastExecutor::prepare`], shared with the batch path so
+    /// batch jobs never build a per-job prototype machine.
     ///
     /// # Errors
     ///
     /// Returns decode errors for malformed records.
     fn compile_job(job: &ExecJob) -> darth_pum::Result<CompiledProgram<PackedPipeline>> {
-        let program = job.decoded_program()?;
-        Ok(FastChip::compile(&program))
+        Ok(FastMachine::compile(&job.decoded_program()?))
     }
 
-    /// Decodes, precompiles and tile-constructs `job` once into a
+    /// Decodes, compiles and tile-constructs `job` once into a
     /// reusable handle; repeated [`FastExecutor::run_prepared`] calls
     /// clone the handle's prototype machine instead of rebuilding the
     /// tile.
@@ -242,40 +130,10 @@ impl FastExecutor {
         &self,
         prepared: &PreparedFastJob<'_>,
     ) -> darth_pum::Result<(ExecRun, SimStats)> {
-        Self::run_on(prepared.prototype.clone(), prepared)
-    }
-
-    /// Runs `compiled` for `job` on a fresh machine supplied by the
-    /// caller (built or cloned from a prototype — both yield identical
-    /// state).
-    fn run_on(
-        mut machine: FastMachine,
-        prepared: &PreparedFastJob<'_>,
-    ) -> darth_pum::Result<(ExecRun, SimStats)> {
-        Self::run_machine(&mut machine, prepared.job, &prepared.compiled)
-    }
-
-    /// The shared run core: executes a compiled program for `job` on
-    /// `machine` and reads the job's outputs back.
-    fn run_machine(
-        machine: &mut FastMachine,
-        job: &ExecJob,
-        compiled: &CompiledProgram<PackedPipeline>,
-    ) -> darth_pum::Result<(ExecRun, SimStats)> {
-        let stats = machine.run_compiled(compiled, &job.data)?;
-        let outputs = job
-            .readbacks
-            .iter()
-            .map(|rb| machine.read_output(rb))
-            .collect::<darth_pum::Result<_>>()?;
-        Ok((
-            ExecRun {
-                outputs,
-                instructions: stats.run.instructions,
-                analog_instructions: stats.run.analog_instructions,
-            },
-            stats,
-        ))
+        prepared
+            .prototype
+            .clone()
+            .run_job(&prepared.compiled, prepared.job)
     }
 
     fn run_one(&self, job: &ExecJob) -> darth_pum::Result<(ExecRun, SimStats)> {
@@ -299,7 +157,7 @@ impl FastExecutor {
             *proto = Some((job.tile.clone(), FastMachine::new(job.tile.clone())?));
         }
         let mut machine = proto.as_ref().expect("prototype was just set").1.clone();
-        Self::run_machine(&mut machine, job, &compiled)
+        machine.run_job(&compiled, job)
     }
 
     /// Executes a batch of independent tile jobs, sharded across
@@ -375,6 +233,8 @@ mod tests {
     use crate::machine::SimExecutor;
     use darth_isa::asm::assemble;
     use darth_isa::encode::encode_program;
+    use darth_pum::chip::SideChannel;
+    use darth_pum::eval::Readback;
 
     fn digital_job(value: u64) -> ExecJob {
         let program = assemble(&format!(

@@ -9,9 +9,11 @@
 //! ACE/DCE array ops, shift/transpose/arbiter data movement — and proves
 //! the results correct against golden software references.
 //!
-//! * [`machine::SimMachine`] — the simulator: encoded bytes in, output
+//! * [`machine::Machine`] — the simulator: encoded bytes in, output
 //!   cells out, with per-mnemonic execution histograms and energy/cycle
-//!   accounting. [`machine::SimExecutor`] exposes it as the reference
+//!   accounting. [`machine::SimMachine`] runs it over cell-accurate
+//!   pipelines and [`machine::FastMachine`] over packed ones;
+//!   [`machine::SimExecutor`] exposes the former as the reference
 //!   [`darth_pum::eval::Executor`] backend.
 //! * [`diff`] — the differential harness: a registry of
 //!   [`darth_pum::eval::Executable`] jobs (each paired with the priced
@@ -24,9 +26,10 @@
 //!   statistics; [`diff::bulk_aes_cases`] scales the registry to
 //!   thousands of AES blocks.
 //! * [`fast`] — the fast execution path: packed `u64` bit-planes
-//!   ([`darth_digital::PackedPipeline`]), programs precompiled into
-//!   jump tables ([`darth_pum::chip::CompiledProgram`]), and batches
-//!   sharded across `std::thread::scope` workers.
+//!   ([`darth_digital::PackedPipeline`]) and batches sharded across
+//!   `std::thread::scope` workers. Both executors run compiled programs
+//!   ([`darth_pum::chip::CompiledProgram`]) through the chip's one
+//!   instruction dispatch.
 //!   [`fast::FastExecutor`] is proven bit-exact against
 //!   [`machine::SimExecutor`] by the pair harness.
 //! * [`cache`] — resident compiled programs for request serving:
@@ -65,5 +68,5 @@ pub use cache::{CacheStats, ProgramCache, ResidentProgram, ServedRun};
 pub use diff::{
     bulk_aes_cases, standard_cases, DiffCase, DiffHarness, DiffReport, PairCaseReport, PairReport,
 };
-pub use fast::{FastExecutor, FastMachine, PreparedFastJob};
-pub use machine::{PreparedJob, SimExecutor, SimMachine, SimStats, StatExecutor};
+pub use fast::{FastExecutor, PreparedFastJob};
+pub use machine::{FastMachine, PreparedJob, SimExecutor, SimMachine, SimStats, StatExecutor};

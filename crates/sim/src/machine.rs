@@ -1,6 +1,6 @@
 //! The functional simulator: encoded ISA streams in, output cells out.
 //!
-//! [`SimMachine`] owns one [`DarthPumChip`] and drives the full §4.2
+//! [`Machine`] owns one [`GenericChip`] and drives the full §4.2
 //! execution flow from *encoded bytes*: every run decodes the 16-byte
 //! records ([`darth_isa::encode`]), dispatches digital ops to the DCE
 //! pipelines, routes analog ops through vACores, the shift units and the
@@ -8,10 +8,12 @@
 //! bit-accurate memory state. On top of the chip's own accounting the
 //! machine keeps a per-mnemonic histogram of executed instructions, so a
 //! differential run reports *what* it executed, not just how much.
+//! [`SimMachine`] is the reference machine over cell-accurate pipelines;
+//! [`crate::FastMachine`] is the same machine over packed ones.
 
-use darth_digital::DcePipeline;
+use darth_digital::{DcePipeline, PackedPipeline, Pipeline};
 use darth_isa::instruction::Program;
-use darth_pum::chip::{DarthPumChip, GenericChip, RunStats, SideChannel};
+use darth_pum::chip::{CompiledProgram, GenericChip, RunStats, SideChannel};
 use darth_pum::eval::{ExecJob, ExecOutput, ExecRun, Executor, Readback};
 use darth_pum::hct::HctConfig;
 use darth_pum::params::ChipParams;
@@ -24,7 +26,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// run, so `histogram` values sum to `run.instructions` and
 /// `busy_cycles`/`energy` are the run's own deltas even when several
 /// programs execute on the same machine. Lifetime aggregates stay
-/// available through [`SimMachine::histogram`] and the chip's meters.
+/// available through [`Machine::histogram`] and the chip's meters.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SimStats {
     /// Chip-level run statistics (instructions, analog share, issue).
@@ -40,34 +42,70 @@ pub struct SimStats {
     pub energy: PicoJoules,
 }
 
-/// A functional DARTH-PUM machine executing encoded instruction streams.
-#[derive(Debug)]
-pub struct SimMachine {
-    chip: DarthPumChip,
+/// Process-wide count of [`Machine::new`] tile constructions.
+///
+/// Clones are deliberately *not* counted: the whole point of the
+/// prototype caches is that stamping a machine out of a warm prototype
+/// skips tile construction, and tests pin that by watching this counter
+/// stand still.
+static CONSTRUCTIONS: AtomicU64 = AtomicU64::new(0);
+
+/// A functional DARTH-PUM machine executing encoded instruction streams,
+/// generic over its DCE pipeline implementation.
+///
+/// `Clone` copies the full machine state; a clone of a freshly built
+/// machine is indistinguishable from calling [`Machine::new`] again with
+/// the same config (construction is deterministic, RNG seed included),
+/// which is what lets the executors stamp out per-job machines from a
+/// prototype instead of rebuilding the tile each time.
+#[derive(Debug, Clone)]
+pub struct Machine<P: DcePipeline> {
+    chip: GenericChip<P>,
     histogram: BTreeMap<&'static str, u64>,
 }
 
-impl SimMachine {
+/// The reference machine: cell-accurate pipelines.
+pub type SimMachine = Machine<Pipeline>;
+
+/// The fast-path machine: packed bit-plane pipelines.
+pub type FastMachine = Machine<PackedPipeline>;
+
+impl<P: DcePipeline> Machine<P> {
     /// Builds a machine around one functional tile.
     ///
     /// # Errors
     ///
     /// Propagates tile construction errors.
     pub fn new(tile: HctConfig) -> darth_pum::Result<Self> {
-        Ok(SimMachine {
-            chip: DarthPumChip::new(ChipParams::default(), tile)?,
+        CONSTRUCTIONS.fetch_add(1, Ordering::Relaxed);
+        Ok(Machine {
+            chip: GenericChip::new(ChipParams::default(), tile)?,
             histogram: BTreeMap::new(),
         })
     }
 
+    /// Process-wide count of tile constructions via [`Machine::new`].
+    /// Clones of an existing machine do **not** count — that is the
+    /// invariant the prototype caches exist to exploit, and what
+    /// construction-count regression tests pin.
+    pub fn constructions() -> u64 {
+        CONSTRUCTIONS.load(Ordering::Relaxed)
+    }
+
     /// The underlying chip (state inspection).
-    pub fn chip(&self) -> &DarthPumChip {
+    pub fn chip(&self) -> &GenericChip<P> {
         &self.chip
     }
 
     /// Mutable chip access (host staging between runs).
-    pub fn chip_mut(&mut self) -> &mut DarthPumChip {
+    pub fn chip_mut(&mut self) -> &mut GenericChip<P> {
         &mut self.chip
+    }
+
+    /// Prepares a decoded program for repeated
+    /// [`Machine::run_compiled`] runs ([`GenericChip::compile`]).
+    pub fn compile(program: &Program) -> CompiledProgram<P> {
+        GenericChip::compile(program)
     }
 
     /// Decodes and executes an encoded instruction stream.
@@ -82,21 +120,32 @@ impl SimMachine {
         self.run(&program, data)
     }
 
-    /// Executes a decoded program.
+    /// Compiles and executes a decoded program.
     ///
     /// # Errors
     ///
     /// Returns the first execution error.
     pub fn run(&mut self, program: &Program, data: &SideChannel) -> darth_pum::Result<SimStats> {
+        self.run_compiled(&Self::compile(program), data)
+    }
+
+    /// Executes a compiled program. The executed prefix's mnemonic
+    /// histogram was counted at compile time, so a run only clones it.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first execution error.
+    pub fn run_compiled(
+        &mut self,
+        program: &CompiledProgram<P>,
+        data: &SideChannel,
+    ) -> darth_pum::Result<SimStats> {
         let busy_before = self.chip.tile().busy_cycles();
         let energy_before = self.chip.energy_meter().total();
-        let run = self.chip.execute(program, data)?;
-        // `execute` stops at the first Halt; count exactly the executed
-        // prefix into the mnemonic histogram.
-        let mut histogram = BTreeMap::new();
-        for inst in program.iter().take(run.instructions as usize) {
-            *histogram.entry(inst.mnemonic()).or_insert(0) += 1;
-        }
+        let run = self.chip.run_compiled(program, data)?;
+        // Interned `&'static str` keys: merging into the lifetime
+        // histogram is entry-API on `Copy` keys — no per-run key clones.
+        let histogram = program.histogram().clone();
         for (&mnemonic, count) in &histogram {
             *self.histogram.entry(mnemonic).or_insert(0) += count;
         }
@@ -106,6 +155,33 @@ impl SimMachine {
             busy_cycles: self.chip.tile().busy_cycles().saturating_sub(busy_before),
             energy: self.chip.energy_meter().total() - energy_before,
         })
+    }
+
+    /// Runs `compiled` for `job` and reads the job's outputs back: the
+    /// one way both executors turn a machine run into an [`ExecRun`].
+    ///
+    /// # Errors
+    ///
+    /// Returns the first execution or readback error.
+    pub(crate) fn run_job(
+        &mut self,
+        compiled: &CompiledProgram<P>,
+        job: &ExecJob,
+    ) -> darth_pum::Result<(ExecRun, SimStats)> {
+        let stats = self.run_compiled(compiled, &job.data)?;
+        let outputs = job
+            .readbacks
+            .iter()
+            .map(|rb| self.read_output(rb))
+            .collect::<darth_pum::Result<_>>()?;
+        Ok((
+            ExecRun {
+                outputs,
+                instructions: stats.run.instructions,
+                analog_instructions: stats.run.analog_instructions,
+            },
+            stats,
+        ))
     }
 
     /// Executed instructions by mnemonic, across all runs so far.
@@ -119,45 +195,35 @@ impl SimMachine {
     ///
     /// Returns pipeline/register range errors.
     pub fn read_output(&mut self, readback: &Readback) -> darth_pum::Result<ExecOutput> {
-        read_chip_output(&mut self.chip, readback)
+        let pipe = self.chip.tile_mut().pipeline_mut(readback.pipe as usize)?;
+        let cells = (0..readback.elements)
+            .map(|e| {
+                if readback.signed {
+                    pipe.read_value_signed(readback.vr as usize, e)
+                } else {
+                    pipe.read_value(readback.vr as usize, e).map(|v| v as i64)
+                }
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(ExecOutput {
+            label: readback.label.clone(),
+            cells,
+        })
     }
 }
 
-/// Reads one output location from a finished chip — shared by the
-/// reference [`SimMachine`] and the fast [`crate::fast::FastMachine`], so
-/// both decode readbacks identically.
-pub(crate) fn read_chip_output<P: DcePipeline>(
-    chip: &mut GenericChip<P>,
-    readback: &Readback,
-) -> darth_pum::Result<ExecOutput> {
-    let pipe = chip.tile_mut().pipeline_mut(readback.pipe as usize)?;
-    let cells = (0..readback.elements)
-        .map(|e| {
-            if readback.signed {
-                pipe.read_value_signed(readback.vr as usize, e)
-            } else {
-                pipe.read_value(readback.vr as usize, e).map(|v| v as i64)
-            }
-        })
-        .collect::<Result<_, _>>()?;
-    Ok(ExecOutput {
-        label: readback.label.clone(),
-        cells,
-    })
-}
-
-/// An [`ExecJob`] whose instruction stream was decoded exactly once by
-/// [`SimExecutor::prepare`]; reusable across runs.
+/// An [`ExecJob`] whose instruction stream was decoded and compiled
+/// exactly once by [`SimExecutor::prepare`]; reusable across runs.
 #[derive(Debug)]
 pub struct PreparedJob<'j> {
     job: &'j ExecJob,
-    program: Program,
+    compiled: CompiledProgram<Pipeline>,
 }
 
 impl PreparedJob<'_> {
-    /// The decoded program.
-    pub fn program(&self) -> &Program {
-        &self.program
+    /// The compiled program.
+    pub fn compiled(&self) -> &CompiledProgram<Pipeline> {
+        &self.compiled
     }
 }
 
@@ -177,10 +243,10 @@ pub trait StatExecutor: Executor {
 
 /// The reference [`Executor`]: one fresh [`SimMachine`] per job.
 ///
-/// Decode is hoisted out of the run path: [`SimExecutor::prepare`] turns
-/// a job into a reusable [`PreparedJob`] handle, and repeated
-/// [`SimExecutor::run_prepared`] calls re-execute it without touching the
-/// encoded bytes again. [`SimExecutor::decodes`] counts stream decodes so
+/// Decode and compile are hoisted out of the run path:
+/// [`SimExecutor::prepare`] turns a job into a reusable [`PreparedJob`]
+/// handle, and repeated [`SimExecutor::run_prepared`] calls re-execute it
+/// without touching the encoded bytes again. [`SimExecutor::decodes`] counts stream decodes so
 /// tests can pin that invariant.
 #[derive(Debug, Default)]
 pub struct SimExecutor {
@@ -200,19 +266,20 @@ impl SimExecutor {
         self.decodes.load(Ordering::Relaxed)
     }
 
-    /// Decodes `job`'s instruction stream once into a reusable handle.
+    /// Decodes and compiles `job`'s instruction stream once into a
+    /// reusable handle.
     ///
     /// # Errors
     ///
     /// Returns decode errors for malformed records.
     pub fn prepare<'j>(&self, job: &'j ExecJob) -> darth_pum::Result<PreparedJob<'j>> {
         self.decodes.fetch_add(1, Ordering::Relaxed);
-        let program = job.decoded_program()?;
-        Ok(PreparedJob { job, program })
+        let compiled = SimMachine::compile(&job.decoded_program()?);
+        Ok(PreparedJob { job, compiled })
     }
 
-    /// Runs a prepared job on a fresh machine — no re-decode — returning
-    /// outputs and the run's statistics.
+    /// Runs a prepared job on a fresh machine — no re-decode, no
+    /// re-compile — returning outputs and the run's statistics.
     ///
     /// # Errors
     ///
@@ -221,22 +288,7 @@ impl SimExecutor {
         &self,
         prepared: &PreparedJob<'_>,
     ) -> darth_pum::Result<(ExecRun, SimStats)> {
-        let mut machine = SimMachine::new(prepared.job.tile.clone())?;
-        let stats = machine.run(&prepared.program, &prepared.job.data)?;
-        let outputs = prepared
-            .job
-            .readbacks
-            .iter()
-            .map(|rb| machine.read_output(rb))
-            .collect::<darth_pum::Result<_>>()?;
-        Ok((
-            ExecRun {
-                outputs,
-                instructions: stats.run.instructions,
-                analog_instructions: stats.run.analog_instructions,
-            },
-            stats,
-        ))
+        SimMachine::new(prepared.job.tile.clone())?.run_job(&prepared.compiled, prepared.job)
     }
 }
 
