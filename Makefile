@@ -15,7 +15,7 @@ EVAL_LARGE_CAP_KB ?= 2097152
 ## Generous because a cold tree pays the release build inside it.
 SIM_VERIFY_BUDGET_S ?= 600
 
-.PHONY: all build test verify doc lint fmt fmt-check bench bench-check figures eval eval-large equivalence dse dse-smoke sim-verify kir-verify serve serve-smoke mc mc-smoke hostbench-check loc clean
+.PHONY: all build test verify doc lint fmt fmt-check bench figures eval eval-large equivalence dse dse-smoke sim-verify kir-verify serve serve-smoke mc mc-smoke hostbench-check loc clean
 
 all: verify
 
@@ -142,22 +142,16 @@ fmt:
 fmt-check:
 	$(CARGO) fmt --check
 
-## Criterion benches (offline vendor harness; see vendor/criterion).
+## Simulator throughput: bulk AES through the reference interpreter and
+## the fast path (1 worker and one per core); writes BENCH_sim.json.
+## Tune with DARTH_SIM_BENCH_BLOCKS.
 bench:
-	$(CARGO) bench -p darth_bench
+	$(CARGO) run -q --release -p darth_bench --bin sim_throughput
 
-## Compile benches + examples without running them.
-bench-check:
-	$(CARGO) bench -p darth_bench --no-run
-	$(CARGO) build --examples
-
-## Regenerate every paper figure/table binary (prints to stdout; each
-## also drops a BENCH_<figure>.json report).
+## Regenerate every paper figure and table in one run (prints to stdout;
+## each artefact also drops a BENCH_<figure>.json report).
 figures:
-	@for bin in fig7 fig13 fig14 fig15 fig16 fig17 fig18 tables noise_accuracy; do \
-		echo "==== $$bin ===="; \
-		$(CARGO) run -q --release -p darth_bench --bin $$bin; \
-	done
+	$(CARGO) run -q --release -p darth_bench --bin figures
 
 ## Price the full extended workload x architecture matrix through the
 ## evaluation engine (serial vs parallel timing) and write BENCH_eval.json.

@@ -12,7 +12,7 @@
 //! `BENCH_dse.json` (`make dse`).
 
 use darth_analog::adc::AdcKind;
-use darth_bench::{all_reports, emit_json, Threading};
+use darth_bench::{all_reports, emit_json, knob, positive_count, Threading};
 use darth_eval::dse::{default_sweep, price_sweep, Metric};
 use darth_eval::mc::{attach_accuracy, McConfig};
 use darth_eval::registry::extended_workloads;
@@ -21,6 +21,7 @@ use darth_pum::workers::forced_workers;
 use std::time::Instant;
 
 fn main() {
+    let trials = knob("DARTH_MC_TRIALS", 4, positive_count);
     let sweep_def = default_sweep();
     let points = sweep_def.generate().expect("default grid is valid");
     assert!(points.len() >= 48, "default grid shrank below 48 configs");
@@ -118,12 +119,7 @@ fn main() {
     // Monte-Carlo accuracy: executed noise-injected trials of the
     // standard functional workloads at every design point attach the
     // 4th (accuracy) Pareto axis to each row. Trial count per
-    // (point, workload): DARTH_MC_TRIALS (default 4).
-    let trials = std::env::var("DARTH_MC_TRIALS")
-        .ok()
-        .and_then(|raw| raw.trim().parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(4);
+    // (point, workload): `trials` (DARTH_MC_TRIALS, default 4).
     let mc = McConfig::evaluation().with_trials(trials);
     let start = Instant::now();
     attach_accuracy(&mut sweep, &points, &mc).expect("Monte-Carlo campaign runs");

@@ -1,0 +1,587 @@
+//! Every paper artefact in one run (`make figures`): Figure 7, Figures
+//! 13–18, Tables 2–3 and the §7.5 accuracy comparison, in that order.
+//!
+//! Each view prints its tables next to the paper's reference numbers and
+//! returns its `darth-bench-figure/v1` report, which `main` writes as
+//! `BENCH_<figure>.json`. The paper matrix is priced once per ADC kind
+//! and shared by the views that read it; Figure 18 prices its own
+//! GPU-area DARTH column, and Figure 7 and the tables need no pricing.
+
+use darth_analog::adc::AdcKind;
+use darth_apps::cnn::data::{evaluate, train_classifier, Dataset};
+use darth_apps::cnn::resnet::{AnalogNoise, ResNet};
+use darth_baselines::digital_only::DigitalPumModel;
+use darth_baselines::gpu::GpuModel;
+use darth_baselines::naive_hybrid::NaiveHybridConfig;
+use darth_bench::{
+    all_reports, emit_json, figure_envelope, figure_json, geomean_of, print_table, table_json,
+    Engine, JsonValue, WorkloadReports,
+};
+use darth_digital::logic::LogicFamily;
+use darth_eval::registry::paper_workloads;
+use darth_pum::model::DarthModel;
+use darth_pum::params::{area, power, ChipParams, HctParams};
+use darth_pum::trace::{geomean, CostReport};
+use darth_reram::SquareMicrons;
+
+/// One artefact: its report name and the view that prints and builds it.
+type View<'r> = (&'static str, Box<dyn Fn() -> JsonValue<'static> + 'r>);
+
+/// The nine views in `make figures` order, over the shared SAR and ramp
+/// paper matrices.
+fn views<'r>(sar: &'r [WorkloadReports], ramp: &'r [WorkloadReports]) -> Vec<View<'r>> {
+    vec![
+        ("fig7", Box::new(fig7)),
+        ("fig13", Box::new(|| fig13(sar))),
+        ("fig14", Box::new(|| fig14(sar))),
+        ("fig15", Box::new(|| fig15(sar))),
+        ("fig16", Box::new(|| fig16(sar))),
+        ("fig17", Box::new(|| fig17(sar, ramp))),
+        ("fig18", Box::new(fig18)),
+        ("tables", Box::new(tables)),
+        ("noise_accuracy", Box::new(noise_accuracy)),
+    ]
+}
+
+fn main() {
+    let sar = all_reports(AdcKind::Sar);
+    let ramp = all_reports(AdcKind::Ramp);
+    for (name, view) in views(&sar, &ramp) {
+        println!("==== {name} ====");
+        emit_json(name, &view());
+    }
+}
+
+/// The row of the paper workload `name`.
+fn row<'r>(reports: &'r [WorkloadReports], name: &str) -> &'r WorkloadReports {
+    reports
+        .iter()
+        .find(|r| r.name == name)
+        .unwrap_or_else(|| panic!("paper matrix prices {name}"))
+}
+
+/// Latency of `kernel` in `report`'s per-kernel breakdown.
+fn kernel_s(report: &CostReport, kernel: &str) -> Option<f64> {
+    report
+        .kernel_latency_s
+        .iter()
+        .find(|(n, _)| n == kernel)
+        .map(|(_, t)| *t)
+}
+
+/// Figure 7: AES-128 throughput for digital (D), naive hybrid (H-1..H-9)
+/// and analog+CPU (A) configurations, OSCAR vs ideal logic families,
+/// normalised to D with OSCAR.
+///
+/// The naive hybrid is a two-resource bound over calibrated per-block
+/// work constants, not a trace pricer, so this motivation figure stays on
+/// [`NaiveHybridConfig`] directly.
+fn fig7() -> JsonValue<'static> {
+    let sweep = NaiveHybridConfig::figure7_sweep();
+    let d_oscar = sweep[0].aes_throughput(LogicFamily::Oscar);
+    println!("\n=== Figure 7: naive hybrid AES-128 throughput (normalised to D/OSCAR) ===");
+    println!(
+        "{:<8}{:>10}{:>10}{:>12}",
+        "config", "OSCAR", "Ideal", "D/A arrays"
+    );
+    let mut rows = Vec::new();
+    for config in &sweep {
+        let oscar = config.aes_throughput(LogicFamily::Oscar) / d_oscar;
+        let ideal = config.aes_throughput(LogicFamily::Ideal) / d_oscar;
+        let arrays = if config.analog_plus_cpu {
+            "CPU+free".to_owned()
+        } else {
+            format!("{}/{}", config.digital_arrays, config.analog_arrays)
+        };
+        println!("{:<8}{oscar:>10.2}{ideal:>10.2}{arrays:>12}", config.label);
+        rows.push(JsonValue::object(vec![
+            ("config", JsonValue::from(config.label)),
+            ("oscar", JsonValue::from(oscar)),
+            ("ideal", JsonValue::from(ideal)),
+            ("arrays", JsonValue::from(arrays)),
+        ]));
+    }
+    println!("\nPaper reference: peak at H-5 = 3.54x D; A = 1.18x D; ideal D = 2.1x D;");
+    println!("ideal improves the best hybrid by only 3.2% (observation 3).");
+    figure_envelope(
+        "fig7",
+        vec![
+            ("normalised_to", JsonValue::from("D/OSCAR")),
+            ("rows", JsonValue::array(rows)),
+        ],
+    )
+}
+
+/// Figures 13 and 16: one ratio per architecture over Baseline, per
+/// workload plus the GeoMean row.
+fn over_baseline(
+    figure: &'static str,
+    title: &'static str,
+    reports: &[WorkloadReports],
+    ratios: fn(&WorkloadReports) -> (f64, f64, f64),
+    reference: &[&str],
+) -> JsonValue<'static> {
+    let mut rows: Vec<(String, Vec<f64>)> = reports
+        .iter()
+        .map(|r| {
+            let (d, h, a) = ratios(r);
+            (r.label.clone(), vec![d, h, a])
+        })
+        .collect();
+    rows.push((
+        "GeoMean".to_owned(),
+        vec![
+            geomean_of(reports, |r| ratios(r).0),
+            geomean_of(reports, |r| ratios(r).1),
+            geomean_of(reports, |r| ratios(r).2),
+        ],
+    ));
+    let header = ["DigitalPUM", "DARTH-PUM", "AppAccel"];
+    print_table(title, &header, &rows);
+    println!();
+    for line in reference {
+        println!("{line}");
+    }
+    figure_json(figure, vec![table_json(title, &header, rows)])
+}
+
+/// Figure 13: iso-area throughput normalised to Baseline, plus the
+/// abstract's headline speedups (59.4× / 14.8× / 40.8×).
+fn fig13(sar: &[WorkloadReports]) -> JsonValue<'static> {
+    over_baseline(
+        "fig13",
+        "Figure 13: throughput normalised to Baseline",
+        sar,
+        WorkloadReports::fig13_row,
+        &[
+            "Paper reference (DARTH-PUM column): AES 59.4, ResNet-20 14.8, LLMEnc 40.8, GeoMean 31.4",
+            "Paper reference (AppAccel): AES-NI = DARTH/36.9, ResNet within 26.2% above DARTH, LLM above DARTH",
+        ],
+    )
+}
+
+/// Figure 14: AES kernel latency breakdown for Baseline, DigitalPUM and
+/// DARTH-PUM, normalised to Baseline's total.
+fn fig14(sar: &[WorkloadReports]) -> JsonValue<'static> {
+    let aes = row(sar, "aes-128");
+    let archs = [&aes.baseline, &aes.digital, &aes.darth];
+    let base_total = aes.baseline.latency_s;
+    let kernel = |report: &CostReport, name: &str| kernel_s(report, name).unwrap_or(0.0);
+
+    let title = "Figure 14: AES kernel latency breakdown (% of Baseline total)";
+    println!("\n=== {title} ===");
+    print!("{:<14}", "kernel");
+    let header = ["Baseline", "DigitalPUM", "DARTH-PUM"];
+    for arch in header {
+        print!("{arch:>14}");
+    }
+    println!();
+    let kernels = [
+        "DataMovement",
+        "SubBytes",
+        "ShiftRows",
+        "MixColumns",
+        "AddRoundKey",
+    ];
+    let mut rows: Vec<(String, Vec<f64>)> = Vec::new();
+    for name in kernels {
+        print!("{name:<14}");
+        let mut values = Vec::new();
+        for report in archs {
+            let pct = 100.0 * kernel(report, name) / base_total;
+            print!("{pct:>13.1}%");
+            values.push(pct);
+        }
+        println!();
+        rows.push((name.to_owned(), values));
+    }
+    print!("{:<14}", "TOTAL");
+    let mut totals = Vec::new();
+    for report in archs {
+        let pct = 100.0 * report.latency_s / base_total;
+        print!("{pct:>13.1}%");
+        totals.push(pct);
+    }
+    println!();
+    rows.push(("TOTAL".to_owned(), totals));
+    println!("\nPaper reference: DARTH-PUM single-encryption latency improves 53.7% over");
+    println!("Baseline; MixColumns on DARTH-PUM is 11.5x faster than on DigitalPUM;");
+    println!("DigitalPUM total is several times Baseline (MixColumns-dominated).");
+    let mix_ratio = kernel(&aes.digital, "MixColumns")
+        / kernel(&aes.darth, "MixColumns").max(f64::MIN_POSITIVE);
+    println!("Measured MixColumns DigitalPUM/DARTH-PUM ratio: {mix_ratio:.1}x");
+    figure_json("fig14", vec![table_json(title, &header, rows)])
+}
+
+/// Figure 15: per-layer ResNet-20 speedup over Baseline for DigitalPUM,
+/// DARTH-PUM and AppAccel (22 layers plus GeoMean).
+fn fig15(sar: &[WorkloadReports]) -> JsonValue<'static> {
+    let resnet = row(sar, "resnet-20");
+    let baseline = &resnet.baseline;
+    let others = [&resnet.digital, &resnet.darth, &resnet.app_accel];
+    // Per-layer *throughput* ratio: each architecture's chip-level item
+    // parallelism (throughput x latency) applies uniformly to its layers.
+    let parallelism = |report: &CostReport| report.throughput_items_per_s * report.latency_s;
+    // The Baseline's host-link movement belongs to the layers that caused
+    // it (the paper's per-layer bars include each layer's transfers).
+    let movement = kernel_s(baseline, "DataMovement").unwrap_or(0.0);
+    let layer_count = (baseline.kernel_latency_s.len() - 1) as f64;
+    let movement_share = movement / layer_count.max(1.0);
+
+    let title = "Figure 15: per-layer ResNet-20 speedup over Baseline";
+    let header = ["DigitalPUM", "DARTH-PUM", "AppAccel"];
+    println!("\n=== {title} ===");
+    println!(
+        "{:<16}{:>12}{:>12}{:>12}",
+        "layer", header[0], header[1], header[2]
+    );
+    let mut cols: Vec<Vec<f64>> = vec![Vec::new(), Vec::new(), Vec::new()];
+    let mut rows: Vec<(String, Vec<f64>)> = Vec::new();
+    for (layer, latency) in &baseline.kernel_latency_s {
+        if layer == "DataMovement" {
+            continue;
+        }
+        let base = (latency + movement_share) / parallelism(baseline);
+        let speedups = others.map(|report| {
+            base / (kernel_s(report, layer).unwrap_or(f64::NAN) / parallelism(report))
+        });
+        println!(
+            "{layer:<16}{:>12.2}{:>12.2}{:>12.2}",
+            speedups[0], speedups[1], speedups[2]
+        );
+        for (c, v) in cols.iter_mut().zip(speedups) {
+            c.push(v);
+        }
+        rows.push((layer.clone(), speedups.to_vec()));
+    }
+    let geomeans = [geomean(&cols[0]), geomean(&cols[1]), geomean(&cols[2])];
+    println!(
+        "{:<16}{:>12.2}{:>12.2}{:>12.2}",
+        "GeoMean", geomeans[0], geomeans[1], geomeans[2]
+    );
+    rows.push(("GeoMean".to_owned(), geomeans.to_vec()));
+    println!("\nPaper reference: DARTH-PUM per-layer speedups cluster in the single digits");
+    println!("(inference latency -40.0% vs Baseline); AppAccel's dedicated SFUs win per layer,");
+    println!("DigitalPUM loses everywhere (bit-serial MVMs).");
+    figure_json("fig15", vec![table_json(title, &header, rows)])
+}
+
+/// Figure 16: energy savings normalised to Baseline (log-scale bars in
+/// the paper), plus the abstract's 39.6x / 51.2x / 110.7x headline.
+fn fig16(sar: &[WorkloadReports]) -> JsonValue<'static> {
+    over_baseline(
+        "fig16",
+        "Figure 16: energy savings normalised to Baseline",
+        sar,
+        WorkloadReports::fig16_row,
+        &[
+            "Paper reference (DARTH-PUM column): AES 39.6, ResNet-20 51.2, LLMEnc 110.7, GeoMean 66.8",
+            "Paper reference: DARTH-PUM ~2x DigitalPUM savings; AppAccel competitive, DARTH shortfall largest on ResNet-20",
+        ],
+    )
+}
+
+/// Figure 17: SAR vs ramp ADCs — throughput and energy savings for
+/// Baseline, DARTH-PUM and AppAccel, normalised to Baseline with SAR.
+fn fig17(sar: &[WorkloadReports], ramp: &[WorkloadReports]) -> JsonValue<'static> {
+    let mut thr_rows = Vec::new();
+    let mut eng_rows = Vec::new();
+    for (s, r) in sar.iter().zip(ramp) {
+        let base = &s.baseline; // Baseline: SAR is the normalisation
+        thr_rows.push((
+            s.label.clone(),
+            vec![
+                r.baseline.speedup_over(base),
+                r.darth.speedup_over(base),
+                s.darth.speedup_over(base),
+            ],
+        ));
+        eng_rows.push((
+            s.label.clone(),
+            vec![
+                r.baseline.energy_savings_over(base),
+                r.darth.energy_savings_over(base),
+                s.darth.energy_savings_over(base),
+            ],
+        ));
+    }
+    let header = ["Base:Ramp", "DARTH:Ramp", "DARTH:SAR"];
+    let thr_title = "Figure 17a: throughput vs Baseline(SAR)";
+    let eng_title = "Figure 17b: energy savings vs Baseline(SAR)";
+    print_table(thr_title, &header, &thr_rows);
+    print_table(eng_title, &header, &eng_rows);
+    // AES early-termination: the one case where ramp wins (§7.3)
+    println!(
+        "\nAES DARTH ramp/SAR throughput ratio: {:.2} (paper: ramp wins AES via 256->4-cycle early termination)",
+        row(ramp, "aes-128").darth.throughput_items_per_s
+            / row(sar, "aes-128").darth.throughput_items_per_s
+    );
+    println!("Paper reference: SAR outperforms ramp by 1.5x overall at 99% of the energy savings;");
+    println!("Boolean PUM ops are >88% of DARTH-PUM energy, so ADC choice barely moves energy.");
+    figure_json(
+        "fig17",
+        vec![
+            table_json(thr_title, &header, thr_rows),
+            table_json(eng_title, &header, eng_rows),
+        ],
+    )
+}
+
+/// Figure 18: iso-area comparison with an RTX-4090-class GPU.
+///
+/// The GPU die (6.08 cm²) is larger than the 2.57 cm² DARTH-PUM chip, so
+/// the DARTH model is rebuilt with the GPU's area budget (a custom
+/// column registered alongside the paper models — no early termination:
+/// this figure is SAR end to end).
+fn fig18() -> JsonValue<'static> {
+    let gpu = GpuModel::rtx_4090();
+    let mut darth_model = DarthModel::paper(AdcKind::Sar);
+    darth_model.chip.area_budget = SquareMicrons::from_cm2(gpu.die_area_cm2);
+    let area_scale = gpu.die_area_cm2 / 2.57;
+
+    let mut engine = Engine::new();
+    for workload in paper_workloads() {
+        engine.register_workload(workload);
+    }
+    engine
+        .register_model(Box::new(DigitalPumModel::paper(LogicFamily::Oscar)))
+        .register_model(Box::new(darth_model))
+        .register_model(Box::new(gpu));
+    let matrix = engine.run();
+
+    let mut thr_rows = Vec::new();
+    let mut eng_rows = Vec::new();
+    let mut speedups = Vec::new();
+    let mut savings = Vec::new();
+    for workload in &matrix.workloads {
+        let gpu_report = matrix.cell(&workload.name, "gpu-rtx-4090").expect("priced");
+        let darth = matrix.cell(&workload.name, "darth-sar").expect("priced");
+        let digital = matrix
+            .cell(&workload.name, "digitalpum-oscar")
+            .expect("priced");
+        // the digital chip scales with area linearly through cluster count
+        let digital_thr = digital.throughput_items_per_s * area_scale;
+        thr_rows.push((
+            workload.label.clone(),
+            vec![
+                digital_thr / gpu_report.throughput_items_per_s,
+                darth.speedup_over(gpu_report),
+            ],
+        ));
+        eng_rows.push((
+            workload.label.clone(),
+            vec![
+                gpu_report.energy_per_item_j / digital.energy_per_item_j,
+                darth.energy_savings_over(gpu_report),
+            ],
+        ));
+        speedups.push(darth.speedup_over(gpu_report));
+        savings.push(darth.energy_savings_over(gpu_report));
+    }
+    thr_rows.push((
+        "GeoMean".to_owned(),
+        vec![
+            geomean(&thr_rows.iter().map(|(_, v)| v[0]).collect::<Vec<_>>()),
+            geomean(&speedups),
+        ],
+    ));
+    eng_rows.push((
+        "GeoMean".to_owned(),
+        vec![
+            geomean(&eng_rows.iter().map(|(_, v)| v[0]).collect::<Vec<_>>()),
+            geomean(&savings),
+        ],
+    ));
+    let header = ["DigitalPUM", "DARTH-PUM"];
+    let thr_title = "Figure 18a: iso-area speedup vs RTX 4090";
+    let eng_title = "Figure 18b: iso-area energy savings vs RTX 4090";
+    print_table(thr_title, &header, &thr_rows);
+    print_table(eng_title, &header, &eng_rows);
+    println!("\nPaper reference: DARTH-PUM averages 11.8x throughput and 7.5x energy vs the GPU;");
+    println!("AES gains are the smallest (cache-resident lookup tables favour the GPU).");
+    figure_json(
+        "fig18",
+        vec![
+            table_json(thr_title, &header, thr_rows),
+            table_json(eng_title, &header, eng_rows),
+        ],
+    )
+}
+
+/// Tables 2 and 3: the HCT configuration and area/power breakdown,
+/// printed from the same constants the simulator computes with, plus the
+/// derived iso-area chip sizing of §6.
+fn tables() -> JsonValue<'static> {
+    let sar = HctParams::paper(AdcKind::Sar);
+    println!("\n=== Table 2: hybrid compute tile configuration ===");
+    println!("DCE pipelines            {}", sar.dce_pipelines);
+    println!("DCE pipeline depth       {} arrays", sar.dce_pipeline_depth);
+    println!("ReRAM array size         {0}x{0}", sar.array_dim);
+    println!("ACE arrays               {}", sar.ace_arrays);
+    println!("ADCs                     SAR: 2; Ramp: 1");
+    println!("ADC latency              SAR: 1 cycle; Ramp: 256 cycles");
+
+    let areas = [
+        ("DCE ReRAM array", area::DCE_ARRAY),
+        ("Pipeline control", area::DCE_PIPELINE_CONTROL),
+        ("IO ctrl", area::DCE_IO_CTRL),
+        ("Decode & drive", area::DCE_DECODE_DRIVE),
+        ("Pipeline select", area::DCE_PIPELINE_SELECT),
+        ("ACE input buffers", area::ACE_INPUT_BUFFERS),
+        ("Row periphery", area::ACE_ROW_PERIPHERY),
+        ("SAR ADC", area::SAR_ADC),
+        ("Ramp ADC", area::RAMP_ADC),
+        ("Sample & hold", area::SAMPLE_HOLD),
+        ("Shift unit", area::SHIFT_UNIT),
+        ("A/D arbiter", area::AD_ARBITER),
+        ("Transpose unit", area::TRANSPOSE_UNIT),
+        ("Instr. injection unit", area::INSTR_INJECTION_UNIT),
+        ("Front end (8 HCTs)", area::FRONT_END),
+    ];
+    let powers = [
+        ("Array (bool ops) mW", power::ARRAY_BOOL_OPS),
+        ("Pipeline ctrl mW", power::PIPELINE_CTRL),
+        ("Row periphery mW", power::ROW_PERIPHERY),
+        ("SAR ADC mW", power::SAR_ADC),
+        ("Ramp ADC mW", power::RAMP_ADC),
+        ("S&H mW", power::SAMPLE_HOLD),
+        ("Front end mW", power::FRONT_END),
+    ];
+    println!("\n=== Table 3: area (um^2) and power (mW) ===");
+    for (label, value) in &areas {
+        println!("{label:<26}{value:>12}");
+    }
+    println!();
+    for (label, value) in &powers {
+        println!("{label:<26}{value:>12}");
+    }
+
+    println!("\n=== Derived iso-area sizing (Section 6) ===");
+    let mut sizing = Vec::new();
+    for adc in [AdcKind::Sar, AdcKind::Ramp] {
+        let chip = ChipParams::paper(adc);
+        println!(
+            "{:?}: {} HCTs, {:.1} GB capacity (paper: SAR 1860 / 4.1 GB, ramp 1660 / 3.7 GB)",
+            adc,
+            chip.hct_count(),
+            chip.capacity_bytes() as f64 / 1e9
+        );
+        sizing.push(JsonValue::object(vec![
+            ("adc", JsonValue::from(format!("{adc:?}"))),
+            ("hcts", JsonValue::from(chip.hct_count() as u64)),
+            ("capacity_bytes", JsonValue::from(chip.capacity_bytes())),
+        ]));
+    }
+
+    let pairs = |items: &[(&'static str, f64)]| {
+        JsonValue::object(
+            items
+                .iter()
+                .map(|&(k, v)| (k, JsonValue::from(v)))
+                .collect(),
+        )
+    };
+    figure_envelope(
+        "tables",
+        vec![
+            (
+                "table2",
+                JsonValue::object(vec![
+                    ("dce_pipelines", JsonValue::from(sar.dce_pipelines)),
+                    (
+                        "dce_pipeline_depth",
+                        JsonValue::from(sar.dce_pipeline_depth),
+                    ),
+                    ("array_dim", JsonValue::from(sar.array_dim)),
+                    ("ace_arrays", JsonValue::from(sar.ace_arrays)),
+                ]),
+            ),
+            ("table3_area_um2", pairs(&areas)),
+            ("table3_power_mw", pairs(&powers)),
+            ("iso_area_sizing", JsonValue::array(sizing)),
+        ],
+    )
+}
+
+/// §7.5: end-to-end ResNet-20 accuracy under analog noise matches the
+/// digital-exact accuracy (the paper reports 75.4% for both on CIFAR-10;
+/// we reproduce the *comparison* on the synthetic dataset per DESIGN.md).
+fn noise_accuracy() -> JsonValue<'static> {
+    let mut net = ResNet::new(16, 8, 3, 10, 42).expect("network builds");
+    let data = Dataset::synthetic(200, 16, 10, 7).expect("dataset builds");
+    let (train, test) = data.split(0.7);
+    let train_acc = train_classifier(&mut net, &train, 60, 11).expect("training runs");
+    let clean = evaluate(&net, &test, &AnalogNoise::none(), 13).expect("evaluates");
+    let noisy = evaluate(&net, &test, &AnalogNoise::evaluation(), 13).expect("evaluates");
+    let raw = evaluate(&net, &test, &AnalogNoise::uncompensated(), 13).expect("evaluates");
+    println!("\n=== Section 7.5: accuracy under analog noise ===");
+    println!(
+        "train accuracy (digital):           {:.1}%",
+        train_acc * 100.0
+    );
+    println!("test accuracy, digital-exact:       {:.1}%", clean * 100.0);
+    println!("test accuracy, compensated analog:  {:.1}%", noisy * 100.0);
+    println!("test accuracy, uncompensated:       {:.1}%", raw * 100.0);
+    println!("\nPaper reference: 75.4% end-to-end accuracy with noise, matching Baseline");
+    println!("and AppAccel (no accuracy loss from analog execution).");
+    println!("Reproduction goal: noisy accuracy within a few points of digital.");
+    figure_envelope(
+        "noise_accuracy",
+        vec![
+            ("train_accuracy", JsonValue::from(train_acc)),
+            ("test_accuracy_digital", JsonValue::from(clean)),
+            ("test_accuracy_compensated", JsonValue::from(noisy)),
+            ("test_accuracy_uncompensated", JsonValue::from(raw)),
+        ],
+    )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// 64-bit FNV-1a.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// The figure-JSON gate: every cheap artefact renders byte-identical
+    /// to its recorded report, compared by FNV-1a digest of the
+    /// `BENCH_<figure>.json` text. `noise_accuracy` is left out: it
+    /// trains a classifier first (seconds even in release), and its
+    /// numbers move only with `darth_apps`' CNN code.
+    #[test]
+    fn figure_reports_match_recorded_digests() {
+        const DIGESTS: [(&str, u64); 8] = [
+            ("fig7", 0xff58_8771_68b2_c176),
+            ("fig13", 0x7429_c9a8_743c_bf90),
+            ("fig14", 0xf149_bc20_9cd0_376b),
+            ("fig15", 0xbc22_5812_a895_6725),
+            ("fig16", 0x68e2_d5af_76cf_6d53),
+            ("fig17", 0x2d8c_b4f0_1ea5_cbab),
+            ("fig18", 0x698e_c2f1_2810_2f6f),
+            ("tables", 0x9a7f_fda3_bc04_07a3),
+        ];
+        let sar = all_reports(AdcKind::Sar);
+        let ramp = all_reports(AdcKind::Ramp);
+        let mut checked = 0;
+        for (name, view) in views(&sar, &ramp) {
+            if name == "noise_accuracy" {
+                continue;
+            }
+            let (_, digest) = DIGESTS
+                .iter()
+                .find(|(n, _)| *n == name)
+                .unwrap_or_else(|| panic!("no recorded digest for {name}"));
+            assert_eq!(
+                fnv1a(view().pretty().as_bytes()),
+                *digest,
+                "BENCH_{name}.json moved"
+            );
+            checked += 1;
+        }
+        assert_eq!(checked, DIGESTS.len());
+    }
+}

@@ -8,22 +8,14 @@
 //! Before the noisy campaign, a zero-sigma pass asserts the
 //! noise-injected execution path reproduces the golden outputs
 //! bit-exactly — noise-off and ideal are the same machine. Trial count:
-//! `DARTH_MC_TRIALS` (default 32).
+//! `DARTH_MC_TRIALS` (default 32; a set value must be a positive integer).
 
 use darth_analog::adc::AdcKind;
-use darth_bench::{emit_json, JsonValue};
+use darth_bench::{emit_json, knob, positive_count, JsonValue};
 use darth_eval::dse::DesignPoint;
 use darth_eval::mc::{measure_accuracy, standard_workloads, McConfig};
 use darth_pum::config::DarthConfig;
 use std::time::Instant;
-
-fn trials_from_env(default: usize) -> usize {
-    std::env::var("DARTH_MC_TRIALS")
-        .ok()
-        .and_then(|raw| raw.trim().parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
-}
 
 fn paper_points() -> Vec<DesignPoint> {
     [AdcKind::Sar, AdcKind::Ramp]
@@ -37,6 +29,7 @@ fn paper_points() -> Vec<DesignPoint> {
 }
 
 fn main() {
+    let trials = knob("DARTH_MC_TRIALS", 32, positive_count);
     let points = paper_points();
     let workloads = standard_workloads();
 
@@ -53,7 +46,7 @@ fn main() {
     }
     println!("zero-sigma campaign reproduced the golden outputs bit-exactly");
 
-    let mc = McConfig::evaluation().with_trials(trials_from_env(32));
+    let mc = McConfig::evaluation().with_trials(trials);
     let start = Instant::now();
     let accuracies = measure_accuracy(&points, &workloads, &mc).expect("campaign runs");
     let elapsed = start.elapsed().as_secs_f64();

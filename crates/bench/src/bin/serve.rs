@@ -19,66 +19,19 @@
 //! one (empty, garbage, `1e6` for a count) stops the run with an error
 //! naming the variable and the value.
 
-use darth_bench::{emit_json, JsonValue, Threading};
+use darth_bench::{any_u64, emit_json, knob, positive_count, positive_rate, JsonValue, Threading};
 use darth_eval::dse::{default_sweep, frontier_fleet, price_sweep};
 use darth_eval::registry::paper_workloads;
 use darth_serve::{
     fleet_from_frontier, measure_warm_vs_cold, standard_classes, trace, FleetChip, ServeEngine,
     TraceSpec,
 };
-use std::str::FromStr;
 use std::time::Instant;
 
-/// A knob's strict parser: surrounding whitespace is tolerated; an empty
-/// value, or one that does not parse as a `T` satisfying `usable`, is
-/// refused (`expected` says what a usable value looks like).
-fn parse_knob<T: FromStr>(
-    raw: &str,
-    expected: &'static str,
-    usable: fn(&T) -> bool,
-) -> Result<T, &'static str> {
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        return Err("empty value");
-    }
-    trimmed.parse().ok().filter(usable).ok_or(expected)
-}
-
-/// `DARTH_SERVE_REQUESTS`: a positive request count.
-fn request_count(raw: &str) -> Result<usize, &'static str> {
-    parse_knob(raw, "not a positive integer", |&n| n > 0)
-}
-
-/// `DARTH_SERVE_SEED`: any 64-bit seed.
-fn trace_seed(raw: &str) -> Result<u64, &'static str> {
-    parse_knob(raw, "not an unsigned 64-bit integer", |_| true)
-}
-
-/// `DARTH_SERVE_LOAD`: a positive, finite offered load.
-fn offered_load(raw: &str) -> Result<f64, &'static str> {
-    parse_knob(raw, "not a positive finite number", |&r: &f64| {
-        r.is_finite() && r > 0.0
-    })
-}
-
-/// Knob `var`: `default` when unset, else its value under `parse`. A set
-/// but unusable value exits non-zero with a message naming the variable
-/// and the value.
-fn knob<T>(var: &str, default: T, parse: fn(&str) -> Result<T, &'static str>) -> T {
-    let Some(raw) = std::env::var_os(var) else {
-        return default;
-    };
-    let parsed = raw.to_str().ok_or("not valid unicode").and_then(parse);
-    parsed.unwrap_or_else(|why| {
-        eprintln!("error: {var}={raw:?} is unusable ({why})");
-        std::process::exit(2)
-    })
-}
-
 fn main() {
-    let requests = knob("DARTH_SERVE_REQUESTS", 1_000_000, request_count);
-    let seed = knob("DARTH_SERVE_SEED", 20_260_809, trace_seed);
-    let offered_rps = knob("DARTH_SERVE_LOAD", 500_000.0, offered_load);
+    let requests = knob("DARTH_SERVE_REQUESTS", 1_000_000, positive_count);
+    let seed = knob("DARTH_SERVE_SEED", 20_260_809, any_u64);
+    let offered_rps = knob("DARTH_SERVE_LOAD", 500_000.0, positive_rate);
 
     // Fleet: the default sweep's aggregate Pareto frontier, replicated
     // to 8 chips with serving-sized caches.
@@ -198,29 +151,4 @@ fn main() {
         );
     }
     emit_json("serve", &json);
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn knobs_parse_strictly() {
-        assert_eq!(request_count("20000"), Ok(20_000));
-        assert_eq!(request_count(" 7 "), Ok(7));
-        assert_eq!(request_count(""), Err("empty value"));
-        assert_eq!(request_count("   "), Err("empty value"));
-        assert_eq!(request_count("1e6"), Err("not a positive integer"));
-        assert_eq!(request_count("lots"), Err("not a positive integer"));
-        assert_eq!(request_count("0"), Err("not a positive integer"));
-        assert_eq!(request_count("-5"), Err("not a positive integer"));
-        assert_eq!(trace_seed("0"), Ok(0));
-        assert_eq!(trace_seed("seed"), Err("not an unsigned 64-bit integer"));
-        assert_eq!(offered_load("250000"), Ok(250_000.0));
-        assert_eq!(offered_load("2.5e5"), Ok(250_000.0));
-        assert_eq!(offered_load("fast"), Err("not a positive finite number"));
-        assert_eq!(offered_load("0"), Err("not a positive finite number"));
-        assert_eq!(offered_load("NaN"), Err("not a positive finite number"));
-        assert_eq!(offered_load("inf"), Err("not a positive finite number"));
-    }
 }

@@ -1,40 +1,16 @@
-//! Criterion bench + machine-readable throughput report for the two
-//! functional-simulator backends: the reference interpreter
-//! (`SimExecutor`) and the fast path (`FastExecutor`: packed bit-planes,
-//! sharded tiles).
+//! Self-timed throughput report for the two functional-simulator
+//! backends (`make bench`): the reference interpreter (`SimExecutor`)
+//! and the fast path (`FastExecutor`: packed bit-planes, sharded tiles).
 //!
-//! Criterion covers per-block latency; the self-timed section then runs
-//! a bulk-AES batch through both backends — fast at 1 worker and at one
-//! worker per core — and writes simulated-instructions-per-second points
-//! to `BENCH_sim.json` (schema `darth-bench-sim/v1`). Block count:
+//! A bulk-AES batch runs through both backends — fast at 1 worker and at
+//! one worker per core — and the simulated-instructions-per-second points
+//! land in `BENCH_sim.json` (schema `darth-bench-sim/v1`). Block count:
 //! `DARTH_SIM_BENCH_BLOCKS` (default 64; the reference interpreter is
-//! the budget constraint).
+//! the budget constraint; a set value must be a positive integer).
 
-use criterion::{criterion_group, Criterion};
-use darth_bench::{emit_json, JsonValue};
-use darth_pum::eval::ExecJob;
+use darth_bench::{emit_json, knob, positive_count, JsonValue};
 use darth_sim::{bulk_aes_cases, FastExecutor, SimExecutor, StatExecutor};
-use std::hint::black_box;
 use std::time::{Duration, Instant};
-
-fn bulk_jobs(blocks: usize) -> Vec<ExecJob> {
-    bulk_aes_cases(blocks)
-        .iter()
-        .map(|case| case.executable.job().expect("compiles"))
-        .collect()
-}
-
-fn bench_block_latency(c: &mut Criterion) {
-    let job = &bulk_jobs(1)[0];
-    let reference = SimExecutor::new();
-    c.bench_function("sim_reference_aes_block", |b| {
-        b.iter(|| black_box(reference.execute_with_stats(black_box(job)).expect("runs")))
-    });
-    let fast = FastExecutor::new();
-    c.bench_function("sim_fast_aes_block", |b| {
-        b.iter(|| black_box(fast.execute_with_stats(black_box(job)).expect("runs")))
-    });
-}
 
 /// One measured configuration of the throughput sweep.
 struct Point {
@@ -60,12 +36,12 @@ impl Point {
     }
 }
 
-fn throughput_report() {
-    let blocks: usize = std::env::var("DARTH_SIM_BENCH_BLOCKS")
-        .ok()
-        .and_then(|raw| raw.trim().parse().ok())
-        .unwrap_or(64);
-    let jobs = bulk_jobs(blocks);
+fn main() {
+    let blocks = knob("DARTH_SIM_BENCH_BLOCKS", 64, positive_count);
+    let jobs: Vec<_> = bulk_aes_cases(blocks)
+        .iter()
+        .map(|case| case.executable.job().expect("compiles"))
+        .collect();
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
     let mut points = Vec::new();
 
@@ -134,15 +110,4 @@ fn throughput_report() {
         ("fast_speedup_best", JsonValue::from(best / reference_rate)),
     ]);
     emit_json("sim", &report);
-}
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench_block_latency
-}
-
-fn main() {
-    benches();
-    throughput_report();
 }

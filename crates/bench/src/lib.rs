@@ -2,44 +2,25 @@
 //! DARTH-PUM paper.
 //!
 //! Since the trait-based evaluation engine landed, this crate is a *view*
-//! layer: every `fig*`/`tables` binary in `src/bin/` asks `darth_eval`
-//! for a priced workload × architecture [`EvalMatrix`] (op streams
-//! recorded once, cells priced in parallel through streaming
-//! accumulators) and renders one paper figure from its cells, next to
-//! the paper's reference numbers. Each binary also drops a
-//! machine-readable `BENCH_<figure>.json` via [`emit_json`]; the `eval`
-//! binary prices the full extended matrix (`BENCH_eval.json`), and the
-//! `eval_large` binary prices the bulk scenarios under a memory cap
-//! (`BENCH_eval_large.json`). The Criterion benches in `benches/`
-//! exercise the functional simulators (AES on the tile, pipeline
-//! macros, crossbar MVMs), the engine, the serving path, the kernel-IR
-//! compiler and the Monte-Carlo trials.
+//! layer with one binary per report. `figures` asks `darth_eval` for the
+//! priced workload × architecture matrix (op streams recorded once, cells
+//! priced in parallel through streaming accumulators) and renders every
+//! paper artefact from its cells next to the paper's reference numbers,
+//! dropping one machine-readable `BENCH_<figure>.json` per artefact via
+//! [`emit_json`]. `eval` prices the full extended matrix
+//! (`BENCH_eval.json`), `eval_large` the bulk scenarios under a memory cap
+//! (`BENCH_eval_large.json`), `dse` the design-space sweep, `mc` the
+//! Monte-Carlo accuracy campaign, `serve` the serving benchmark and
+//! `sim_throughput` the reference-vs-fast simulator rates
+//! (`BENCH_sim.json`). Their environment knobs parse through [`knob`].
 
 use darth_analog::adc::AdcKind;
 use darth_eval::registry::{paper_models, paper_workloads};
 use darth_pum::trace::{geomean, CostReport};
 use std::path::PathBuf;
+use std::str::FromStr;
 
 pub use darth_eval::{Engine, EvalMatrix, JsonValue, Threading};
-
-/// The registry slug fragment for an ADC choice (`"sar"` / `"ramp"`).
-pub fn adc_slug(adc: AdcKind) -> &'static str {
-    adc.slug()
-}
-
-/// Prices the paper's three workloads on the five figure columns
-/// (Baseline, DigitalPUM, DARTH-PUM, AppAccel, GPU) with the chosen ADC
-/// for the analog-bearing chips.
-pub fn paper_matrix(adc: AdcKind) -> EvalMatrix {
-    let mut engine = Engine::new();
-    for workload in paper_workloads() {
-        engine.register_workload(workload);
-    }
-    for model in paper_models(adc) {
-        engine.register_model(model);
-    }
-    engine.run()
-}
 
 /// All architecture reports for one workload — one row of the paper
 /// matrix, named the way the figure code reads.
@@ -62,12 +43,13 @@ pub struct WorkloadReports {
 }
 
 impl WorkloadReports {
-    /// Extracts one workload's row from a [`paper_matrix`] run.
+    /// Extracts one workload's row from a paper-matrix run (the paper
+    /// workloads on the five paper columns with ADC `adc`).
     ///
     /// Returns `None` when the workload or any of the five paper columns
     /// is missing from the matrix.
     pub fn from_matrix(matrix: &EvalMatrix, workload: &str, adc: AdcKind) -> Option<Self> {
-        let slug = adc_slug(adc);
+        let slug = adc.slug();
         let w = matrix.workload_index(workload)?;
         Some(WorkloadReports {
             name: matrix.workloads[w].name.clone(),
@@ -98,26 +80,21 @@ impl WorkloadReports {
             self.app_accel.energy_savings_over(&self.baseline),
         )
     }
-
-    /// GPU comparison (Figure 18): `(digital/gpu, darth/gpu)` for
-    /// throughput and energy savings.
-    pub fn fig18_row(&self) -> ((f64, f64), (f64, f64)) {
-        (
-            (
-                self.digital.speedup_over(&self.gpu),
-                self.darth.speedup_over(&self.gpu),
-            ),
-            (
-                self.digital.energy_savings_over(&self.gpu),
-                self.darth.energy_savings_over(&self.gpu),
-            ),
-        )
-    }
 }
 
-/// Builds reports for the paper's three workloads through the engine.
+/// Prices the paper's three workloads on the five figure columns
+/// (Baseline, DigitalPUM, DARTH-PUM, AppAccel, GPU) through the engine,
+/// with the chosen ADC for the analog-bearing chips, and returns one
+/// [`WorkloadReports`] row per workload.
 pub fn all_reports(adc: AdcKind) -> Vec<WorkloadReports> {
-    let matrix = paper_matrix(adc);
+    let mut engine = Engine::new();
+    for workload in paper_workloads() {
+        engine.register_workload(workload);
+    }
+    for model in paper_models(adc) {
+        engine.register_model(model);
+    }
+    let matrix = engine.run();
     matrix
         .workloads
         .iter()
@@ -156,11 +133,11 @@ pub fn print_table(title: &str, header: &[&str], rows: &[(String, Vec<f64>)]) {
 }
 
 /// A printed table as JSON: `{title, columns, rows: [{label, values}]}`.
-/// Labels and headers are borrowed into the tree, not cloned.
+/// The title and headers are borrowed into the tree; the rows move in.
 pub fn table_json<'a>(
     title: &'a str,
     header: &[&'a str],
-    rows: &'a [(String, Vec<f64>)],
+    rows: Vec<(String, Vec<f64>)>,
 ) -> JsonValue<'a> {
     JsonValue::object(vec![
         ("title", JsonValue::from(title)),
@@ -171,15 +148,13 @@ pub fn table_json<'a>(
         (
             "rows",
             JsonValue::array(
-                rows.iter()
+                rows.into_iter()
                     .map(|(label, values)| {
                         JsonValue::object(vec![
                             ("label", JsonValue::from(label)),
                             (
                                 "values",
-                                JsonValue::array(
-                                    values.iter().map(|&v| JsonValue::from(v)).collect(),
-                                ),
+                                JsonValue::array(values.into_iter().map(JsonValue::from).collect()),
                             ),
                         ])
                     })
@@ -189,13 +164,23 @@ pub fn table_json<'a>(
     ])
 }
 
-/// Wraps a figure's tables in the `darth-bench-figure/v1` envelope.
-pub fn figure_json<'a>(figure: &'a str, tables: Vec<JsonValue<'a>>) -> JsonValue<'a> {
-    JsonValue::object(vec![
+/// The `darth-bench-figure/v1` envelope: `schema` and `figure` keys,
+/// then `fields` in order.
+pub fn figure_envelope<'a>(
+    figure: &'a str,
+    fields: Vec<(&'a str, JsonValue<'a>)>,
+) -> JsonValue<'a> {
+    let mut pairs = vec![
         ("schema", JsonValue::from("darth-bench-figure/v1")),
         ("figure", JsonValue::from(figure)),
-        ("tables", JsonValue::array(tables)),
-    ])
+    ];
+    pairs.extend(fields);
+    JsonValue::object(pairs)
+}
+
+/// Wraps a figure's tables in the `darth-bench-figure/v1` envelope.
+pub fn figure_json<'a>(figure: &'a str, tables: Vec<JsonValue<'a>>) -> JsonValue<'a> {
+    figure_envelope(figure, vec![("tables", JsonValue::array(tables))])
 }
 
 /// Writes `BENCH_<name>.json` into `$DARTH_BENCH_DIR` (default: the
@@ -214,13 +199,76 @@ pub fn write_json(name: &str, value: &JsonValue) -> std::io::Result<PathBuf> {
 }
 
 /// [`write_json`], reporting the outcome on stdout/stderr instead of
-/// failing — figure binaries should still print their tables on a
+/// failing — report binaries should still print their tables on a
 /// read-only filesystem.
 pub fn emit_json(name: &str, value: &JsonValue) {
     match write_json(name, value) {
         Ok(path) => println!("\n[machine-readable report: {}]", path.display()),
         Err(e) => eprintln!("warning: could not write BENCH_{name}.json: {e}"),
     }
+}
+
+/// A knob's strict parser: surrounding whitespace is tolerated; an empty
+/// value, or one that does not parse as a `T` satisfying `usable`, is
+/// refused (`expected` says what a usable value looks like).
+///
+/// # Errors
+///
+/// `"empty value"` for a blank value, else `expected`.
+pub fn parse_knob<T: FromStr>(
+    raw: &str,
+    expected: &'static str,
+    usable: fn(&T) -> bool,
+) -> Result<T, &'static str> {
+    let trimmed = raw.trim();
+    if trimmed.is_empty() {
+        return Err("empty value");
+    }
+    trimmed.parse().ok().filter(usable).ok_or(expected)
+}
+
+/// A positive count: `DARTH_SERVE_REQUESTS`, `DARTH_MC_TRIALS`,
+/// `DARTH_SIM_BENCH_BLOCKS`.
+///
+/// # Errors
+///
+/// Refuses zero, negatives, fractions and exponent forms such as `1e3`.
+pub fn positive_count(raw: &str) -> Result<usize, &'static str> {
+    parse_knob(raw, "not a positive integer", |&n| n > 0)
+}
+
+/// Any 64-bit seed: `DARTH_SERVE_SEED`.
+///
+/// # Errors
+///
+/// Refuses anything that is not an unsigned 64-bit integer.
+pub fn any_u64(raw: &str) -> Result<u64, &'static str> {
+    parse_knob(raw, "not an unsigned 64-bit integer", |_| true)
+}
+
+/// A positive, finite rate: `DARTH_SERVE_LOAD`.
+///
+/// # Errors
+///
+/// Refuses zero, negatives, `NaN` and infinities.
+pub fn positive_rate(raw: &str) -> Result<f64, &'static str> {
+    parse_knob(raw, "not a positive finite number", |&r: &f64| {
+        r.is_finite() && r > 0.0
+    })
+}
+
+/// Knob `var`: `default` when unset, else its value under `parse`. A set
+/// but unusable value exits non-zero with a message naming the variable
+/// and the value.
+pub fn knob<T>(var: &str, default: T, parse: fn(&str) -> Result<T, &'static str>) -> T {
+    let Some(raw) = std::env::var_os(var) else {
+        return default;
+    };
+    let parsed = raw.to_str().ok_or("not valid unicode").and_then(parse);
+    parsed.unwrap_or_else(|why| {
+        eprintln!("error: {var}={raw:?} is unusable ({why})");
+        std::process::exit(2)
+    })
 }
 
 #[cfg(test)]
@@ -300,9 +348,36 @@ mod tests {
     #[test]
     fn table_json_round_trip_shape() {
         let rows = vec![("AES".to_owned(), vec![1.0, 2.0])];
-        let json = table_json("t", &["a", "b"], &rows);
+        let json = table_json("t", &["a", "b"], rows);
         let text = json.pretty();
         assert!(text.contains("\"label\": \"AES\""));
         assert!(text.contains("\"columns\""));
+    }
+
+    #[test]
+    fn knobs_parse_strictly() {
+        assert_eq!(positive_count("20000"), Ok(20_000));
+        assert_eq!(positive_count(" 7 "), Ok(7));
+        assert_eq!(positive_count(""), Err("empty value"));
+        assert_eq!(positive_count("   "), Err("empty value"));
+        assert_eq!(positive_count("1e6"), Err("not a positive integer"));
+        assert_eq!(positive_count("lots"), Err("not a positive integer"));
+        assert_eq!(positive_count("0"), Err("not a positive integer"));
+        assert_eq!(positive_count("-5"), Err("not a positive integer"));
+        // DARTH_MC_TRIALS: `1e3` used to run the default 32 trials.
+        assert_eq!(positive_count("1e3"), Err("not a positive integer"));
+        assert_eq!(positive_count("2.5"), Err("not a positive integer"));
+        // DARTH_SIM_BENCH_BLOCKS: zero blocks used to divide by a zero
+        // reference rate.
+        assert_eq!(positive_count(" 0 "), Err("not a positive integer"));
+        assert_eq!(positive_count("64"), Ok(64));
+        assert_eq!(any_u64("0"), Ok(0));
+        assert_eq!(any_u64("seed"), Err("not an unsigned 64-bit integer"));
+        assert_eq!(positive_rate("250000"), Ok(250_000.0));
+        assert_eq!(positive_rate("2.5e5"), Ok(250_000.0));
+        assert_eq!(positive_rate("fast"), Err("not a positive finite number"));
+        assert_eq!(positive_rate("0"), Err("not a positive finite number"));
+        assert_eq!(positive_rate("NaN"), Err("not a positive finite number"));
+        assert_eq!(positive_rate("inf"), Err("not a positive finite number"));
     }
 }

@@ -320,7 +320,9 @@ pub fn encode(inst: &Instruction) -> [u8; RECORD_SIZE] {
 ///
 /// Returns [`Error::Truncated`] for short input and
 /// [`Error::UnknownOpcode`] / [`Error::InvalidField`] for malformed
-/// records.
+/// records, including any record that is not the [`encode`] of the
+/// instruction it decodes to (non-zero reserved bytes, a flag byte other
+/// than 0 or 1).
 pub fn decode(record: &[u8]) -> Result<Instruction> {
     if record.len() < RECORD_SIZE {
         return Err(Error::Truncated { got: record.len() });
@@ -554,6 +556,14 @@ pub fn decode(record: &[u8]) -> Result<Instruction> {
         opcode::HALT => Instruction::Halt,
         other => return Err(Error::UnknownOpcode(other)),
     };
+    // Each instruction has exactly one record: reserved bytes are zero
+    // and flags are 0 or 1, so anything else is refused, not normalised.
+    if encode(&inst)[..] != record[..RECORD_SIZE] {
+        return Err(Error::InvalidField {
+            mnemonic: inst.mnemonic(),
+            reason: "non-canonical record (reserved bytes must be zero, flags 0 or 1)",
+        });
+    }
     Ok(inst)
 }
 
@@ -800,5 +810,65 @@ mod tests {
         });
         rec[1] = 99;
         assert!(matches!(decode(&rec), Err(Error::InvalidField { .. })));
+    }
+
+    #[test]
+    fn non_canonical_records_are_rejected() {
+        for inst in exemplars() {
+            let canonical = encode(&inst);
+            for byte in 1..RECORD_SIZE {
+                let mut rec = canonical;
+                rec[byte] ^= 0x02;
+                if let Ok(back) = decode(&rec) {
+                    assert_ne!(back, inst, "{} byte {byte}", inst.mnemonic());
+                    assert_eq!(encode(&back), rec, "{} byte {byte}", inst.mnemonic());
+                }
+            }
+        }
+        let mut nop = [0u8; RECORD_SIZE];
+        nop[15] = 1;
+        assert_eq!(
+            decode(&nop),
+            Err(Error::InvalidField {
+                mnemonic: "nop",
+                reason: "non-canonical record (reserved bytes must be zero, flags 0 or 1)",
+            })
+        );
+    }
+
+    /// Arbitrary bytes never panic the decoder, and whatever it accepts
+    /// re-encodes to exactly the bytes it was given. Half the records
+    /// start with an assigned opcode so the payload paths are reached.
+    #[test]
+    fn arbitrary_bytes_decode_or_err_and_never_panic() {
+        let mut state = 0x0DA5_7B00_u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let mut accepted = 0;
+        for _ in 0..200_000 {
+            let len = (next() % 80) as usize;
+            let mut bytes: Vec<u8> = (0..len).map(|_| next() as u8).collect();
+            if next() & 1 == 0 {
+                for record in bytes.chunks_mut(RECORD_SIZE) {
+                    record[0] = (next() % (u64::from(opcode::HALT) + 1)) as u8;
+                    // Sparse payloads make canonical records reachable.
+                    for b in &mut record[1..] {
+                        if next() % 16 != 0 {
+                            *b = 0;
+                        }
+                    }
+                }
+            }
+            if let Ok(program) = decode_program(&bytes) {
+                assert_eq!(encode_program(&program), bytes);
+                accepted += program.len();
+            }
+        }
+        assert!(accepted > 1_000, "only {accepted} records decoded");
     }
 }
