@@ -15,7 +15,7 @@ EVAL_LARGE_CAP_KB ?= 2097152
 ## Generous because a cold tree pays the release build inside it.
 SIM_VERIFY_BUDGET_S ?= 600
 
-.PHONY: all build test verify doc lint fmt fmt-check bench figures eval eval-large equivalence dse dse-smoke sim-verify kir-verify serve serve-smoke mc mc-smoke hostbench-check loc clean
+.PHONY: all build test verify doc lint fmt fmt-check bench figures eval eval-large equivalence dse dse-smoke sim-verify kir-verify serve serve-smoke mc mc-smoke hostbench-check loc trajectory clean
 
 all: verify
 
@@ -177,6 +177,13 @@ eval-large: build
 loc:
 	@find crates src tests examples -name target -prune -o -name '*.rs' -print0 \
 		| xargs -0 cat | wc -l
+
+## Append this commit's line to the tracked perf/trajectory.tsv: each
+## hostbench workload's median host_ops_per_s over three seeds (untraced
+## runs of BENCHMARK.json's run_seconds each), `make loc` and the tier-1
+## test count. Takes several minutes, so it is not part of `make verify`.
+trajectory:
+	python3 perf/trajectory.py
 
 clean:
 	$(CARGO) clean

@@ -285,6 +285,15 @@ impl AnalogComputeElement {
         let mut rng = self.op_rng();
         let cols_per_array = self.config.crossbar.cols;
         let total_bitlines = cols_per_array * arrays.len();
+        // A 1-LSB ADC over a level-exact crossbar digitizes integer level
+        // sums (see `Crossbar::level_sums`); anything else reads f64
+        // currents. An integer sum `S` needs no rounding: its code,
+        // `quantize_units(S)`, is `S` clamped to the code range. An
+        // all-zero slice sums to zero without a branch of its own, and
+        // every slice is charged the same either way.
+        let integer_lsb = self.config.adc_lsb_units == 1.0;
+        let (code_min, code_max) = (self.adc.code_min(), self.adc.code_max());
+        let mut sums = vec![0i32; cols_per_array];
         for bits in &bit_slices {
             // 1. Drive the wordlines (all active arrays share the input).
             let apply = Cycles::new(self.config.dac_apply_cycles);
@@ -298,10 +307,14 @@ impl AnalogComputeElement {
             let mut codes = Vec::with_capacity(total_bitlines);
             for &a in arrays {
                 let xbar = &self.crossbars[a];
-                let unit = xbar.unit_current();
-                let currents = xbar.mvm_currents(bits, &mut rng)?;
-                for c in currents {
-                    codes.push(self.adc.quantize_units(c / unit));
+                if integer_lsb && xbar.level_exact() {
+                    xbar.level_sums(bits, &mut sums)?;
+                    codes.extend(sums.iter().map(|&s| i64::from(s).clamp(code_min, code_max)));
+                } else {
+                    let unit = xbar.unit_current();
+                    for c in xbar.mvm_currents(bits, &mut rng)? {
+                        codes.push(self.adc.quantize_units(c / unit));
+                    }
                 }
             }
             let readout = self.adc.readout_cycles(total_bitlines, early_levels);
@@ -481,6 +494,127 @@ mod tests {
         let out = ace.mvm(0, &[1; 16], driver, None).expect("runs");
         assert_eq!(out.partial_products[0][0], 7); // saturated
         assert_eq!(out.partial_products[0][1], 7); // 16 > 7, saturated too
+    }
+
+    /// A uniform pick in `0..n` from the oracle's case stream.
+    fn pick(draw: &mut NoiseRng, n: usize) -> usize {
+        (draw.next_u64() % n as u64) as usize
+    }
+
+    #[test]
+    fn integer_codes_match_the_f64_model_on_level_exact_crossbars() {
+        // Seeded random level-exact crossbars: every code the ACE digitizes
+        // from integer level sums must equal the code of the f64 device
+        // model's current, across cell widths, both representations, tall
+        // columns, clipping ADCs, stuck cells and row updates — including
+        // an update on a clone, which must leave the original untouched.
+        let mut draw = NoiseRng::seed_from(0x5eed);
+        let (mut codes, mut clipped, mut faulted, mut updated) = (0, 0, 0, 0);
+        let driver = InputDriver::new(1, false).expect("valid");
+        for case in 0..2000 {
+            let rows = [1, 17, 64, 100, 130][pick(&mut draw, 5)];
+            let cols = 1 + pick(&mut draw, 24);
+            let mut config = AceConfig::ideal(1, rows, cols);
+            let bits = 1 + pick(&mut draw, 8) as u8;
+            config.crossbar.bits_per_cell = bits;
+            config.crossbar.device = DeviceParams::ideal(bits).expect("valid");
+            if pick(&mut draw, 2) == 1 {
+                config.crossbar.representation = Representation::OffsetSubtraction;
+            }
+            config.adc_bits = 4 + pick(&mut draw, 7) as u8;
+            let faults = case % 8 == 0;
+            if faults {
+                config.crossbar.device.stuck_at_rate = 0.2;
+            }
+            let mut ace = AnalogComputeElement::new(config, case).expect("valid");
+            let max = ace.config().crossbar.max_magnitude();
+            let span = (2 * max + 1) as usize;
+            let mut weights = |n: usize| -> Vec<i64> {
+                (0..n).map(|_| pick(&mut draw, span) as i64 - max).collect()
+            };
+            let matrix: Vec<Vec<i64>> = (0..rows).map(|_| weights(cols)).collect();
+            ace.program_matrix(0, &matrix).expect("programs");
+            if faults {
+                faulted += ace.inject_stuck_at_faults();
+            }
+            let mut aces = vec![ace];
+            if case % 4 == 1 {
+                let mut copy = aces[0].clone();
+                let new_row = weights(cols);
+                copy.update_row(0, pick(&mut draw, rows), &new_row)
+                    .expect("updates");
+                aces.push(copy);
+                updated += 1;
+            }
+            let random: Vec<i64> = (0..rows).map(|_| pick(&mut draw, 2) as i64).collect();
+            for ace in &mut aces {
+                for input in [random.clone(), vec![0; rows], vec![1; rows]] {
+                    let out = ace.mvm(0, &input, driver, None).expect("runs");
+                    let xbar = ace.crossbar(0).expect("exists");
+                    assert!(xbar.level_exact(), "case {case}");
+                    let bits: Vec<bool> = input.iter().map(|&x| x == 1).collect();
+                    let unit = xbar.unit_current();
+                    let currents = xbar
+                        .mvm_currents(&bits, &mut NoiseRng::seed_from(0))
+                        .expect("shape ok");
+                    for (c, (&code, &current)) in
+                        out.partial_products[0].iter().zip(&currents).enumerate()
+                    {
+                        let units = current / unit;
+                        assert_eq!(
+                            code,
+                            ace.adc().quantize_units(units),
+                            "case {case} col {c}: current {units} units"
+                        );
+                        codes += 1;
+                        clipped += usize::from(code != units.round() as i64);
+                    }
+                }
+            }
+        }
+        assert!(codes > 50_000, "only {codes} codes compared");
+        assert!(clipped > 1000, "only {clipped} clipped codes");
+        assert!(faulted > 0, "no stuck cells injected");
+        assert!(updated > 0, "no row updates");
+    }
+
+    #[test]
+    fn crossbars_that_are_not_level_exact_digitize_f64_currents() {
+        // IR drop, programming noise without read noise, and drift each
+        // take a crossbar off the integer model: the ACE must then
+        // digitize the f64 device currents, not the level sums.
+        for variant in 0..3 {
+            let mut config = AceConfig::ideal(1, 32, 4);
+            match variant {
+                0 => config.crossbar.ir_drop_alpha = 0.002,
+                1 => config.crossbar.device.program_sigma = 0.05,
+                _ => config.crossbar.device.drift_nu = 0.05,
+            }
+            let mut ace = AnalogComputeElement::new(config, 3).expect("valid");
+            ace.program_matrix(0, &vec![vec![15, -9, 4, 0]; 32])
+                .expect("programs");
+            if variant == 2 {
+                ace.crossbars[0].drift(1.0);
+            }
+            let level_sums = [32 * 15, 32 * -9, 32 * 4, 0];
+            let driver = InputDriver::new(1, false).expect("valid");
+            let out = ace.mvm(0, &[1; 32], driver, None).expect("runs");
+
+            let xbar = ace.crossbar(0).expect("exists");
+            assert!(!xbar.level_exact(), "variant {variant}");
+            let input = vec![true; 32];
+            let unit = xbar.unit_current();
+            let f64_codes: Vec<i64> = xbar
+                .mvm_currents(&input, &mut NoiseRng::seed_from(0))
+                .expect("shape ok")
+                .iter()
+                .map(|&c| ace.adc().quantize_units(c / unit))
+                .collect();
+            assert_eq!(out.partial_products[0], f64_codes, "variant {variant}");
+            if variant != 1 {
+                assert_ne!(f64_codes, level_sums, "variant {variant}");
+            }
+        }
     }
 
     #[test]

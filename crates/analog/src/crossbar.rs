@@ -14,10 +14,20 @@
 //! * **IR drop** (parasitic resistance): current flowing down a bitline
 //!   sees distributed wire resistance, attenuating large accumulated
 //!   currents quadratically — the effect the §4.3 remapping suppresses.
+//!
+//! A bitline has two models. A *level-exact* crossbar (no programming or
+//! read noise, no drift, no IR drop, full conductance range; see
+//! `Crossbar::level_exact`) sums integer device levels: the crossbar
+//! keeps a net-level matrix, and one input slice adds its active rows
+//! into `i32` column sums (`Crossbar::level_sums`). Every other
+//! crossbar integrates f64 device conductances column by column
+//! ([`Crossbar::mvm_currents`]). On a level-exact crossbar both models
+//! give the same ADC code; the argument is on `level_sums`.
 
 use crate::{Error, Result};
 use darth_reram::{DeviceParams, NoiseRng, ReramArray};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// How signed weights map onto strictly positive conductances (Figure 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -136,6 +146,13 @@ pub struct Crossbar {
     negative: Option<ReramArray>,
     /// The logical weights as programmed (for verification / re-slicing).
     weights: Vec<Vec<i64>>,
+    /// Net device level per cell, row-major: the positive-plane level
+    /// minus the negative-plane level under differential pairs, the single
+    /// plane's level under offset subtraction. Holds *realised* levels, so
+    /// stuck cells count at their stuck level. Clones share it until one
+    /// of them writes: a served request's machine copy never does. Empty
+    /// on a crossbar that is not [level-exact](Crossbar::level_exact).
+    net_levels: Arc<[i16]>,
     programmed: bool,
 }
 
@@ -168,13 +185,23 @@ impl Crossbar {
             }
             Representation::OffsetSubtraction => None,
         };
-        Ok(Crossbar {
+        let mut xbar = Crossbar {
+            net_levels: Arc::from([]),
             config,
             positive,
             negative,
             weights: Vec::new(),
             programmed: false,
-        })
+        };
+        if xbar.level_exact() {
+            xbar.net_levels = std::iter::repeat_n(0, xbar.cells()).collect();
+        }
+        Ok(xbar)
+    }
+
+    /// Devices per plane.
+    fn cells(&self) -> usize {
+        self.config.rows * self.config.cols
     }
 
     /// The crossbar's configuration.
@@ -234,10 +261,18 @@ impl Crossbar {
                 }
             }
         }
+        let exact = self.level_exact();
+        let mut net_levels = Vec::with_capacity(if exact { self.cells() } else { 0 });
         for (r, row) in matrix.iter().enumerate() {
             for (c, &w) in row.iter().enumerate() {
-                self.program_cell(r, c, w, rng)?;
+                let level = self.program_cell(r, c, w, rng)?;
+                if exact {
+                    net_levels.push(level);
+                }
             }
+        }
+        if exact {
+            self.net_levels = net_levels.into();
         }
         self.weights = matrix.to_vec();
         self.programmed = true;
@@ -278,20 +313,42 @@ impl Crossbar {
         }
     }
 
-    /// Programs one logical weight into the device plane(s).
-    fn program_cell(&mut self, row: usize, col: usize, w: i64, rng: &mut NoiseRng) -> Result<()> {
+    /// Programs one logical weight into the device plane(s), returning the
+    /// cell's realised net level for a level-exact caller to store in
+    /// `net_levels`.
+    ///
+    /// After the callers' range checks, a write can fail only in the
+    /// write–verify loop, which needs programming noise — so an error never
+    /// leaves a stale net level on a level-exact crossbar.
+    fn program_cell(&mut self, row: usize, col: usize, w: i64, rng: &mut NoiseRng) -> Result<i16> {
         let (positive_level, negative_level) = self.weight_levels(w)?;
-        self.positive
+        let positive = self
+            .positive
             .program_level(row, col, positive_level, rng)
             .map_err(Error::Reram)?;
-        if let Some(level) = negative_level {
-            self.negative
+        let negative = match negative_level {
+            Some(level) => self
+                .negative
                 .as_mut()
                 .expect("differential pairs have a negative plane")
                 .program_level(row, col, level, rng)
-                .map_err(Error::Reram)?;
-        }
-        Ok(())
+                .map_err(Error::Reram)?,
+            None => 0,
+        };
+        Ok(net_level(positive, negative))
+    }
+
+    /// The realised net level of one programmed cell, read back from the
+    /// planes (see `Crossbar::net_levels`).
+    fn cell_net_level(&self, row: usize, col: usize) -> Result<i16> {
+        let level = |plane: &ReramArray| -> Result<u16> {
+            Ok(plane.cell(row, col).map_err(Error::Reram)?.level())
+        };
+        let negative = match &self.negative {
+            Some(plane) => level(plane)?,
+            None => 0,
+        };
+        Ok(net_level(level(&self.positive)?, negative))
     }
 
     /// Updates a single row of the programmed matrix (the `updateRow`
@@ -314,9 +371,8 @@ impl Crossbar {
             matrix = vec![vec![0; self.config.cols]; self.config.rows];
         }
         matrix[row] = values.to_vec();
-        // Reprogram only the affected row's devices.
         let max = self.config.max_magnitude();
-        for (c, &w) in values.iter().enumerate() {
+        for &w in values {
             // `unsigned_abs`, not `abs`: see `Crossbar::program`.
             if w.unsigned_abs() > max as u64 {
                 return Err(Error::WeightOutOfRange {
@@ -324,15 +380,80 @@ impl Crossbar {
                     max_magnitude: max,
                 });
             }
-            self.program_cell(row, c, w, rng)?;
+        }
+        // Reprogram only the affected row's devices.
+        let mut row_levels = Vec::with_capacity(values.len());
+        for (c, &w) in values.iter().enumerate() {
+            row_levels.push(self.program_cell(row, c, w, rng)?);
+        }
+        if self.level_exact() {
+            let start = row * self.config.cols;
+            Arc::make_mut(&mut self.net_levels)[start..start + values.len()]
+                .copy_from_slice(&row_levels);
         }
         self.weights = matrix;
         Ok(())
     }
 
-    /// One analog MVM cycle: applies a Boolean wordline vector (the 1-bit
-    /// DAC output of input bit-slicing) and returns the net bitline
-    /// currents in amperes.
+    /// Whether the integer level sum is the exact bitline model: every
+    /// device sits at its programmed level (zero programming and read
+    /// noise, no drift) and the bitline neither loses nor scales current
+    /// (no IR drop, full conductance range). These are properties of the
+    /// configuration, fixed at construction and never of the data.
+    pub(crate) fn level_exact(&self) -> bool {
+        let device = self.positive.params();
+        device.program_sigma == 0.0
+            && device.read_sigma == 0.0
+            && device.drift_nu == 0.0
+            && self.config.ir_drop_alpha == 0.0
+            && self.config.range_scale == 1.0
+    }
+
+    /// The bitline model of a [level-exact](Crossbar::level_exact)
+    /// crossbar: for one Boolean wordline vector, `sums[c]` becomes the sum
+    /// of the active rows' net levels in column `c` (offset included under
+    /// offset subtraction), in weight units.
+    ///
+    /// This equals [`Crossbar::mvm_currents`] divided by
+    /// [`Crossbar::unit_current`] up to rounding: at zero noise a level-`L`
+    /// device contributes `(g(L) - g_off) * 1.0`, which is `L * unit` to
+    /// within a few ulp, and the f64 line sums then give `S + δ` units
+    /// with `|δ|` below about `rows² · 255 · 2^-50` (under 1e-8 at 130
+    /// rows) — far inside the 0.5 rounding margin of a 1-LSB ADC for any
+    /// realistic row count. So the code of `S`, which is `S` clamped to
+    /// the ADC rails, is exactly the code the f64 model digitizes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InputLengthMismatch`] for a wrong-sized input.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sums` does not hold one entry per column.
+    pub(crate) fn level_sums(&self, input: &[bool], sums: &mut [i32]) -> Result<()> {
+        if input.len() != self.config.rows {
+            return Err(Error::InputLengthMismatch {
+                expected: self.config.rows,
+                got: input.len(),
+            });
+        }
+        assert_eq!(sums.len(), self.config.cols, "one sum per column");
+        debug_assert!(self.level_exact(), "only level-exact crossbars keep levels");
+        sums.fill(0);
+        let rows = self.net_levels.chunks_exact(self.config.cols);
+        for (levels, _) in rows.zip(input).filter(|(_, &active)| active) {
+            for (sum, &level) in sums.iter_mut().zip(levels) {
+                *sum += i32::from(level);
+            }
+        }
+        Ok(())
+    }
+
+    /// One analog MVM cycle through the f64 device model: applies a
+    /// Boolean wordline vector (the 1-bit DAC output of input bit-slicing)
+    /// and returns the net bitline currents in amperes, with read noise per
+    /// device and IR drop per line. The ACE digitizes these for every
+    /// crossbar that is not level-exact (see `Crossbar::level_exact`).
     ///
     /// Under offset subtraction the returned current still contains the
     /// offset term; the ADC-side post-processing removes it.
@@ -347,35 +468,8 @@ impl Crossbar {
                 got: input.len(),
             });
         }
-        let params = self.positive.params().clone();
-        let g_off = params.g_off;
+        let g_off = self.positive.params().g_off;
         let scale = self.config.range_scale;
-        // Deterministic fast path: with zero read noise the per-device
-        // noise model is an identity that consumes no RNG, so one
-        // row-major pass per plane produces bit-identical line currents
-        // without the per-column conductance gathers.
-        if params.read_sigma == 0.0 {
-            let pos = self
-                .positive
-                .masked_col_signals(input, g_off, scale)
-                .map_err(Error::Reram)?;
-            let neg = match &self.negative {
-                Some(plane) => Some(
-                    plane
-                        .masked_col_signals(input, g_off, scale)
-                        .map_err(Error::Reram)?,
-                ),
-                None => None,
-            };
-            return Ok(pos
-                .iter()
-                .enumerate()
-                .map(|(c, &p)| {
-                    let n = neg.as_ref().map_or(0.0, |v| v[c]);
-                    self.apply_ir_drop(p) - self.apply_ir_drop(n)
-                })
-                .collect());
-        }
         let mut currents = Vec::with_capacity(self.config.cols);
         for c in 0..self.config.cols {
             let pos_line = self.line_current(&self.positive, c, input, g_off, scale, rng)?;
@@ -389,8 +483,7 @@ impl Crossbar {
     }
 
     /// Attenuates one accumulated line current by the distributed-wire
-    /// IR-drop model (quadratic loss in line units); shared by the noisy
-    /// and deterministic bitline paths so they cannot diverge.
+    /// IR-drop model (quadratic loss in line units).
     fn apply_ir_drop(&self, line: f64) -> f64 {
         if self.config.ir_drop_alpha > 0.0 {
             let unit = self.unit_current();
@@ -463,6 +556,13 @@ impl Crossbar {
         if let Some(neg) = &mut self.negative {
             n += neg.inject_stuck_at_faults(rng);
         }
+        if self.level_exact() {
+            let cols = self.config.cols;
+            self.net_levels = (0..self.cells())
+                .map(|i| self.cell_net_level(i / cols, i % cols))
+                .collect::<Result<_>>()
+                .expect("indices lie within the planes");
+        }
         n
     }
 
@@ -477,13 +577,22 @@ impl Crossbar {
                 .map_or(0, darth_reram::ReramArray::saturated_writes)
     }
 
-    /// Applies retention drift to both planes.
+    /// Applies retention drift to both planes. A drift-capable device
+    /// (`drift_nu > 0`) already keeps the crossbar off the integer model;
+    /// at `drift_nu == 0` this moves nothing.
     pub fn drift(&mut self, decades: f64) {
         self.positive.drift_all(decades);
         if let Some(neg) = &mut self.negative {
             neg.drift_all(decades);
         }
     }
+}
+
+/// One cell's net level: the positive-plane level minus the negative-plane
+/// level (zero under offset subtraction). Levels stay below 2^8, so both
+/// fit an `i16`.
+fn net_level(positive: u16, negative: u16) -> i16 {
+    positive as i16 - negative as i16
 }
 
 #[cfg(test)]
@@ -785,6 +894,37 @@ mod tests {
         for (c, i) in currents.iter().enumerate() {
             assert!(i.is_finite(), "col {c} current {i} is not finite");
         }
+    }
+
+    #[test]
+    fn crossbars_off_their_levels_are_not_level_exact() {
+        let base = ideal_xbar(4, 4, 4);
+        assert!(base.level_exact());
+        let with = |edit: fn(&mut CrossbarConfig)| {
+            let mut config = base.config().clone();
+            edit(&mut config);
+            Crossbar::new(config).expect("valid").level_exact()
+        };
+        assert!(!with(|c| c.ir_drop_alpha = 0.002));
+        assert!(!with(|c| c.range_scale = 0.5));
+        assert!(!with(|c| c.device.program_sigma = 0.02));
+        assert!(!with(|c| c.device.read_sigma = 0.005));
+        assert!(!with(|c| c.device.drift_nu = 0.1));
+        assert!(with(|c| c.device.stuck_at_rate = 0.1));
+
+        // Only a level-exact crossbar pays for the net-level matrix.
+        let mut config = base.config().clone();
+        config.device.program_sigma = 0.02;
+        let mut noisy = Crossbar::new(config).expect("valid");
+        noisy
+            .program(&vec![vec![3; 4]; 4], &mut rng())
+            .expect("programs");
+        noisy
+            .update_row(0, &[1, 2, 3, 4], &mut rng())
+            .expect("updates");
+        noisy.inject_stuck_at_faults(&mut rng());
+        assert!(noisy.net_levels.is_empty());
+        assert_eq!(base.net_levels.len(), 16);
     }
 
     #[test]

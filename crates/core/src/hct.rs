@@ -468,7 +468,20 @@ impl<P: DcePipeline> GenericTile<P> {
         regs: &ReductionRegs,
         early_levels: Option<u16>,
     ) -> Result<MvmReport> {
-        let core = self.vacores.get(id)?.clone();
+        let core = self.checked_core(id, input)?.clone();
+        // The MVM occupies the landing pipeline exclusively (the paper's
+        // pipeline-reserve + arbiter protocol).
+        self.arbiter.acquire(dst_pipe, Domain::Analog)?;
+        let report = self.exec_mvm_inner(&core, input, dst_pipe, regs, early_levels);
+        self.arbiter.release(dst_pipe);
+        report
+    }
+
+    /// The vACore an MVM of `input` runs on: it must hold a matrix whose
+    /// row count matches the input. Shared by [`GenericTile::exec_mvm`] and
+    /// [`GenericTile::mvm_oracle`] so the two cannot disagree on shapes.
+    fn checked_core(&self, id: VaCoreId, input: &[i64]) -> Result<&VaCore> {
+        let core = self.vacores.get(id)?;
         if core.rows == 0 {
             return Err(Error::VaCore(format!("vACore {id} has no matrix")));
         }
@@ -479,12 +492,7 @@ impl<P: DcePipeline> GenericTile<P> {
                 core.rows
             )));
         }
-        // The MVM occupies the landing pipeline exclusively (the paper's
-        // pipeline-reserve + arbiter protocol).
-        self.arbiter.acquire(dst_pipe, Domain::Analog)?;
-        let report = self.exec_mvm_inner(&core, input, dst_pipe, regs, early_levels);
-        self.arbiter.release(dst_pipe);
-        report
+        Ok(core)
     }
 
     fn exec_mvm_inner(
@@ -627,15 +635,15 @@ impl<P: DcePipeline> GenericTile<P> {
 }
 
 impl<P: DcePipeline> GenericTile<P> {
-    /// Exact software oracle for [`GenericTile::exec_mvm`].
+    /// Exact software oracle for [`GenericTile::exec_mvm`], with the same
+    /// shape checks.
     ///
     /// # Errors
     ///
-    /// Returns vACore errors for unknown ids.
+    /// Returns vACore errors for unknown ids or a vACore without a matrix,
+    /// and [`Error::Shape`] when `input` does not match the matrix rows.
     pub fn mvm_oracle(&self, id: VaCoreId, input: &[i64]) -> Result<Vec<i64>> {
-        let core = self.vacores.get(id)?;
-        let xbar = self.ace.crossbar(core.arrays[0]).map_err(Error::Analog)?;
-        let _ = xbar;
+        let core = self.checked_core(id, input)?;
         // Reconstruct from the programmed slices for full fidelity.
         let mut out = vec![0i64; core.cols];
         for (s, &array) in core.arrays.iter().enumerate() {
@@ -689,6 +697,30 @@ mod tests {
         );
         assert!(report.cycles > Cycles::ZERO);
         assert!(report.energy > PicoJoules::ZERO);
+    }
+
+    #[test]
+    fn mvm_oracle_rejects_shape_drift_like_exec_mvm() {
+        let mut t = tile();
+        let id = t.alloc_vacore(4, 2, 3, false).expect("allocates");
+        t.set_matrix(id, &[vec![1, 2], vec![3, 4]])
+            .expect("programs");
+        let regs = ReductionRegs::dense(t.vacores().get(id).expect("exists").term_count());
+        for input in [vec![1], vec![1, 2, 3]] {
+            assert!(matches!(t.mvm_oracle(id, &input), Err(Error::Shape(_))));
+            assert!(matches!(
+                t.exec_mvm(id, &input, 0, &regs, None),
+                Err(Error::Shape(_))
+            ));
+        }
+        assert_eq!(t.mvm_oracle(id, &[1, 1]).expect("oracle"), vec![4, 6]);
+        // Allocated but never programmed: no matrix to multiply.
+        let empty = t.alloc_vacore(4, 2, 3, false).expect("allocates");
+        assert!(matches!(t.mvm_oracle(empty, &[]), Err(Error::VaCore(_))));
+        assert!(matches!(
+            t.exec_mvm(empty, &[], 0, &regs, None),
+            Err(Error::VaCore(_))
+        ));
     }
 
     #[test]

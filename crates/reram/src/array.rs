@@ -117,7 +117,9 @@ impl ReramArray {
         Ok(&mut self.cells[i])
     }
 
-    /// Programs a multi-level value with write–verify (analog path).
+    /// Programs a multi-level value with write–verify (analog path),
+    /// returning the cell's level after the write: `level`, or the stuck
+    /// level of a stuck cell.
     ///
     /// Saturated writes (draws railed outside the device window, see
     /// [`Cell::program`]) keep the clamped endpoint conductance and bump
@@ -132,13 +134,15 @@ impl ReramArray {
         col: usize,
         level: u16,
         rng: &mut NoiseRng,
-    ) -> Result<()> {
+    ) -> Result<u16> {
         let params = self.params.clone();
         let cell = self.cell_mut(row, col)?;
-        if cell.program(level, &params, rng)? {
+        let saturated = cell.program(level, &params, rng)?;
+        let realised = cell.level();
+        if saturated {
             self.saturated_writes += 1;
         }
-        Ok(())
+        Ok(realised)
     }
 
     /// How many writes so far railed outside the device window and were
@@ -250,45 +254,6 @@ impl ReramArray {
         Ok((0..self.rows)
             .map(|r| self.cells[r * self.cols + col].read_conductance(&self.params, rng))
             .collect())
-    }
-
-    /// Noise-free bitline accumulation for every column at once: for each
-    /// column `c`, the sum over active rows (ascending, so floating-point
-    /// results are bit-identical to a per-column walk) of
-    /// `(g.max(0) - g_off).max(0) * scale`, where `g` is the cell's
-    /// realised conductance.
-    ///
-    /// This is the deterministic fast path of the analog MVM: when the
-    /// device population's `read_sigma` is zero,
-    /// [`ReramArray::col_conductances`] degenerates to the stored
-    /// conductances and consumes no RNG, so this single row-major pass
-    /// computes exactly what per-column gathers would — without the
-    /// per-column `Vec` allocations and per-device noise-model calls.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidDimensions`] if `input` does not cover
-    /// every row.
-    pub fn masked_col_signals(&self, input: &[bool], g_off: f64, scale: f64) -> Result<Vec<f64>> {
-        if input.len() != self.rows {
-            return Err(Error::InvalidDimensions {
-                rows: input.len(),
-                cols: self.cols,
-            });
-        }
-        let mut sums = vec![0.0f64; self.cols];
-        for (r, &active) in input.iter().enumerate() {
-            if !active {
-                continue;
-            }
-            let row = &self.cells[r * self.cols..r * self.cols + self.cols];
-            for (sum, cell) in sums.iter_mut().zip(row) {
-                // Mirror read_conductance(sigma=0) + the bitline term
-                // exactly: (g + 0).max(0), then zero-floored signal.
-                *sum += (cell.conductance().max(0.0) - g_off).max(0.0) * scale;
-            }
-        }
-        Ok(sums)
     }
 
     /// Injects stuck-at faults with the population's `stuck_at_rate`.

@@ -40,10 +40,15 @@ impl EnergyMeter {
 
     /// Charges `energy` against `component`.
     pub fn add(&mut self, component: &str, energy: PicoJoules) {
-        *self
-            .components
-            .entry(component.to_owned())
-            .or_insert(PicoJoules::ZERO) += energy;
+        // Only a component's first charge allocates its key; it still
+        // starts from zero, so every total keeps its bits.
+        match self.components.get_mut(component) {
+            Some(total) => *total += energy,
+            None => {
+                self.components
+                    .insert(component.to_owned(), PicoJoules::ZERO + energy);
+            }
+        }
     }
 
     /// Total energy across all components.
