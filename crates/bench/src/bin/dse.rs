@@ -17,7 +17,6 @@ use darth_eval::dse::{default_sweep, price_sweep, Metric};
 use darth_eval::mc::{attach_accuracy, McConfig};
 use darth_eval::registry::extended_workloads;
 use darth_pum::config::DarthConfig;
-use darth_pum::workers::forced_workers;
 use std::time::Instant;
 
 fn main() {
@@ -31,13 +30,9 @@ fn main() {
         price_sweep(&points, extended_workloads(), Threading::Serial).expect("default grid builds");
     let serial_s = start.elapsed().as_secs_f64();
 
-    let threading = match forced_workers("DARTH_EVAL_THREADS") {
-        Some(n) => Threading::Workers(n),
-        None => Threading::Parallel,
-    };
     let start = Instant::now();
-    let mut sweep =
-        price_sweep(&points, extended_workloads(), threading).expect("default grid builds");
+    let mut sweep = price_sweep(&points, extended_workloads(), Threading::Parallel)
+        .expect("default grid builds");
     let parallel_s = start.elapsed().as_secs_f64();
     assert_eq!(
         sweep, serial,

@@ -29,15 +29,10 @@ fn main() {
     let serial_matrix = serial_engine.run();
     let serial_s = start.elapsed().as_secs_f64();
 
-    // `DARTH_EVAL_THREADS` forces a worker count (e.g. to exercise the
-    // multi-threaded path on a single-core CI box); the default is one
-    // worker per available core. Empty, zero or non-numeric values fall
-    // back to the default with a warning (`workers::forced_workers`).
-    let forced_threads = darth_pum::workers::forced_workers("DARTH_EVAL_THREADS");
+    // The default `Threading::Parallel` follows the one worker rule:
+    // `DARTH_EVAL_THREADS` (e.g. to exercise the multi-threaded path on
+    // a single-core CI box), else one worker per available core.
     let mut parallel_engine = build_engine();
-    if let Some(n) = forced_threads {
-        parallel_engine.set_threading(Threading::Workers(n));
-    }
     let start = Instant::now();
     let matrix = parallel_engine.run();
     let parallel_s = start.elapsed().as_secs_f64();
@@ -46,8 +41,9 @@ fn main() {
         matrix, serial_matrix,
         "parallel and serial runs must be bit-identical"
     );
-    let threads = forced_threads
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, usize::from));
+    // The pool the parallel run drew from, before each phase's cap at
+    // its own item count.
+    let threads = darth_pum::workers::worker_count(None, usize::MAX);
     println!(
         "priced {} workloads x {} models = {} cells",
         matrix.workloads.len(),

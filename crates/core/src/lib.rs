@@ -51,9 +51,9 @@
 //!   an encoded-ISA [`eval::ExecJob`]) and [`eval::Executor`] (runs the
 //!   job over bit-accurate machine state) — that the `darth_sim`
 //!   differential harness checks against golden references.
-//! * [`workers`] — the shared worker-count convention
-//!   (`DARTH_EVAL_THREADS`) used by every `std::thread::scope` phase in
-//!   the stack.
+//! * [`workers`] — the one worker rule (explicit count, else
+//!   `DARTH_EVAL_THREADS`, else the available cores) and the one scoped
+//!   fan-out used by every parallel phase in the stack.
 //!
 //! # Example: hybrid MVM through the runtime
 //!

@@ -4,9 +4,10 @@
 //! An [`Engine`] owns two registries — `Box<dyn Workload>` scenarios and
 //! `Box<dyn ArchModel>` architectures — and prices the full cross product
 //! into an [`EvalMatrix`] without ever materializing a trace. Work is
-//! split in two phases, both parallelized with `std::thread::scope` over
-//! disjoint output slices (no locks, no shared mutable state, and
-//! therefore bit-identical results at any worker count):
+//! split in two phases, both fanned out over the stack's one scoped map
+//! ([`darth_pum::workers::scoped_map`]: disjoint output slices, no
+//! locks, no shared mutable state, and therefore bit-identical results
+//! at any worker count):
 //!
 //! 1. **Stream recording**, once per workload: each emission is
 //!    compressed into a run-length [`TraceSummary`] and memoized, so
@@ -25,16 +26,18 @@
 use crate::json::JsonValue;
 use darth_pum::eval::{ArchModel, Fanout, Workload};
 use darth_pum::trace::{geomean, CostReport, TraceSummary};
+use darth_pum::workers::{scoped_map, worker_count};
 use std::collections::HashMap;
-use std::thread;
 
 /// How [`Engine::run`] schedules its work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Threading {
-    /// Everything on the calling thread (reference mode).
+    /// One worker: every phase runs its items in order on a single
+    /// scoped thread (reference mode).
     Serial,
-    /// One `std::thread::scope` worker per available core (capped by the
-    /// number of work items).
+    /// The stack's one worker rule ([`darth_pum::workers::worker_count`]):
+    /// `DARTH_EVAL_THREADS`, else one worker per available core, capped
+    /// by the number of work items.
     #[default]
     Parallel,
     /// A fixed worker count, independent of the host's core count
@@ -43,12 +46,14 @@ pub enum Threading {
 }
 
 impl Threading {
-    fn worker_count(self) -> usize {
-        match self {
-            Threading::Serial => 1,
-            Threading::Parallel => thread::available_parallelism().map_or(1, usize::from),
-            Threading::Workers(n) => n.max(1),
-        }
+    /// The worker count for a phase over `items` work items.
+    fn worker_count(self, items: usize) -> usize {
+        let explicit = match self {
+            Threading::Serial => Some(1),
+            Threading::Parallel => None,
+            Threading::Workers(n) => Some(n),
+        };
+        worker_count(explicit, items)
     }
 }
 
@@ -309,13 +314,12 @@ impl Engine {
     /// Each workload's cached summary replays **once** into a [`Fanout`]
     /// over every registered model, so a row costs one replay pass
     /// however many columns there are (hundreds, in a design sweep).
-    /// Rows are sharded across `std::thread::scope` workers over
-    /// disjoint output slices. Streams recorded by earlier runs are
+    /// Rows are sharded across scoped workers over disjoint output
+    /// slices. Streams recorded by earlier runs are
     /// reused (memoized by workload name); rows and columns appear in
     /// registration order.
     pub fn run(&mut self) -> EvalMatrix {
-        let threads = self.threading.worker_count();
-        self.record_missing_summaries(threads);
+        self.record_missing_summaries();
         let summaries: Vec<&TraceSummary> = self
             .workloads
             .iter()
@@ -323,34 +327,20 @@ impl Engine {
             .collect();
 
         let models = &self.models;
-        let cols = models.len();
-        let mut cells: Vec<Option<CostReport>> =
-            (0..summaries.len() * cols).map(|_| None).collect();
-        if cols > 0 {
-            let row_chunk = summaries.len().div_ceil(threads.max(1)).max(1);
-            thread::scope(|scope| {
-                for (summary_chunk, out_chunk) in summaries
-                    .chunks(row_chunk)
-                    .zip(cells.chunks_mut(row_chunk * cols))
-                {
-                    scope.spawn(move || {
-                        for (summary, row_out) in
-                            summary_chunk.iter().zip(out_chunk.chunks_mut(cols))
-                        {
-                            let mut fanout = Fanout::new(models.iter().map(AsRef::as_ref));
-                            summary.emit(&mut fanout);
-                            for (slot, report) in row_out.iter_mut().zip(fanout.finish()) {
-                                *slot = Some(report);
-                            }
-                        }
-                    });
-                }
-            });
-        }
-        let cells = cells
-            .into_iter()
-            .map(|cell| cell.expect("every row chunk was priced"))
-            .collect();
+        let workers = self.threading.worker_count(summaries.len());
+        let cells = scoped_map(
+            &summaries,
+            workers,
+            || (),
+            |_, summary| {
+                let mut fanout = Fanout::new(models.iter().map(AsRef::as_ref));
+                summary.emit(&mut fanout);
+                fanout.finish()
+            },
+        )
+        .into_iter()
+        .flatten()
+        .collect();
         let (workloads, models) = self.descriptors(&summaries);
         EvalMatrix {
             workloads,
@@ -399,29 +389,21 @@ impl Engine {
 
     /// Records (in parallel) every registered workload's op stream not
     /// yet in the summary cache.
-    fn record_missing_summaries(&mut self, threads: usize) {
+    fn record_missing_summaries(&mut self) {
         let missing: Vec<&dyn Workload> = self
             .workloads
             .iter()
             .map(AsRef::as_ref)
             .filter(|w| !self.summary_cache.contains_key(&w.name()))
             .collect();
-        if missing.is_empty() {
-            return;
-        }
-        let mut recorded: Vec<Option<TraceSummary>> = missing.iter().map(|_| None).collect();
-        let chunk = missing.len().div_ceil(threads.max(1));
-        thread::scope(|scope| {
-            for (out_chunk, work_chunk) in recorded.chunks_mut(chunk).zip(missing.chunks(chunk)) {
-                scope.spawn(move || {
-                    for (slot, workload) in out_chunk.iter_mut().zip(work_chunk) {
-                        *slot = Some(TraceSummary::record(|r| workload.emit(r)));
-                    }
-                });
-            }
-        });
+        let workers = self.threading.worker_count(missing.len());
+        let recorded = scoped_map(
+            &missing,
+            workers,
+            || (),
+            |_, workload| TraceSummary::record(|r| workload.emit(r)),
+        );
         for (workload, summary) in missing.iter().zip(recorded) {
-            let summary = summary.expect("every spawned chunk fills its slots");
             self.summary_cache.insert(workload.name(), summary);
         }
     }

@@ -10,10 +10,10 @@
 //!   memoizes each workload's emission as a compressed run-length
 //!   [`darth_pum::trace::TraceSummary`], and prices the full matrix
 //!   ([`engine::Engine::run`]) by replaying each summary once into a
-//!   fan-out over every model's streaming accumulator, with
-//!   `std::thread::scope` workers over disjoint output slices — runs are
-//!   bit-identical at any worker count, and no trace is ever
-//!   materialized.
+//!   fan-out over every model's streaming accumulator, with scoped
+//!   workers over disjoint output slices
+//!   ([`darth_pum::workers::scoped_map`]) — runs are bit-identical at any
+//!   worker count, and no trace is ever materialized.
 //! * [`engine::EvalMatrix`] is the structured result: addressable cells,
 //!   ratio/geomean helpers for the figure summaries, and a JSON report
 //!   ([`engine::EvalMatrix::to_json`]) so every run can drop a

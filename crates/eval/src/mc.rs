@@ -78,9 +78,14 @@ impl McConfig {
         }
     }
 
-    /// All noise sources zeroed. Trials still run through the full noisy
-    /// code path (`noisy = true` tiles), which must reproduce the ideal
-    /// golden outputs bit-exactly — pinned by `tests/mc_smoke.rs`.
+    /// All noise sources zeroed. Trial tiles are built exactly as noisy
+    /// ones (`noisy = true`), but with every device sigma at zero their
+    /// crossbars are level-exact, so the MVMs take the integer bitline
+    /// path and must reproduce the ideal golden outputs bit-exactly —
+    /// pinned by `tests/mc_smoke.rs`. The f64 crossbar path at zero noise
+    /// is pinned separately, by the 2,000-crossbar oracle
+    /// `integer_codes_match_the_f64_model_on_level_exact_crossbars` in
+    /// `darth_analog::ace`.
     #[must_use]
     pub fn zero_sigma() -> Self {
         Self {
@@ -340,10 +345,9 @@ pub fn measure_accuracy(
         }
     }
 
-    let executor = match mc.workers {
-        Some(n) => FastExecutor::new().with_workers(n),
-        None => FastExecutor::new(),
-    };
+    let executor = mc
+        .workers
+        .map_or_else(FastExecutor::new, |n| FastExecutor::new().with_workers(n));
     let outputs = executor.execute_batch(&jobs)?;
 
     let mut accuracies = Vec::with_capacity(points.len());

@@ -30,11 +30,10 @@
 //! exactly reproducible, never a function of host scheduling.
 
 use std::collections::VecDeque;
-use std::thread;
 use std::time::Instant;
 
 use darth_pum::eval::{ExecOutput, Executor};
-use darth_pum::workers::forced_workers;
+use darth_pum::workers::{scoped_map, worker_count};
 use darth_pum::Error;
 use darth_sim::{FastExecutor, ProgramCache, ResidentProgram, SimExecutor};
 
@@ -200,15 +199,6 @@ impl ServeEngine {
     /// The fleet.
     pub fn chips(&self) -> &[FleetChip] {
         &self.chips
-    }
-
-    /// The worker count the execution pass runs on.
-    fn worker_count(&self) -> usize {
-        self.workers
-            .or_else(|| forced_workers("DARTH_EVAL_THREADS"))
-            .unwrap_or_else(|| thread::available_parallelism().map_or(1, usize::from))
-            .max(1)
-            .min(self.chips.len())
     }
 
     /// Calibrates per-class service-cycle estimates for the admission
@@ -399,26 +389,16 @@ impl ServeEngine {
         let (assigned, rejected) = self.assign(trace, &est_cycles);
 
         // Execution: shard whole chips across workers.
-        let workers = self.worker_count();
-        let mut outcomes: Vec<Option<darth_pum::Result<ChipOutcome>>> = Vec::new();
-        outcomes.resize_with(self.chips.len(), || None);
-        let chunk = self.chips.len().div_ceil(workers);
-        thread::scope(|scope| {
-            let chip_chunks = self.chips.chunks(chunk);
-            let assign_chunks = assigned.chunks(chunk);
-            let out_chunks = outcomes.chunks_mut(chunk);
-            for ((chips, lists), outs) in chip_chunks.zip(assign_chunks).zip(out_chunks) {
-                scope.spawn(move || {
-                    for ((chip, list), out) in chips.iter().zip(lists).zip(outs.iter_mut()) {
-                        *out = Some(self.run_chip(chip, list));
-                    }
-                });
-            }
-        });
-        let outcomes = outcomes
-            .into_iter()
-            .map(|slot| slot.expect("every chip slot is filled"))
-            .collect::<darth_pum::Result<Vec<ChipOutcome>>>()?;
+        let work: Vec<_> = self.chips.iter().zip(&assigned).collect();
+        let workers = worker_count(self.workers, work.len());
+        let outcomes = scoped_map(
+            &work,
+            workers,
+            || (),
+            |_, (chip, list)| self.run_chip(chip, list),
+        )
+        .into_iter()
+        .collect::<darth_pum::Result<Vec<ChipOutcome>>>()?;
 
         Ok(self.merge(trace, rejected, outcomes))
     }

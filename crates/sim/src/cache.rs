@@ -15,30 +15,16 @@
 //! eviction and hit/miss/eviction counters ([`CacheStats`]) that the
 //! serving layer reports per chip.
 
-use crate::machine::FastMachine;
+use crate::machine::{FastMachine, ServedRun};
 use darth_digital::PackedPipeline;
 use darth_pum::chip::CompiledProgram;
-use darth_pum::eval::{ExecRun, JobSignature, SplitJob};
-use darth_reram::{Cycles, PicoJoules};
+use darth_pum::eval::{JobSignature, SplitJob};
+use darth_reram::Cycles;
 use std::collections::BTreeMap;
 
 /// Decodes an encoded section, mapping ISA errors into the crate error.
 fn decode(bytes: &[u8]) -> darth_pum::Result<darth_isa::instruction::Program> {
     darth_isa::encode::decode_program(bytes).map_err(darth_pum::Error::Isa)
-}
-
-/// One served request's result: outputs plus the request's own cost
-/// deltas (input interpretation **and** compiled body, but never the
-/// resident setup — that was paid once at [`ResidentProgram`] build
-/// time and is reported separately as [`ResidentProgram::setup_cycles`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServedRun {
-    /// Outputs and instruction counts (input stub + body).
-    pub run: ExecRun,
-    /// Tile busy cycles this request added.
-    pub busy_cycles: Cycles,
-    /// Tile energy this request added.
-    pub energy: PicoJoules,
 }
 
 /// A compiled program kept resident for a request stream: the warmed
@@ -47,7 +33,6 @@ pub struct ServedRun {
 #[derive(Debug)]
 pub struct ResidentProgram {
     split: SplitJob,
-    signature: JobSignature,
     compiled: CompiledProgram<PackedPipeline>,
     warmed: FastMachine,
     setup_cycles: Cycles,
@@ -63,7 +48,6 @@ impl ResidentProgram {
     /// Returns decode errors for malformed sections, tile construction
     /// errors, and the first setup execution error.
     pub fn for_split(split: SplitJob) -> darth_pum::Result<Self> {
-        let signature = split.signature();
         let mut warmed = FastMachine::new(split.tile.clone())?;
         let setup_program = decode(&split.setup)?;
         let setup_stats = warmed.chip_mut().execute(&setup_program, &split.data)?;
@@ -71,22 +55,11 @@ impl ResidentProgram {
         let compiled = FastMachine::compile(&decode(&split.body)?);
         Ok(ResidentProgram {
             split,
-            signature,
             compiled,
             warmed,
             setup_cycles,
             setup_instructions: setup_stats.instructions,
         })
-    }
-
-    /// The signature this resident was built from (the cache key).
-    pub fn signature(&self) -> JobSignature {
-        self.signature
-    }
-
-    /// The split job this resident serves.
-    pub fn split(&self) -> &SplitJob {
-        &self.split
     }
 
     /// Busy cycles the one-time setup run consumed — what a cache miss
@@ -100,15 +73,11 @@ impl ResidentProgram {
         self.setup_instructions
     }
 
-    /// The precompiled compute body.
-    pub fn compiled(&self) -> &CompiledProgram<PackedPipeline> {
-        &self.compiled
-    }
-
-    /// Serves one request: clones the warmed prototype, interprets the
-    /// per-request `input` section (halt-free, usually a handful of
-    /// `wimm`s), runs the precompiled body, and reads the outputs back.
-    /// Deterministic: identical inputs produce byte-identical
+    /// Serves one request: interprets the per-request `input` section
+    /// (halt-free, usually a handful of `wimm`s) and runs the
+    /// precompiled body on a clone of the warmed prototype, then reads
+    /// the outputs back — the same machine call every executor job runs
+    /// through. Deterministic: identical inputs produce byte-identical
     /// [`ServedRun`]s at any point in the stream, because every serve
     /// starts from the same warmed clone.
     ///
@@ -117,34 +86,14 @@ impl ResidentProgram {
     /// Returns input decode errors and the first execution or readback
     /// error.
     pub fn serve(&self, input: &[u8]) -> darth_pum::Result<ServedRun> {
-        let mut machine = self.warmed.clone();
-        let busy_before = machine.chip().tile().busy_cycles();
-        let energy_before = machine.chip().energy_meter().total();
-        let input_program = decode(input)?;
-        let input_stats = machine
-            .chip_mut()
-            .execute(&input_program, &self.split.data)?;
-        let body_stats = machine.run_compiled(&self.compiled, &self.split.data)?;
-        let outputs = self
-            .split
-            .readbacks
-            .iter()
-            .map(|rb| machine.read_output(rb))
-            .collect::<darth_pum::Result<_>>()?;
-        Ok(ServedRun {
-            run: ExecRun {
-                outputs,
-                instructions: input_stats.instructions + body_stats.run.instructions,
-                analog_instructions: input_stats.analog_instructions
-                    + body_stats.run.analog_instructions,
-            },
-            busy_cycles: machine
-                .chip()
-                .tile()
-                .busy_cycles()
-                .saturating_sub(busy_before),
-            energy: machine.chip().energy_meter().total() - energy_before,
-        })
+        let stub = decode(input)?;
+        let (served, _) = self.warmed.run_job_on_copy(
+            Some(&stub),
+            &self.compiled,
+            &self.split.data,
+            &self.split.readbacks,
+        )?;
+        Ok(served)
     }
 }
 
@@ -257,8 +206,7 @@ impl ProgramCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fast::FastExecutor;
-    use crate::machine::{SimExecutor, StatExecutor};
+    use crate::machine::{FastExecutor, SimExecutor, StatExecutor};
     use darth_isa::asm::assemble;
     use darth_isa::encode::{encode_program, is_valid_opcode};
     use darth_pum::chip::SideChannel;

@@ -23,7 +23,7 @@ use darth_apps::aes::program::AesExec;
 use darth_apps::cnn::program::ConvExec;
 use darth_apps::gemm::GemmExec;
 use darth_apps::reduce::ReduceExec;
-use darth_pum::eval::{ArchModel, Executable, Executor, Workload};
+use darth_pum::eval::{ArchModel, ExecOutput, Executable, Executor, Workload};
 use darth_pum::trace::CostReport;
 
 /// One differential registry entry: the executable job and, where one
@@ -286,36 +286,11 @@ impl DiffHarness {
             let job = case.executable.job()?;
             let (ref_run, reference_stats) = reference.execute_with_stats(&job)?;
             let (cand_run, candidate_stats) = candidate.execute_with_stats(&job)?;
-            let mut mismatches = Vec::new();
-            let mut cells = 0usize;
-            for (expected, got) in ref_run.outputs.iter().zip(&cand_run.outputs) {
-                let len = expected.cells.len().max(got.cells.len());
-                cells += len;
-                for i in 0..len {
-                    let want = expected.cells.get(i).copied();
-                    let have = got.cells.get(i).copied();
-                    if want != have {
-                        mismatches.push(CellMismatch {
-                            output: expected.label.clone(),
-                            index: i,
-                            expected: want.unwrap_or(i64::MIN),
-                            got: have.unwrap_or(i64::MIN),
-                        });
-                    }
-                }
-            }
-            if ref_run.outputs.len() != cand_run.outputs.len() {
-                mismatches.push(CellMismatch {
-                    output: format!(
-                        "output-count (reference {}, candidate {})",
-                        ref_run.outputs.len(),
-                        cand_run.outputs.len()
-                    ),
-                    index: 0,
-                    expected: ref_run.outputs.len() as i64,
-                    got: cand_run.outputs.len() as i64,
-                });
-            }
+            let (cells, mismatches) = compare_cells(
+                &ref_run.outputs,
+                &cand_run.outputs,
+                ("reference", "candidate"),
+            );
             let stats_match = reference_stats == candidate_stats;
             cases.push(PairCaseReport {
                 name,
@@ -340,38 +315,7 @@ impl DiffHarness {
             let job = case.executable.job()?;
             let golden = case.executable.golden()?;
             let run = self.executor.execute(&job)?;
-            let mut mismatches = Vec::new();
-            let mut cells = 0usize;
-            for (reference, got) in golden.iter().zip(&run.outputs) {
-                // Shape differences surface as mismatches at the missing
-                // indices rather than silently truncating the check.
-                let len = reference.cells.len().max(got.cells.len());
-                cells += len;
-                for i in 0..len {
-                    let expected = reference.cells.get(i).copied();
-                    let actual = got.cells.get(i).copied();
-                    if expected != actual {
-                        mismatches.push(CellMismatch {
-                            output: reference.label.clone(),
-                            index: i,
-                            expected: expected.unwrap_or(i64::MIN),
-                            got: actual.unwrap_or(i64::MIN),
-                        });
-                    }
-                }
-            }
-            if golden.len() != run.outputs.len() {
-                mismatches.push(CellMismatch {
-                    output: format!(
-                        "output-count (golden {}, executor {})",
-                        golden.len(),
-                        run.outputs.len()
-                    ),
-                    index: 0,
-                    expected: golden.len() as i64,
-                    got: run.outputs.len() as i64,
-                });
-            }
+            let (cells, mismatches) = compare_cells(&golden, &run.outputs, ("golden", "executor"));
             let cost = match (model, &case.priced) {
                 (Some(m), Some(w)) => {
                     // The priced twin streams through the model's
@@ -397,6 +341,50 @@ impl DiffHarness {
             cases,
         })
     }
+}
+
+/// Compares two output lists cell by cell, returning the cells compared
+/// and every mismatch. Shape differences surface as mismatches at the
+/// missing indices rather than silently truncating the check, and a
+/// differing output count is one more `output-count` mismatch; `sides`
+/// names the expected and the actual side in that entry's label.
+fn compare_cells(
+    expected: &[ExecOutput],
+    actual: &[ExecOutput],
+    sides: (&str, &str),
+) -> (usize, Vec<CellMismatch>) {
+    let mut mismatches = Vec::new();
+    let mut cells = 0usize;
+    for (want_out, got_out) in expected.iter().zip(actual) {
+        let len = want_out.cells.len().max(got_out.cells.len());
+        cells += len;
+        for i in 0..len {
+            let want = want_out.cells.get(i).copied();
+            let got = got_out.cells.get(i).copied();
+            if want != got {
+                mismatches.push(CellMismatch {
+                    output: want_out.label.clone(),
+                    index: i,
+                    expected: want.unwrap_or(i64::MIN),
+                    got: got.unwrap_or(i64::MIN),
+                });
+            }
+        }
+    }
+    if expected.len() != actual.len() {
+        let (want_side, got_side) = sides;
+        mismatches.push(CellMismatch {
+            output: format!(
+                "output-count ({want_side} {}, {got_side} {})",
+                expected.len(),
+                actual.len()
+            ),
+            index: 0,
+            expected: expected.len() as i64,
+            got: actual.len() as i64,
+        });
+    }
+    (cells, mismatches)
 }
 
 impl Default for DiffHarness {

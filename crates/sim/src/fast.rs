@@ -1,170 +1,43 @@
-//! The fast execution path: packed bit-planes and sharded tiles.
+//! The fast execution path: packed bit-planes and sharded batches.
 //!
 //! Two independent speedups compose here, both pinned to the reference
 //! executor by the differential suite:
 //!
-//! 1. **Packed bit-planes** — [`FastMachine`] is the
-//!    [`Machine`](crate::machine::Machine) over a
+//! 1. **Packed bit-planes** — [`FastMachine`] is the [`Machine`] over a
 //!    [`darth_pum::chip::FastChip`], whose DCE pipelines store each
 //!    bit-plane column as `u64` words
 //!    ([`darth_digital::PackedPipeline`]), so a gate program evaluates 64
 //!    cells per bitwise op instead of one. Instruction dispatch is the
 //!    reference chip's own: both chips run compiled programs
-//!    ([`darth_pum::chip::GenericChip::compile`]) through one `match`.
-//! 2. **Sharded tiles** — [`FastExecutor::execute_batch`] spreads
-//!    independent tile jobs across `std::thread::scope` workers over
-//!    disjoint output slices (no locks, no shared mutable state), reusing
-//!    the eval engine's worker convention: an explicit
-//!    [`FastExecutor::with_workers`] override, else `DARTH_EVAL_THREADS`
-//!    ([`darth_pum::workers::forced_workers`]), else one worker per
-//!    available core. Results are bit-identical at any worker count.
+//!    ([`darth_pum::chip::GenericChip::compile`]) through one `match`,
+//!    and [`FastExecutor`] is the one executor
+//!    ([`MachineExecutor`]) over the packed machine.
+//! 2. **Sharded batches** — [`MachineExecutor::execute_batch_with_stats`]
+//!    spreads independent tile jobs over the stack's one scoped fan-out
+//!    ([`darth_pum::workers::scoped_map`]) with the one worker rule
+//!    ([`darth_pum::workers::worker_count`]): an explicit
+//!    [`MachineExecutor::with_workers`] override, else
+//!    `DARTH_EVAL_THREADS`, else one worker per available core — the
+//!    same rule the eval, Monte-Carlo and serving engines use. Results
+//!    are bit-identical at any worker count.
+//!
+//! [`FastMachine`]: crate::machine::FastMachine
+//! [`FastExecutor`]: crate::machine::FastExecutor
 
-use crate::machine::{FastMachine, SimStats, StatExecutor};
-use darth_digital::PackedPipeline;
-use darth_pum::chip::CompiledProgram;
-use darth_pum::eval::{ExecJob, ExecRun, Executor};
+use crate::machine::{run_on, Machine, MachineExecutor, SimStats};
+use darth_digital::DcePipeline;
+use darth_pum::eval::{ExecJob, ExecRun};
 use darth_pum::hct::HctConfig;
-use darth_pum::workers::forced_workers;
-use std::thread;
+use darth_pum::workers::{scoped_map, worker_count};
 
-/// An [`ExecJob`] decoded, precompiled **and** tile-constructed exactly
-/// once by [`FastExecutor::prepare`]; reusable across runs.
-///
-/// Besides the compiled program, the handle carries a never-run
-/// prototype [`FastMachine`] for the job's tile config:
-/// [`FastExecutor::run_prepared`] clones it instead of rebuilding the
-/// tile per call, the same trick the batch path's per-worker prototype
-/// cache uses ([`FastMachine::constructions`] pins it).
-#[derive(Debug)]
-pub struct PreparedFastJob<'j> {
-    job: &'j ExecJob,
-    compiled: CompiledProgram<PackedPipeline>,
-    prototype: FastMachine,
-}
-
-impl PreparedFastJob<'_> {
-    /// The compiled program.
-    pub fn compiled(&self) -> &CompiledProgram<PackedPipeline> {
-        &self.compiled
-    }
-
-    /// The never-run prototype machine runs are cloned from.
-    pub fn prototype(&self) -> &FastMachine {
-        &self.prototype
-    }
-}
-
-/// The fast-path [`Executor`]: packed pipelines and batch sharding —
-/// bit-identical to [`crate::SimExecutor`] (the differential suite
-/// enforces it).
-#[derive(Debug, Clone, Default)]
-pub struct FastExecutor {
-    workers: Option<usize>,
-}
-
-impl FastExecutor {
-    /// An executor using the default worker selection
-    /// (`DARTH_EVAL_THREADS`, else available parallelism).
-    pub fn new() -> Self {
-        FastExecutor::default()
-    }
-
-    /// Forces a fixed worker count for [`FastExecutor::execute_batch`],
-    /// overriding the environment (determinism tests pin {1, 2, …} this
-    /// way without racing on the process environment).
-    #[must_use]
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = Some(workers.max(1));
-        self
-    }
-
-    /// The worker count a batch of `jobs` runs on: the explicit override,
-    /// else `DARTH_EVAL_THREADS`, else one per available core — never
-    /// more than there are jobs.
-    fn worker_count(&self, jobs: usize) -> usize {
-        self.workers
-            .or_else(|| forced_workers("DARTH_EVAL_THREADS"))
-            .unwrap_or_else(|| thread::available_parallelism().map_or(1, usize::from))
-            .max(1)
-            .min(jobs.max(1))
-    }
-
-    /// Decodes and compiles `job`'s instruction stream — the compile-only
-    /// half of [`FastExecutor::prepare`], shared with the batch path so
-    /// batch jobs never build a per-job prototype machine.
-    ///
-    /// # Errors
-    ///
-    /// Returns decode errors for malformed records.
-    fn compile_job(job: &ExecJob) -> darth_pum::Result<CompiledProgram<PackedPipeline>> {
-        Ok(FastMachine::compile(&job.decoded_program()?))
-    }
-
-    /// Decodes, compiles and tile-constructs `job` once into a
-    /// reusable handle; repeated [`FastExecutor::run_prepared`] calls
-    /// clone the handle's prototype machine instead of rebuilding the
-    /// tile.
-    ///
-    /// # Errors
-    ///
-    /// Returns decode errors for malformed records and tile construction
-    /// errors.
-    pub fn prepare<'j>(&self, job: &'j ExecJob) -> darth_pum::Result<PreparedFastJob<'j>> {
-        Ok(PreparedFastJob {
-            job,
-            compiled: Self::compile_job(job)?,
-            prototype: FastMachine::new(job.tile.clone())?,
-        })
-    }
-
-    /// Runs a prepared job on a machine cloned from the handle's
-    /// prototype — no re-decode, no re-compile, no tile re-construction —
-    /// returning outputs and the run's statistics. A clone of a never-run
-    /// machine is identical to a newly built one, so results match a
-    /// fresh-machine run bit for bit.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first execution or readback error.
-    pub fn run_prepared(
-        &self,
-        prepared: &PreparedFastJob<'_>,
-    ) -> darth_pum::Result<(ExecRun, SimStats)> {
-        prepared
-            .prototype
-            .clone()
-            .run_job(&prepared.compiled, prepared.job)
-    }
-
-    fn run_one(&self, job: &ExecJob) -> darth_pum::Result<(ExecRun, SimStats)> {
-        let prepared = self.prepare(job)?;
-        self.run_prepared(&prepared)
-    }
-
-    /// [`FastExecutor::run_one`] with a per-worker prototype machine:
-    /// when consecutive jobs share a tile config (the bulk-sweep common
-    /// case), the fresh machine is cloned from the prototype instead of
-    /// rebuilt, skipping tile construction. A clone of a never-run
-    /// machine is identical to a newly built one, so results don't
-    /// change.
-    fn run_one_cached(
-        &self,
-        job: &ExecJob,
-        proto: &mut Option<(HctConfig, FastMachine)>,
-    ) -> darth_pum::Result<(ExecRun, SimStats)> {
-        let compiled = Self::compile_job(job)?;
-        if !proto.as_ref().is_some_and(|(cfg, _)| *cfg == job.tile) {
-            *proto = Some((job.tile.clone(), FastMachine::new(job.tile.clone())?));
-        }
-        let mut machine = proto.as_ref().expect("prototype was just set").1.clone();
-        machine.run_job(&compiled, job)
-    }
-
-    /// Executes a batch of independent tile jobs, sharded across
-    /// `std::thread::scope` workers over disjoint output chunks. Every
-    /// job gets its own fresh machine, so there is no shared mutable
-    /// state and results (outputs *and* statistics) are byte-identical
-    /// at any worker count. Results come back in job order.
+impl<P: DcePipeline> MachineExecutor<P> {
+    /// Executes a batch of independent tile jobs, sharded across scoped
+    /// workers over disjoint output chunks. Every job gets its own
+    /// machine, so there is no shared mutable state and results (outputs
+    /// *and* statistics) are byte-identical at any worker count. Each
+    /// worker keeps a prototype machine for the tile config it last saw:
+    /// consecutive jobs on one config (the bulk-sweep common case) clone
+    /// it instead of rebuilding the tile. Results come back in job order.
     ///
     /// # Errors
     ///
@@ -173,31 +46,30 @@ impl FastExecutor {
         &self,
         jobs: &[ExecJob],
     ) -> darth_pum::Result<Vec<(ExecRun, SimStats)>> {
-        let workers = self.worker_count(jobs.len());
-        let mut results: Vec<Option<darth_pum::Result<(ExecRun, SimStats)>>> =
-            jobs.iter().map(|_| None).collect();
-        let chunk = jobs.len().div_ceil(workers).max(1);
-        thread::scope(|scope| {
-            for (job_chunk, out_chunk) in jobs.chunks(chunk).zip(results.chunks_mut(chunk)) {
-                scope.spawn(move || {
-                    let mut proto = None;
-                    for (slot, job) in out_chunk.iter_mut().zip(job_chunk) {
-                        *slot = Some(self.run_one_cached(job, &mut proto));
-                    }
-                });
-            }
-        });
-        results
-            .into_iter()
-            .map(|slot| slot.expect("every job chunk was executed"))
-            .collect()
+        let workers = worker_count(self.workers, jobs.len());
+        scoped_map(
+            jobs,
+            workers,
+            || None::<(HctConfig, Machine<P>)>,
+            |proto, job| {
+                let compiled = self.compile(job)?;
+                if !proto.as_ref().is_some_and(|(tile, _)| *tile == job.tile) {
+                    *proto = Some((job.tile.clone(), Machine::new(job.tile.clone())?));
+                }
+                let (_, prototype) = proto.as_ref().expect("prototype was just set");
+                run_on(prototype, &compiled, job)
+            },
+        )
+        .into_iter()
+        .collect()
     }
 
-    /// [`FastExecutor::execute_batch_with_stats`] without the statistics.
+    /// [`MachineExecutor::execute_batch_with_stats`] without the
+    /// statistics.
     ///
     /// # Errors
     ///
-    /// As [`FastExecutor::execute_batch_with_stats`].
+    /// As [`MachineExecutor::execute_batch_with_stats`].
     pub fn execute_batch(&self, jobs: &[ExecJob]) -> darth_pum::Result<Vec<ExecRun>> {
         Ok(self
             .execute_batch_with_stats(jobs)?
@@ -207,30 +79,10 @@ impl FastExecutor {
     }
 }
 
-impl Executor for FastExecutor {
-    fn name(&self) -> String {
-        "darth-sim-fast".into()
-    }
-
-    fn label(&self) -> String {
-        "DARTH-PUM fast-path simulator (packed bit-planes)".into()
-    }
-
-    fn execute(&self, job: &ExecJob) -> darth_pum::Result<ExecRun> {
-        self.run_one(job).map(|(run, _)| run)
-    }
-}
-
-impl StatExecutor for FastExecutor {
-    fn execute_with_stats(&self, job: &ExecJob) -> darth_pum::Result<(ExecRun, SimStats)> {
-        self.run_one(job)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::machine::SimExecutor;
+    use crate::machine::{FastExecutor, SimExecutor, StatExecutor};
     use darth_isa::asm::assemble;
     use darth_isa::encode::encode_program;
     use darth_pum::chip::SideChannel;
@@ -293,6 +145,7 @@ mod tests {
         let (second_run, second_stats) = executor.run_prepared(&prepared).expect("runs");
         assert_eq!(first_run, second_run);
         assert_eq!(first_stats, second_stats);
+        assert_eq!(first_run.outputs[0].cells, vec![9 + 17]);
     }
 
     #[test]

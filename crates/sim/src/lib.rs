@@ -12,9 +12,13 @@
 //! * [`machine::Machine`] — the simulator: encoded bytes in, output
 //!   cells out, with per-mnemonic execution histograms and energy/cycle
 //!   accounting. [`machine::SimMachine`] runs it over cell-accurate
-//!   pipelines and [`machine::FastMachine`] over packed ones;
-//!   [`machine::SimExecutor`] exposes the former as the reference
-//!   [`darth_pum::eval::Executor`] backend.
+//!   pipelines and [`machine::FastMachine`] over packed ones.
+//!   [`machine::MachineExecutor`] is the one
+//!   [`darth_pum::eval::Executor`] over a machine:
+//!   [`machine::SimExecutor`] (the reference backend) and
+//!   [`machine::FastExecutor`] are its two pipeline flavours. Every job
+//!   they run, and every request a resident program serves, goes
+//!   through one machine call.
 //! * [`diff`] — the differential harness: a registry of
 //!   [`darth_pum::eval::Executable`] jobs (each paired with the priced
 //!   [`darth_pum::eval::Workload`] twin the analytical models already
@@ -26,12 +30,12 @@
 //!   statistics; [`diff::bulk_aes_cases`] scales the registry to
 //!   thousands of AES blocks.
 //! * [`fast`] — the fast execution path: packed `u64` bit-planes
-//!   ([`darth_digital::PackedPipeline`]) and batches sharded across
-//!   `std::thread::scope` workers. Both executors run compiled programs
+//!   ([`darth_digital::PackedPipeline`]) and batches sharded over the
+//!   stack's one scoped fan-out ([`darth_pum::workers::scoped_map`]).
+//!   Both executors run compiled programs
 //!   ([`darth_pum::chip::CompiledProgram`]) through the chip's one
-//!   instruction dispatch.
-//!   [`fast::FastExecutor`] is proven bit-exact against
-//!   [`machine::SimExecutor`] by the pair harness.
+//!   instruction dispatch; [`machine::FastExecutor`] is proven bit-exact
+//!   against [`machine::SimExecutor`] by the pair harness.
 //! * [`cache`] — resident compiled programs for request serving:
 //!   [`cache::ResidentProgram`] runs a split job's setup once onto a
 //!   warmed prototype machine and precompiles its body, so serving a
@@ -64,9 +68,11 @@ pub mod diff;
 pub mod fast;
 pub mod machine;
 
-pub use cache::{CacheStats, ProgramCache, ResidentProgram, ServedRun};
+pub use cache::{CacheStats, ProgramCache, ResidentProgram};
 pub use diff::{
     bulk_aes_cases, standard_cases, DiffCase, DiffHarness, DiffReport, PairCaseReport, PairReport,
 };
-pub use fast::{FastExecutor, PreparedFastJob};
-pub use machine::{FastMachine, PreparedJob, SimExecutor, SimMachine, SimStats, StatExecutor};
+pub use machine::{
+    FastExecutor, FastMachine, MachineExecutor, PreparedJob, ServedRun, SimExecutor, SimMachine,
+    SimStats, StatExecutor,
+};

@@ -9,7 +9,13 @@
 //! machine keeps a per-mnemonic histogram of executed instructions, so a
 //! differential run reports *what* it executed, not just how much.
 //! [`SimMachine`] is the reference machine over cell-accurate pipelines;
-//! [`crate::FastMachine`] is the same machine over packed ones.
+//! [`FastMachine`] is the same machine over packed ones.
+//!
+//! [`MachineExecutor`] is the one [`Executor`] over a machine:
+//! [`SimExecutor`] and [`FastExecutor`] are its two pipeline flavours.
+//! Every job it runs, and every request a [`crate::ResidentProgram`]
+//! serves, goes through one machine call (`Machine::run_job`): an
+//! optional interpreted input stub, the compiled body, the readbacks.
 
 use darth_digital::{DcePipeline, PackedPipeline, Pipeline};
 use darth_isa::instruction::Program;
@@ -20,6 +26,7 @@ use darth_pum::params::ChipParams;
 use darth_reram::{Cycles, PicoJoules};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Statistics of **one** simulator run: every field covers exactly that
@@ -42,6 +49,19 @@ pub struct SimStats {
     pub energy: PicoJoules,
 }
 
+/// One job run's result: outputs plus the run's own cost deltas. For a
+/// served request these cover the input stub and the body, never the
+/// resident setup ([`crate::ResidentProgram::setup_cycles`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct ServedRun {
+    /// Outputs and instruction counts (input stub + body).
+    pub run: ExecRun,
+    /// Tile busy cycles this run added.
+    pub busy_cycles: Cycles,
+    /// Tile energy this run added.
+    pub energy: PicoJoules,
+}
+
 /// Process-wide count of [`Machine::new`] tile constructions.
 ///
 /// Clones are deliberately *not* counted: the whole point of the
@@ -56,7 +76,7 @@ static CONSTRUCTIONS: AtomicU64 = AtomicU64::new(0);
 /// `Clone` copies the full machine state; a clone of a freshly built
 /// machine is indistinguishable from calling [`Machine::new`] again with
 /// the same config (construction is deterministic, RNG seed included),
-/// which is what lets the executors stamp out per-job machines from a
+/// which is what lets the executor stamp out per-job machines from a
 /// prototype instead of rebuilding the tile each time.
 #[derive(Debug, Clone)]
 pub struct Machine<P: DcePipeline> {
@@ -108,7 +128,7 @@ impl<P: DcePipeline> Machine<P> {
         GenericChip::compile(program)
     }
 
-    /// Decodes and executes an encoded instruction stream.
+    /// Decodes, compiles and executes an encoded instruction stream.
     ///
     /// # Errors
     ///
@@ -117,16 +137,7 @@ impl<P: DcePipeline> Machine<P> {
     /// side-channel data).
     pub fn run_encoded(&mut self, bytes: &[u8], data: &SideChannel) -> darth_pum::Result<SimStats> {
         let program = darth_isa::encode::decode_program(bytes).map_err(darth_pum::Error::Isa)?;
-        self.run(&program, data)
-    }
-
-    /// Compiles and executes a decoded program.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first execution error.
-    pub fn run(&mut self, program: &Program, data: &SideChannel) -> darth_pum::Result<SimStats> {
-        self.run_compiled(&Self::compile(program), data)
+        self.run_compiled(&Self::compile(&program), data)
     }
 
     /// Executes a compiled program. The executed prefix's mnemonic
@@ -140,48 +151,76 @@ impl<P: DcePipeline> Machine<P> {
         program: &CompiledProgram<P>,
         data: &SideChannel,
     ) -> darth_pum::Result<SimStats> {
-        let busy_before = self.chip.tile().busy_cycles();
-        let energy_before = self.chip.energy_meter().total();
-        let run = self.chip.run_compiled(program, data)?;
+        let (_, stats) = with_histogram(program, self.run_job(None, program, data, &[])?);
         // Interned `&'static str` keys: merging into the lifetime
         // histogram is entry-API on `Copy` keys — no per-run key clones.
-        let histogram = program.histogram().clone();
-        for (&mnemonic, count) in &histogram {
+        for (&mnemonic, count) in &stats.histogram {
             *self.histogram.entry(mnemonic).or_insert(0) += count;
         }
-        Ok(SimStats {
-            run,
-            histogram,
-            busy_cycles: self.chip.tile().busy_cycles().saturating_sub(busy_before),
-            energy: self.chip.energy_meter().total() - energy_before,
-        })
+        Ok(stats)
     }
 
-    /// Runs `compiled` for `job` and reads the job's outputs back: the
-    /// one way both executors turn a machine run into an [`ExecRun`].
+    /// Runs one job: the optional per-request `stub` (interpreted), then
+    /// the compiled `body`, then the `readbacks`. The one run path of
+    /// [`Machine::run_compiled`], [`MachineExecutor`] and
+    /// [`crate::ResidentProgram::serve`]; the returned counts and cost
+    /// deltas cover stub and body together. The lifetime histogram is
+    /// left alone: job machines are throwaway, so a served request pays
+    /// no histogram clone or merge.
     ///
     /// # Errors
     ///
     /// Returns the first execution or readback error.
     pub(crate) fn run_job(
         &mut self,
-        compiled: &CompiledProgram<P>,
-        job: &ExecJob,
-    ) -> darth_pum::Result<(ExecRun, SimStats)> {
-        let stats = self.run_compiled(compiled, &job.data)?;
-        let outputs = job
-            .readbacks
+        stub: Option<&Program>,
+        body: &CompiledProgram<P>,
+        data: &SideChannel,
+        readbacks: &[Readback],
+    ) -> darth_pum::Result<(ServedRun, RunStats)> {
+        let busy_before = self.chip.tile().busy_cycles();
+        let energy_before = self.chip.energy_meter().total();
+        let stub = match stub {
+            Some(program) => self.chip.execute(program, data)?,
+            None => RunStats::default(),
+        };
+        let body = self.chip.run_compiled(body, data)?;
+        let outputs = readbacks
             .iter()
             .map(|rb| self.read_output(rb))
             .collect::<darth_pum::Result<_>>()?;
-        Ok((
-            ExecRun {
+        let stats = RunStats {
+            instructions: stub.instructions + body.instructions,
+            analog_instructions: stub.analog_instructions + body.analog_instructions,
+            issue_cycles: stub.issue_cycles + body.issue_cycles,
+        };
+        let served = ServedRun {
+            run: ExecRun {
                 outputs,
-                instructions: stats.run.instructions,
-                analog_instructions: stats.run.analog_instructions,
+                instructions: stats.instructions,
+                analog_instructions: stats.analog_instructions,
             },
-            stats,
-        ))
+            busy_cycles: self.chip.tile().busy_cycles().saturating_sub(busy_before),
+            energy: self.chip.energy_meter().total() - energy_before,
+        };
+        Ok((served, stats))
+    }
+
+    /// [`Machine::run_job`] on a copy of this prototype, which stays
+    /// untouched: the one place a per-run machine is stamped out of a
+    /// never-run or warmed prototype.
+    ///
+    /// # Errors
+    ///
+    /// As [`Machine::run_job`].
+    pub(crate) fn run_job_on_copy(
+        &self,
+        stub: Option<&Program>,
+        body: &CompiledProgram<P>,
+        data: &SideChannel,
+        readbacks: &[Readback],
+    ) -> darth_pum::Result<(ServedRun, RunStats)> {
+        self.clone().run_job(stub, body, data, readbacks)
     }
 
     /// Executed instructions by mnemonic, across all runs so far.
@@ -212,18 +251,25 @@ impl<P: DcePipeline> Machine<P> {
     }
 }
 
-/// An [`ExecJob`] whose instruction stream was decoded and compiled
-/// exactly once by [`SimExecutor::prepare`]; reusable across runs.
+/// An [`ExecJob`] decoded and compiled exactly once by
+/// [`MachineExecutor::prepare`], plus a never-run prototype machine for
+/// its tile; reusable across runs.
 #[derive(Debug)]
-pub struct PreparedJob<'j> {
+pub struct PreparedJob<'j, P: DcePipeline> {
     job: &'j ExecJob,
-    compiled: CompiledProgram<Pipeline>,
+    compiled: CompiledProgram<P>,
+    prototype: Machine<P>,
 }
 
-impl PreparedJob<'_> {
+impl<P: DcePipeline> PreparedJob<'_, P> {
     /// The compiled program.
-    pub fn compiled(&self) -> &CompiledProgram<Pipeline> {
+    pub fn compiled(&self) -> &CompiledProgram<P> {
         &self.compiled
+    }
+
+    /// The never-run prototype machine runs are cloned from.
+    pub fn prototype(&self) -> &Machine<P> {
+        &self.prototype
     }
 }
 
@@ -241,54 +287,135 @@ pub trait StatExecutor: Executor {
     fn execute_with_stats(&self, job: &ExecJob) -> darth_pum::Result<(ExecRun, SimStats)>;
 }
 
-/// The reference [`Executor`]: one fresh [`SimMachine`] per job.
+/// The one [`Executor`] over [`Machine<P>`]: every job runs on its own
+/// machine, so runs never see each other's state.
 ///
-/// Decode and compile are hoisted out of the run path:
-/// [`SimExecutor::prepare`] turns a job into a reusable [`PreparedJob`]
-/// handle, and repeated [`SimExecutor::run_prepared`] calls re-execute it
-/// without touching the encoded bytes again. [`SimExecutor::decodes`] counts stream decodes so
-/// tests can pin that invariant.
-#[derive(Debug, Default)]
-pub struct SimExecutor {
+/// [`MachineExecutor::prepare`] decodes and compiles a job once and
+/// builds a never-run prototype machine; [`MachineExecutor::run_prepared`]
+/// reruns it on clones of that prototype. A one-shot
+/// [`Executor::execute`] builds one machine and runs it, with no clone.
+/// [`MachineExecutor::decodes`] counts stream decodes so tests can pin
+/// that invariant.
+#[derive(Debug)]
+pub struct MachineExecutor<P: DcePipeline> {
+    pub(crate) workers: Option<usize>,
     decodes: AtomicU64,
+    pipeline: PhantomData<fn() -> P>,
 }
 
-impl SimExecutor {
-    /// A fresh executor.
+/// The reference executor (`"darth-sim"`): cell-accurate pipelines.
+pub type SimExecutor = MachineExecutor<Pipeline>;
+
+/// The fast-path executor (`"darth-sim-fast"`): packed pipelines,
+/// bit-identical to [`SimExecutor`] (the differential suite enforces
+/// it).
+pub type FastExecutor = MachineExecutor<PackedPipeline>;
+
+impl<P: DcePipeline> Default for MachineExecutor<P> {
+    fn default() -> Self {
+        MachineExecutor {
+            workers: None,
+            decodes: AtomicU64::new(0),
+            pipeline: PhantomData,
+        }
+    }
+}
+
+impl<P: DcePipeline> MachineExecutor<P> {
+    /// An executor using the default worker selection
+    /// ([`darth_pum::workers::worker_count`]).
     pub fn new() -> Self {
-        SimExecutor::default()
+        Self::default()
+    }
+
+    /// Forces a fixed worker count for batches, overriding the
+    /// environment (determinism tests pin {1, 2, …} this way without
+    /// racing on the process environment).
+    #[must_use]
+    pub fn with_workers(mut self, workers: usize) -> Self {
+        self.workers = Some(workers.max(1));
+        self
     }
 
     /// Instruction-stream decodes this executor has performed. Repeated
-    /// [`SimExecutor::run_prepared`] calls on one handle must not move
-    /// this counter.
+    /// [`MachineExecutor::run_prepared`] calls on one handle must not
+    /// move this counter.
     pub fn decodes(&self) -> u64 {
         self.decodes.load(Ordering::Relaxed)
     }
 
-    /// Decodes and compiles `job`'s instruction stream once into a
-    /// reusable handle.
+    /// Decodes and compiles `job`'s instruction stream.
+    pub(crate) fn compile(&self, job: &ExecJob) -> darth_pum::Result<CompiledProgram<P>> {
+        self.decodes.fetch_add(1, Ordering::Relaxed);
+        Ok(Machine::compile(&job.decoded_program()?))
+    }
+
+    /// Decodes, compiles and tile-constructs `job` once into a reusable
+    /// handle.
     ///
     /// # Errors
     ///
-    /// Returns decode errors for malformed records.
-    pub fn prepare<'j>(&self, job: &'j ExecJob) -> darth_pum::Result<PreparedJob<'j>> {
-        self.decodes.fetch_add(1, Ordering::Relaxed);
-        let compiled = SimMachine::compile(&job.decoded_program()?);
-        Ok(PreparedJob { job, compiled })
+    /// Returns decode errors for malformed records and tile construction
+    /// errors.
+    pub fn prepare<'j>(&self, job: &'j ExecJob) -> darth_pum::Result<PreparedJob<'j, P>> {
+        Ok(PreparedJob {
+            job,
+            compiled: self.compile(job)?,
+            prototype: Machine::new(job.tile.clone())?,
+        })
     }
 
-    /// Runs a prepared job on a fresh machine — no re-decode, no
-    /// re-compile — returning outputs and the run's statistics.
+    /// Runs a prepared job on a clone of its prototype — no re-decode,
+    /// no re-compile, no tile re-construction. A clone of a never-run
+    /// machine equals a newly built one, so results match a
+    /// fresh-machine run bit for bit.
     ///
     /// # Errors
     ///
     /// Returns the first execution or readback error.
     pub fn run_prepared(
         &self,
-        prepared: &PreparedJob<'_>,
+        prepared: &PreparedJob<'_, P>,
     ) -> darth_pum::Result<(ExecRun, SimStats)> {
-        SimMachine::new(prepared.job.tile.clone())?.run_job(&prepared.compiled, prepared.job)
+        run_on(&prepared.prototype, &prepared.compiled, prepared.job)
+    }
+}
+
+/// Runs `job` on a copy of `prototype` and attaches the compiled
+/// program's histogram: the executor's prototype-to-[`SimStats`] step.
+pub(crate) fn run_on<P: DcePipeline>(
+    prototype: &Machine<P>,
+    compiled: &CompiledProgram<P>,
+    job: &ExecJob,
+) -> darth_pum::Result<(ExecRun, SimStats)> {
+    let run = prototype.run_job_on_copy(None, compiled, &job.data, &job.readbacks)?;
+    Ok(with_histogram(compiled, run))
+}
+
+/// Turns a [`Machine::run_job`] result into the executor's
+/// `(ExecRun, SimStats)`.
+fn with_histogram<P: DcePipeline>(
+    compiled: &CompiledProgram<P>,
+    (served, run): (ServedRun, RunStats),
+) -> (ExecRun, SimStats) {
+    let stats = SimStats {
+        run,
+        histogram: compiled.histogram().clone(),
+        busy_cycles: served.busy_cycles,
+        energy: served.energy,
+    };
+    (served.run, stats)
+}
+
+impl<P: DcePipeline> StatExecutor for MachineExecutor<P>
+where
+    Self: Executor,
+{
+    fn execute_with_stats(&self, job: &ExecJob) -> darth_pum::Result<(ExecRun, SimStats)> {
+        let compiled = self.compile(job)?;
+        let run =
+            Machine::new(job.tile.clone())?.run_job(None, &compiled, &job.data, &job.readbacks)?;
+        Ok(with_histogram(&compiled, run))
     }
 }
 
@@ -302,15 +429,21 @@ impl Executor for SimExecutor {
     }
 
     fn execute(&self, job: &ExecJob) -> darth_pum::Result<ExecRun> {
-        let prepared = self.prepare(job)?;
-        self.run_prepared(&prepared).map(|(run, _)| run)
+        self.execute_with_stats(job).map(|(run, _)| run)
     }
 }
 
-impl StatExecutor for SimExecutor {
-    fn execute_with_stats(&self, job: &ExecJob) -> darth_pum::Result<(ExecRun, SimStats)> {
-        let prepared = self.prepare(job)?;
-        self.run_prepared(&prepared)
+impl Executor for FastExecutor {
+    fn name(&self) -> String {
+        "darth-sim-fast".into()
+    }
+
+    fn label(&self) -> String {
+        "DARTH-PUM fast-path simulator (packed bit-planes)".into()
+    }
+
+    fn execute(&self, job: &ExecJob) -> darth_pum::Result<ExecRun> {
+        self.execute_with_stats(job).map(|(run, _)| run)
     }
 }
 
@@ -436,8 +569,12 @@ mod tests {
         assert_eq!(run.instructions, 6);
     }
 
-    #[test]
-    fn prepared_jobs_decode_once_and_rerun_identically() {
+    /// Prepare-once, run-many on one executor: identical reruns, and not
+    /// one further decode after `prepare`.
+    fn decodes_once_and_reruns_identically<P: DcePipeline>(executor: MachineExecutor<P>)
+    where
+        MachineExecutor<P>: Executor,
+    {
         let program =
             assemble("wimm p0 v0 0 25\nwimm p0 v1 0 17\nadd p0 v2 v0 v1\nhalt\n").expect("parses");
         let job = ExecJob {
@@ -453,7 +590,6 @@ mod tests {
                 signed: false,
             }],
         };
-        let executor = SimExecutor::new();
         let prepared = executor.prepare(&job).expect("decodes");
         assert_eq!(executor.decodes(), 1);
         let (first_run, first_stats) = executor.run_prepared(&prepared).expect("runs");
@@ -467,8 +603,15 @@ mod tests {
         assert_eq!(first_run.outputs[0].cells, vec![42]);
         // …and not one further decode of the instruction stream.
         assert_eq!(executor.decodes(), 1);
-        // The convenience path still decodes (once per call).
-        executor.execute(&job).expect("runs");
+        // The one-shot path still decodes (once per call) and matches.
+        let (once, once_stats) = executor.execute_with_stats(&job).expect("runs");
         assert_eq!(executor.decodes(), 2);
+        assert_eq!((once, once_stats), (first_run, first_stats));
+    }
+
+    #[test]
+    fn prepared_jobs_decode_once_and_rerun_identically() {
+        decodes_once_and_reruns_identically(SimExecutor::new());
+        decodes_once_and_reruns_identically(FastExecutor::new());
     }
 }

@@ -17,17 +17,29 @@ use darth_pum::eval::{ExecJob, ExecRun, Executor};
 /// Bulk-AES block count: env override, else scaled to the build profile
 /// (the reference interpreter is the bottleneck in debug builds).
 fn bulk_blocks() -> usize {
-    if let Ok(raw) = std::env::var("DARTH_SIM_BULK_BLOCKS") {
-        return raw
+    blocks_from(std::env::var("DARTH_SIM_BULK_BLOCKS").ok().as_deref())
+}
+
+/// [`bulk_blocks`] for a given `DARTH_SIM_BULK_BLOCKS` value. Zero is
+/// rejected like any other non-positive value: it would compare no cases
+/// and no cells and still pass.
+fn blocks_from(raw: Option<&str>) -> usize {
+    match raw {
+        Some(raw) => raw
             .trim()
             .parse()
-            .expect("DARTH_SIM_BULK_BLOCKS must be a positive integer");
+            .ok()
+            .filter(|&n| n > 0)
+            .expect("DARTH_SIM_BULK_BLOCKS must be a positive integer"),
+        None if cfg!(debug_assertions) => 16,
+        None => 1000,
     }
-    if cfg!(debug_assertions) {
-        16
-    } else {
-        1000
-    }
+}
+
+#[test]
+#[should_panic(expected = "DARTH_SIM_BULK_BLOCKS must be a positive integer")]
+fn zero_bulk_blocks_are_rejected() {
+    blocks_from(Some("0"));
 }
 
 #[test]
