@@ -12,152 +12,24 @@
 //!
 //! Pipelines are written `pN`, vector registers `vN`, vACores `acN`;
 //! numeric operands are plain decimal (or `0x…` hex for immediates).
+//! Operand order and widths come from the same instruction table the
+//! binary encoding reads, so an operand too wide for its field is a
+//! parse error, never a truncation.
 
-use crate::instruction::{Instruction, IsaBoolOp, PipelineId, Program, VaCoreId, Vr};
+use crate::instruction::{opcode, Instruction, IsaBoolOp, Kind, Program, LAYOUTS, MAX_OPERANDS};
 use crate::{Error, Result};
 use std::fmt::Write as _;
 
 /// Formats one instruction in assembly syntax.
 pub fn disassemble(inst: &Instruction) -> String {
-    let mut s = String::new();
-    let m = inst.mnemonic();
-    match *inst {
-        Instruction::Nop | Instruction::FenceAd | Instruction::Halt => s.push_str(m),
-        Instruction::Bool {
-            pipe, dst, a, b, ..
-        }
-        | Instruction::Add { pipe, dst, a, b }
-        | Instruction::Sub { pipe, dst, a, b }
-        | Instruction::CmpLt { pipe, dst, a, b } => {
-            let _ = write!(s, "{m} {pipe} {dst} {a} {b}");
-        }
-        Instruction::Not { pipe, dst, a } | Instruction::Relu { pipe, dst, a } => {
-            let _ = write!(s, "{m} {pipe} {dst} {a}");
-        }
-        Instruction::Mul {
-            pipe,
-            dst,
-            a,
-            b,
-            width,
-        } => {
-            let _ = write!(s, "{m} {pipe} {dst} {a} {b} {width}");
-        }
-        Instruction::Select {
-            pipe,
-            dst,
-            cond,
-            a,
-            b,
-        } => {
-            let _ = write!(s, "{m} {pipe} {dst} {cond} {a} {b}");
-        }
-        Instruction::ShiftLeft {
-            pipe,
-            dst,
-            src,
-            amount,
-        }
-        | Instruction::ShiftRight {
-            pipe,
-            dst,
-            src,
-            amount,
-        } => {
-            let _ = write!(s, "{m} {pipe} {dst} {src} {amount}");
-        }
-        Instruction::RotateLeft {
-            pipe,
-            dst,
-            src,
-            tmp,
-            amount,
-            width,
-        } => {
-            let _ = write!(s, "{m} {pipe} {dst} {src} {tmp} {amount} {width}");
-        }
-        Instruction::CopyVr { pipe, dst, src } => {
-            let _ = write!(s, "{m} {pipe} {dst} {src}");
-        }
-        Instruction::CopyAcross {
-            src_pipe,
-            src,
-            dst_pipe,
-            dst,
-        } => {
-            let _ = write!(s, "{m} {src_pipe} {src} {dst_pipe} {dst}");
-        }
-        Instruction::ElementLoad {
-            pipe,
-            addr,
-            table_pipe,
-            dst,
-        } => {
-            let _ = write!(s, "{m} {pipe} {addr} {table_pipe} {dst}");
-        }
-        Instruction::PipeReverse { pipe } | Instruction::PipeReserve { pipe } => {
-            let _ = write!(s, "{m} {pipe}");
-        }
-        Instruction::WriteImm {
-            pipe,
-            vr,
-            element,
-            value,
-        } => {
-            let _ = write!(s, "{m} {pipe} {vr} {element} {value:#x}");
-        }
-        Instruction::Mvm {
-            vacore,
-            input_pipe,
-            input_vr,
-            dst_pipe,
-            dst_vr,
-            early_levels,
-        } => {
-            let _ = write!(
-                s,
-                "{m} {vacore} {input_pipe} {input_vr} {dst_pipe} {dst_vr} {early_levels}"
-            );
-        }
-        Instruction::ProgMatrix {
-            vacore,
-            matrix_handle,
-        } => {
-            let _ = write!(s, "{m} {vacore} {matrix_handle}");
-        }
-        Instruction::UpdateRow {
-            vacore,
-            row,
-            data_handle,
-        } => {
-            let _ = write!(s, "{m} {vacore} {row} {data_handle}");
-        }
-        Instruction::UpdateCol {
-            vacore,
-            col,
-            data_handle,
-        } => {
-            let _ = write!(s, "{m} {vacore} {col} {data_handle}");
-        }
-        Instruction::AllocVaCore {
-            vacore,
-            element_bits,
-            bits_per_cell,
-            input_bits,
-            input_signed,
-        } => {
-            let _ = write!(
-                s,
-                "{m} {vacore} {element_bits} {bits_per_cell} {input_bits} {}",
-                u8::from(input_signed)
-            );
-        }
-        Instruction::FreeVaCore { vacore } => {
-            let _ = write!(s, "{m} {vacore}");
-        }
-        Instruction::SetAnalogMode { enabled } | Instruction::SetDigitalMode { enabled } => {
-            let _ = write!(s, "{m} {}", u8::from(enabled));
-        }
+    let (op, values) = inst.fields();
+    let mut s = String::from(inst.mnemonic());
+    for (&(kind, _), value) in LAYOUTS[usize::from(op)].operands.iter().zip(values) {
+        let _ = match kind {
+            Kind::BoolOp => Ok(()),
+            Kind::U64(_) => write!(s, " {value:#x}"),
+            _ => write!(s, " {}{value}", kind.prefix()),
+        };
     }
     s
 }
@@ -172,234 +44,69 @@ pub fn disassemble_program(program: &Program) -> String {
     out
 }
 
-struct Cursor<'a> {
-    tokens: std::str::SplitWhitespace<'a>,
-    line: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn token(&mut self, what: &str) -> Result<&'a str> {
-        self.tokens.next().ok_or_else(|| Error::Parse {
-            line: self.line,
-            reason: format!("missing {what} operand"),
-        })
+/// Parses one operand token of `kind`, range-checked against its field.
+fn parse_operand(kind: Kind, tok: &str) -> std::result::Result<u64, String> {
+    let (what, prefix) = (kind.name(), kind.prefix());
+    let parsed = if !prefix.is_empty() {
+        let digits = tok
+            .strip_prefix(prefix)
+            .ok_or_else(|| format!("expected {what} like `{prefix}0`, found `{tok}`"))?;
+        digits.parse()
+    } else if let Some(hex) = tok.strip_prefix("0x") {
+        u64::from_str_radix(hex, 16)
+    } else {
+        tok.parse()
+    };
+    let value = parsed.map_err(|_| format!("invalid {what} `{tok}`"))?;
+    let max = kind.max();
+    if value > max {
+        return Err(format!(
+            "{what} `{tok}` out of range {prefix}0..={prefix}{max}"
+        ));
     }
-
-    fn prefixed(&mut self, prefix: &str, what: &str) -> Result<u64> {
-        let tok = self.token(what)?;
-        let digits = tok.strip_prefix(prefix).ok_or_else(|| Error::Parse {
-            line: self.line,
-            reason: format!("expected {what} like `{prefix}0`, found `{tok}`"),
-        })?;
-        digits.parse().map_err(|_| Error::Parse {
-            line: self.line,
-            reason: format!("invalid {what} `{tok}`"),
-        })
-    }
-
-    fn pipe(&mut self) -> Result<PipelineId> {
-        Ok(PipelineId(self.prefixed("p", "pipeline")? as u16))
-    }
-
-    fn vr(&mut self) -> Result<Vr> {
-        Ok(Vr(self.prefixed("v", "register")? as u8))
-    }
-
-    fn vacore(&mut self) -> Result<VaCoreId> {
-        Ok(VaCoreId(self.prefixed("ac", "vACore")? as u8))
-    }
-
-    fn number(&mut self, what: &str) -> Result<u64> {
-        let tok = self.token(what)?;
-        let parsed = if let Some(hex) = tok.strip_prefix("0x") {
-            u64::from_str_radix(hex, 16)
-        } else {
-            tok.parse()
-        };
-        parsed.map_err(|_| Error::Parse {
-            line: self.line,
-            reason: format!("invalid {what} `{tok}`"),
-        })
-    }
-
-    fn finish(mut self, mnemonic: &str) -> Result<()> {
-        if let Some(extra) = self.tokens.next() {
-            return Err(Error::Parse {
-                line: self.line,
-                reason: format!("unexpected operand `{extra}` after {mnemonic}"),
-            });
-        }
-        Ok(())
-    }
+    Ok(value)
 }
 
 /// Parses one line of assembly (comments and blank lines return `None`).
 ///
 /// # Errors
 ///
-/// Returns [`Error::Parse`] with the given line number on malformed input.
+/// Returns [`Error::Parse`] with the given line number on malformed input,
+/// including an operand outside its field's range.
 pub fn parse_line(text: &str, line: usize) -> Result<Option<Instruction>> {
-    let text = text.split('#').next().unwrap_or("").trim();
-    if text.is_empty() {
+    let err = |reason: String| Error::Parse { line, reason };
+    let mut tokens = text.split('#').next().unwrap_or("").split_whitespace();
+    let Some(mnemonic) = tokens.next() else {
         return Ok(None);
+    };
+    // `Bool` is the one row spelled by an operand: its operator's name.
+    let mut values = [0u64; MAX_OPERANDS];
+    let layout = match IsaBoolOp::ALL.iter().find(|op| op.mnemonic() == mnemonic) {
+        Some(op) => {
+            values[0] = u64::from(op.code());
+            &LAYOUTS[usize::from(opcode::BOOL)]
+        }
+        None => LAYOUTS
+            .iter()
+            .find(|l| l.mnemonic == mnemonic && l.opcode != opcode::BOOL)
+            .ok_or_else(|| err(format!("unknown mnemonic `{mnemonic}`")))?,
+    };
+    for (value, &(kind, _)) in values.iter_mut().zip(layout.operands) {
+        if kind != Kind::BoolOp {
+            let tok = tokens
+                .next()
+                .ok_or_else(|| err(format!("missing {} operand", kind.name())))?;
+            *value = parse_operand(kind, tok).map_err(err)?;
+        }
     }
-    let mut cur = Cursor {
-        tokens: text.split_whitespace(),
-        line,
-    };
-    let mnemonic = cur.token("mnemonic")?;
-    let bool_op = IsaBoolOp::ALL
-        .iter()
-        .find(|op| op.mnemonic() == mnemonic)
-        .copied();
-    let inst = if let Some(op) = bool_op {
-        Instruction::Bool {
-            op,
-            pipe: cur.pipe()?,
-            dst: cur.vr()?,
-            a: cur.vr()?,
-            b: cur.vr()?,
-        }
-    } else {
-        match mnemonic {
-            "nop" => Instruction::Nop,
-            "fence" => Instruction::FenceAd,
-            "halt" => Instruction::Halt,
-            "not" => Instruction::Not {
-                pipe: cur.pipe()?,
-                dst: cur.vr()?,
-                a: cur.vr()?,
-            },
-            "add" => Instruction::Add {
-                pipe: cur.pipe()?,
-                dst: cur.vr()?,
-                a: cur.vr()?,
-                b: cur.vr()?,
-            },
-            "sub" => Instruction::Sub {
-                pipe: cur.pipe()?,
-                dst: cur.vr()?,
-                a: cur.vr()?,
-                b: cur.vr()?,
-            },
-            "mul" => Instruction::Mul {
-                pipe: cur.pipe()?,
-                dst: cur.vr()?,
-                a: cur.vr()?,
-                b: cur.vr()?,
-                width: cur.number("width")? as u8,
-            },
-            "cmplt" => Instruction::CmpLt {
-                pipe: cur.pipe()?,
-                dst: cur.vr()?,
-                a: cur.vr()?,
-                b: cur.vr()?,
-            },
-            "select" => Instruction::Select {
-                pipe: cur.pipe()?,
-                dst: cur.vr()?,
-                cond: cur.vr()?,
-                a: cur.vr()?,
-                b: cur.vr()?,
-            },
-            "relu" => Instruction::Relu {
-                pipe: cur.pipe()?,
-                dst: cur.vr()?,
-                a: cur.vr()?,
-            },
-            "shl" => Instruction::ShiftLeft {
-                pipe: cur.pipe()?,
-                dst: cur.vr()?,
-                src: cur.vr()?,
-                amount: cur.number("amount")? as u8,
-            },
-            "shr" => Instruction::ShiftRight {
-                pipe: cur.pipe()?,
-                dst: cur.vr()?,
-                src: cur.vr()?,
-                amount: cur.number("amount")? as u8,
-            },
-            "rotl" => Instruction::RotateLeft {
-                pipe: cur.pipe()?,
-                dst: cur.vr()?,
-                src: cur.vr()?,
-                tmp: cur.vr()?,
-                amount: cur.number("amount")? as u8,
-                width: cur.number("width")? as u8,
-            },
-            "copy" => Instruction::CopyVr {
-                pipe: cur.pipe()?,
-                dst: cur.vr()?,
-                src: cur.vr()?,
-            },
-            "copyx" => Instruction::CopyAcross {
-                src_pipe: cur.pipe()?,
-                src: cur.vr()?,
-                dst_pipe: cur.pipe()?,
-                dst: cur.vr()?,
-            },
-            "eload" => Instruction::ElementLoad {
-                pipe: cur.pipe()?,
-                addr: cur.vr()?,
-                table_pipe: cur.pipe()?,
-                dst: cur.vr()?,
-            },
-            "prev" => Instruction::PipeReverse { pipe: cur.pipe()? },
-            "presv" => Instruction::PipeReserve { pipe: cur.pipe()? },
-            "wimm" => Instruction::WriteImm {
-                pipe: cur.pipe()?,
-                vr: cur.vr()?,
-                element: cur.number("element")? as u8,
-                value: cur.number("value")?,
-            },
-            "mvm" => Instruction::Mvm {
-                vacore: cur.vacore()?,
-                input_pipe: cur.pipe()?,
-                input_vr: cur.vr()?,
-                dst_pipe: cur.pipe()?,
-                dst_vr: cur.vr()?,
-                early_levels: cur.number("early_levels")? as u16,
-            },
-            "progm" => Instruction::ProgMatrix {
-                vacore: cur.vacore()?,
-                matrix_handle: cur.number("matrix handle")? as u16,
-            },
-            "updrow" => Instruction::UpdateRow {
-                vacore: cur.vacore()?,
-                row: cur.number("row")? as u8,
-                data_handle: cur.number("data handle")? as u16,
-            },
-            "updcol" => Instruction::UpdateCol {
-                vacore: cur.vacore()?,
-                col: cur.number("col")? as u8,
-                data_handle: cur.number("data handle")? as u16,
-            },
-            "valloc" => Instruction::AllocVaCore {
-                vacore: cur.vacore()?,
-                element_bits: cur.number("element bits")? as u8,
-                bits_per_cell: cur.number("bits per cell")? as u8,
-                input_bits: cur.number("input bits")? as u8,
-                input_signed: cur.number("signed flag")? != 0,
-            },
-            "vfree" => Instruction::FreeVaCore {
-                vacore: cur.vacore()?,
-            },
-            "amode" => Instruction::SetAnalogMode {
-                enabled: cur.number("enabled flag")? != 0,
-            },
-            "dmode" => Instruction::SetDigitalMode {
-                enabled: cur.number("enabled flag")? != 0,
-            },
-            other => {
-                return Err(Error::Parse {
-                    line,
-                    reason: format!("unknown mnemonic `{other}`"),
-                })
-            }
-        }
-    };
-    cur.finish(mnemonic)?;
-    Ok(Some(inst))
+    if let Some(extra) = tokens.next() {
+        return Err(err(format!(
+            "unexpected operand `{extra}` after {mnemonic}"
+        )));
+    }
+    Instruction::from_fields(layout.opcode, &values)
+        .map(Some)
+        .ok_or_else(|| err(format!("invalid operands for {mnemonic}")))
 }
 
 /// Assembles a multi-line program.
@@ -487,6 +194,45 @@ mod tests {
             Error::Parse { reason, .. } => assert!(reason.contains("pipeline")),
             other => panic!("unexpected error {other:?}"),
         }
+    }
+
+    #[test]
+    fn out_of_range_operands_are_refused_not_truncated() {
+        for (src, reason) in [
+            ("wimm p0 v0 300 1", "element `300` out of range 0..=255"),
+            (
+                "add p70000 v1 v2 v3",
+                "pipeline `p70000` out of range p0..=p65535",
+            ),
+            (
+                "add p0 v256 v1 v2",
+                "register `v256` out of range v0..=v255",
+            ),
+            (
+                "mvm ac300 p0 v0 p1 v1 70000",
+                "vACore `ac300` out of range ac0..=ac255",
+            ),
+            ("amode 2", "enabled flag `2` out of range 0..=1"),
+        ] {
+            assert_eq!(
+                assemble(src),
+                Err(Error::Parse {
+                    line: 1,
+                    reason: reason.into()
+                }),
+                "{src}"
+            );
+        }
+        let err = assemble("mvm ac3 p0 v0 p1 v1 70000").unwrap_err();
+        assert!(err
+            .to_string()
+            .contains("early_levels `70000` out of range 0..=65535"));
+        // Every field's largest value still assembles.
+        let max = "mvm ac255 p65535 v255 p65535 v255 65535\n\
+                   wimm p65535 v255 255 0xffffffffffffffff\n\
+                   valloc ac255 255 255 255 1\n";
+        let program = assemble(max).expect("maximal operands parse");
+        assert_eq!(disassemble_program(&program), max);
     }
 
     #[test]

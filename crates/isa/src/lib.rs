@@ -10,12 +10,18 @@
 //! This crate is self-contained (no dependency on the simulators) and
 //! provides:
 //!
-//! * [`instruction`] — the [`Instruction`] enum with its operand newtypes.
+//! * [`instruction`] — the [`Instruction`] enum with its operand newtypes,
+//!   and the one table that declares every opcode's operands: their
+//!   assembly order, kind and byte offset in the record.
 //! * [`encode`] — a fixed 16-byte binary encoding with encode/decode.
 //! * [`asm`] — a line-oriented assembler and disassembler.
 //! * [`iiu`] — [`iiu::InjectionProgram`]: the shift-and-add reduction
 //!   sequences (Figure 9c) that the hardware instruction injection unit
 //!   replays without front-end involvement.
+//!
+//! Encoding, decoding, assembly and disassembly are all loops over that
+//! table, so the four cannot drift apart: an operand the binary field
+//! cannot hold is a parse error in the assembler, never a truncation.
 //!
 //! # Example
 //!

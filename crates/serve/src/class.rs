@@ -191,6 +191,30 @@ mod tests {
     use darth_pum::eval::Executor;
     use darth_sim::SimExecutor;
 
+    /// The seven resident-program cache keys, recorded before the ISA
+    /// codec became table-driven: a signature hashes the encoded setup
+    /// and body, so any drift in an instruction record moves one.
+    #[test]
+    fn standard_class_signatures_are_pinned() {
+        let signatures: Vec<String> = standard_classes()
+            .expect("classes compile")
+            .iter()
+            .map(|c| format!("{} {}", c.name(), c.signature()))
+            .collect();
+        assert_eq!(
+            signatures,
+            [
+                "aes128 39600a8ce20ffd93",
+                "aes192 36e186cbde12c08a",
+                "aes256 bbd3c9ee8feac43f",
+                "gemm-4x12x10 d7e651db23379115",
+                "gemm-8x32x24 7982bb661e533e7f",
+                "conv-2c4x4-o3k3 476e0a3c840c87c1",
+                "conv-2c4x4-o5k3 4e2c80643fd00ad1",
+            ]
+        );
+    }
+
     #[test]
     fn standard_classes_have_unique_signatures_and_golden_matched_jobs() {
         let classes = standard_classes().expect("classes compile");

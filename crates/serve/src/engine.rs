@@ -7,10 +7,10 @@
 //! 1. **Admission** (sequential): requests are walked in arrival order
 //!    through a discrete-event model of every chip's backlog. Each
 //!    request goes to the chip with the earliest *estimated* finish
-//!    (per-class cycle estimates calibrated once on a scratch resident
-//!    program, scaled by each chip's clock); chips whose bounded
-//!    admission queue is full drop out, and a request rejected by every
-//!    chip is dropped.
+//!    (per-class cycle estimates calibrated once, at engine
+//!    construction, on a scratch resident program, scaled by each
+//!    chip's clock); chips whose bounded admission queue is full drop
+//!    out, and a request rejected by every chip is dropped.
 //! 2. **Execution** (parallel over whole chips): each chip replays its
 //!    assignment list on a virtual timeline. At each dispatch the head
 //!    request is coalesced with every already-arrived pending request
@@ -110,6 +110,10 @@ struct ChipOutcome {
 #[derive(Debug, Clone)]
 pub struct ServeEngine {
     classes: Vec<ServeClass>,
+    /// Per-class probe cycles (one scratch resident program and one
+    /// probe serve each, measured at construction); admission adds the
+    /// dispatch overhead.
+    probe_cycles: Vec<u64>,
     chips: Vec<FleetChip>,
     workers: Option<usize>,
     batch_limit: usize,
@@ -118,7 +122,9 @@ pub struct ServeEngine {
 }
 
 impl ServeEngine {
-    /// Creates an engine over the given classes and fleet.
+    /// Creates an engine over the given classes and fleet, calibrating
+    /// each class's admission estimate once: one scratch resident
+    /// program and one probe serve per class.
     ///
     /// Defaults: batch limit 32, dispatch overhead 2000 cycles per
     /// batch (host dispatch + DMA setup), spot-check every 8192nd
@@ -128,7 +134,8 @@ impl ServeEngine {
     /// # Errors
     ///
     /// Returns [`Error::InvalidConfig`] for an empty class registry, an
-    /// empty fleet, or a chip without a positive clock.
+    /// empty fleet, or a chip without a positive clock, and the
+    /// calibration's compile/execution errors.
     pub fn new(classes: Vec<ServeClass>, chips: Vec<FleetChip>) -> darth_pum::Result<Self> {
         if classes.is_empty() {
             return Err(Error::InvalidConfig(
@@ -149,8 +156,16 @@ impl ServeEngine {
                 )));
             }
         }
+        let probe_cycles = classes
+            .iter()
+            .map(|class| {
+                let resident = ResidentProgram::for_split(class.split().clone())?;
+                Ok(resident.serve(&class.input_program(0)?)?.busy_cycles.get())
+            })
+            .collect::<darth_pum::Result<_>>()?;
         Ok(ServeEngine {
             classes,
+            probe_cycles,
             chips,
             workers: None,
             batch_limit: 32,
@@ -201,24 +216,12 @@ impl ServeEngine {
         &self.chips
     }
 
-    /// Calibrates per-class service-cycle estimates for the admission
-    /// model: one scratch resident program per class, one probe serve.
-    fn calibrate(&self) -> darth_pum::Result<Vec<u64>> {
-        self.classes
-            .iter()
-            .map(|class| {
-                let resident = ResidentProgram::for_split(class.split().clone())?;
-                let probe = resident.serve(&class.input_program(0)?)?;
-                Ok(probe.busy_cycles.get() + self.dispatch_overhead_cycles)
-            })
-            .collect()
-    }
-
     /// Pass 1: walks the trace in arrival order, assigning each request
     /// to the chip with the earliest estimated finish (ties go to the
-    /// lowest fleet index). Returns per-chip assignment lists and the
-    /// rejected-request count.
-    fn assign(&self, trace: &[Request], est_cycles: &[u64]) -> (Vec<Vec<Request>>, u64) {
+    /// lowest fleet index): a request's estimate is its class's probe
+    /// cycles plus the dispatch overhead. Returns per-chip assignment
+    /// lists and the rejected-request count.
+    fn assign(&self, trace: &[Request]) -> (Vec<Vec<Request>>, u64) {
         struct ChipQueue {
             // Estimated completion times of admitted, unfinished work.
             inflight: VecDeque<u64>,
@@ -249,8 +252,9 @@ impl ServeEngine {
                 if queue.inflight.len() >= chip.queue_capacity {
                     continue;
                 }
-                let finish = queue.free_ns.max(request.arrival_ns)
-                    + cycles_to_ns(est_cycles[request.class], chip.clock_hz);
+                let est_cycles = self.probe_cycles[request.class] + self.dispatch_overhead_cycles;
+                let finish =
+                    queue.free_ns.max(request.arrival_ns) + cycles_to_ns(est_cycles, chip.clock_hz);
                 if best.is_none_or(|(t, _)| finish < t) {
                     best = Some((finish, i));
                 }
@@ -385,8 +389,7 @@ impl ServeEngine {
             }
         }
 
-        let est_cycles = self.calibrate()?;
-        let (assigned, rejected) = self.assign(trace, &est_cycles);
+        let (assigned, rejected) = self.assign(trace);
 
         // Execution: shard whole chips across workers.
         let work: Vec<_> = self.chips.iter().zip(&assigned).collect();
