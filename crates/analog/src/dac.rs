@@ -39,11 +39,6 @@ impl InputDriver {
         self.bits
     }
 
-    /// Whether inputs are two's complement.
-    pub fn is_signed(&self) -> bool {
-        self.signed
-    }
-
     /// Smallest representable input.
     pub fn min_value(&self) -> i64 {
         if self.signed {

@@ -31,7 +31,7 @@ use crate::{Error, Result};
 use darth_analog::compensation::CompensationScheme;
 use darth_digital::logic::LogicFamily;
 use darth_digital::macros::MacroOp;
-use darth_digital::BoolOp;
+use darth_digital::{BoolOp, DcePipeline};
 use darth_isa::iiu::ReductionRegs;
 use darth_isa::VaCoreId;
 use darth_pum::hct::{HctConfig, HybridComputeTile};

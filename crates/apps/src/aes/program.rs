@@ -115,11 +115,6 @@ impl AesExec {
         }
     }
 
-    /// The golden context backing this job.
-    pub fn golden_model(&self) -> &Aes {
-        &self.golden
-    }
-
     /// The tile geometry the compiled program targets: four pipelines
     /// (state, table, MVM input, landing), 16-bit depth, SLC MixColumns.
     pub fn tile_config() -> HctConfig {

@@ -147,17 +147,6 @@ impl ResNet {
         ResNet::new(32, 16, 3, 10, seed)
     }
 
-    /// Builds a CIFAR-style ResNet of depth `6·blocks_per_stage + 2` for
-    /// 32×32×3 inputs (`blocks_per_stage` = 3 → ResNet-20, 5 → ResNet-32,
-    /// 9 → ResNet-56, …) — the classic depth sweep.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when `blocks_per_stage` is zero.
-    pub fn cifar(blocks_per_stage: usize, seed: u64) -> Result<Self> {
-        ResNet::with_depth(32, 16, 3, 10, blocks_per_stage, seed)
-    }
-
     /// A miniature variant for fast tests: 8×8 inputs, 4/8/16 channels.
     ///
     /// # Errors

@@ -49,6 +49,7 @@ pub(crate) mod testutil {
     //! on a fresh chip and harvest its outputs through the job's own
     //! readback declarations (no hand-tracked register constants).
 
+    use darth_digital::DcePipeline;
     use darth_pum::chip::DarthPumChip;
     use darth_pum::eval::{ExecJob, ExecOutput};
     use darth_pum::params::ChipParams;

@@ -8,10 +8,9 @@
 
 use darth_digital::logic::LogicFamily;
 use darth_digital::macros::MacroOp;
-use darth_digital::BoolOp;
 use darth_pum::eval::{ArchModel, CostAccumulator};
 use darth_pum::params::{area, power, HCTS_PER_FRONT_END, ISO_AREA_CM2};
-use darth_pum::trace::{CostReport, KernelOp, TraceMeta, TraceSink, VectorKind};
+use darth_pum::trace::{CostReport, KernelOp, TraceMeta, TraceSink};
 use darth_reram::units::CLOCK_HZ;
 use serde::{Deserialize, Serialize};
 
@@ -82,15 +81,9 @@ impl DigitalPumModel {
                 bits,
                 count,
             } => {
-                let macro_op = match kind {
-                    VectorKind::Bool => MacroOp::Bool(BoolOp::Xor),
-                    VectorKind::Add => MacroOp::Add,
-                    VectorKind::Mul => MacroOp::Mul(bits),
-                    VectorKind::Shift => MacroOp::ShiftBits(1),
-                    VectorKind::Compare => MacroOp::CmpLt,
-                    VectorKind::Copy => MacroOp::CopyVr,
-                };
-                let cost = macro_op.cost(self.family, u64::from(bits).max(1), self.elements);
+                let cost =
+                    kind.macro_op(bits)
+                        .cost(self.family, u64::from(bits).max(1), self.elements);
                 let instances = elements.div_ceil(self.elements) * count;
                 let cycles = if cost.barrier {
                     cost.latency().get() * instances

@@ -94,18 +94,6 @@ impl NaiveHybridConfig {
         ]
     }
 
-    /// The paper's H-9 point (the figure labels the last hybrid H-9; our
-    /// sweep folds it into the `"A"` hybrid label above and keeps the
-    /// CPU-driven configuration separate as `"A+CPU"`).
-    pub fn h9() -> NaiveHybridConfig {
-        NaiveHybridConfig {
-            label: "H-9",
-            digital_arrays: 32,
-            analog_arrays: 496,
-            analog_plus_cpu: false,
-        }
-    }
-
     /// AES-128 throughput in blocks/s for this configuration.
     pub fn aes_throughput(&self, family: LogicFamily) -> f64 {
         if self.analog_plus_cpu {

@@ -3,11 +3,11 @@
 //! Analog instructions run for hundreds of cycles and must appear atomic:
 //! a younger digital instruction touching the same pipeline (e.g. the ReLU
 //! after an MVM) must wait until the MVM's reduction completes. The
-//! arbiter enforces per-pipeline domain ownership and age-ordered
-//! serialization, and counts the stall cycles it introduces.
+//! arbiter enforces per-pipeline domain ownership: an MVM acquires its
+//! landing pipeline for the analog domain and releases it once the
+//! reduction has drained.
 
 use crate::{Error, Result};
-use darth_reram::Cycles;
 use serde::{Deserialize, Serialize};
 
 /// Which domain currently owns a pipeline.
@@ -23,9 +23,6 @@ pub enum Domain {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AdArbiter {
     owners: Vec<Option<Domain>>,
-    stall_cycles: Cycles,
-    acquisitions: u64,
-    conflicts: u64,
 }
 
 impl AdArbiter {
@@ -33,20 +30,7 @@ impl AdArbiter {
     pub fn new(pipelines: usize) -> Self {
         AdArbiter {
             owners: vec![None; pipelines],
-            stall_cycles: Cycles::ZERO,
-            acquisitions: 0,
-            conflicts: 0,
         }
-    }
-
-    /// Number of managed pipelines.
-    pub fn pipelines(&self) -> usize {
-        self.owners.len()
-    }
-
-    /// Current owner of a pipeline (`None` = free).
-    pub fn owner(&self, pipeline: usize) -> Option<Domain> {
-        self.owners.get(pipeline).copied().flatten()
     }
 
     /// Attempts to acquire a pipeline for a domain.
@@ -57,8 +41,7 @@ impl AdArbiter {
     /// # Errors
     ///
     /// Returns [`Error::ArbiterConflict`] when the pipeline belongs to the
-    /// other domain. The caller then serializes (see
-    /// [`AdArbiter::stall_until_release`]).
+    /// other domain or does not exist.
     pub fn acquire(&mut self, pipeline: usize, domain: Domain) -> Result<()> {
         let slot = self
             .owners
@@ -67,14 +50,10 @@ impl AdArbiter {
         match *slot {
             None => {
                 *slot = Some(domain);
-                self.acquisitions += 1;
                 Ok(())
             }
             Some(current) if current == domain => Ok(()),
-            Some(_) => {
-                self.conflicts += 1;
-                Err(Error::ArbiterConflict { pipeline })
-            }
+            Some(_) => Err(Error::ArbiterConflict { pipeline }),
         }
     }
 
@@ -83,42 +62,6 @@ impl AdArbiter {
         if let Some(slot) = self.owners.get_mut(pipeline) {
             *slot = None;
         }
-    }
-
-    /// Releases every pipeline owned by `domain`.
-    pub fn release_domain(&mut self, domain: Domain) {
-        for slot in &mut self.owners {
-            if *slot == Some(domain) {
-                *slot = None;
-            }
-        }
-    }
-
-    /// Records that a younger instruction stalled for `cycles` waiting on
-    /// an older one to release its pipeline — the serialization the
-    /// arbiter enforces in hardware.
-    pub fn stall_until_release(&mut self, cycles: Cycles) {
-        self.stall_cycles += cycles;
-    }
-
-    /// Total stall cycles introduced by serialization.
-    pub fn stall_cycles(&self) -> Cycles {
-        self.stall_cycles
-    }
-
-    /// Total successful acquisitions.
-    pub fn acquisitions(&self) -> u64 {
-        self.acquisitions
-    }
-
-    /// Total conflicts observed.
-    pub fn conflicts(&self) -> u64 {
-        self.conflicts
-    }
-
-    /// Number of currently owned pipelines.
-    pub fn owned_count(&self) -> usize {
-        self.owners.iter().filter(|o| o.is_some()).count()
     }
 }
 
@@ -130,8 +73,9 @@ mod tests {
     fn acquire_free_pipeline() {
         let mut arb = AdArbiter::new(4);
         arb.acquire(0, Domain::Analog).expect("free");
-        assert_eq!(arb.owner(0), Some(Domain::Analog));
-        assert_eq!(arb.owned_count(), 1);
+        // Only the acquired pipeline is taken.
+        assert!(arb.acquire(0, Domain::Digital).is_err());
+        arb.acquire(1, Domain::Digital).expect("still free");
     }
 
     #[test]
@@ -139,7 +83,6 @@ mod tests {
         let mut arb = AdArbiter::new(4);
         arb.acquire(1, Domain::Digital).expect("free");
         arb.acquire(1, Domain::Digital).expect("idempotent");
-        assert_eq!(arb.conflicts(), 0);
     }
 
     #[test]
@@ -148,7 +91,6 @@ mod tests {
         arb.acquire(2, Domain::Analog).expect("free");
         let err = arb.acquire(2, Domain::Digital).unwrap_err();
         assert!(matches!(err, Error::ArbiterConflict { pipeline: 2 }));
-        assert_eq!(arb.conflicts(), 1);
     }
 
     #[test]
@@ -160,28 +102,8 @@ mod tests {
     }
 
     #[test]
-    fn release_domain_sweeps() {
-        let mut arb = AdArbiter::new(4);
-        arb.acquire(0, Domain::Analog).expect("free");
-        arb.acquire(1, Domain::Analog).expect("free");
-        arb.acquire(2, Domain::Digital).expect("free");
-        arb.release_domain(Domain::Analog);
-        assert_eq!(arb.owner(0), None);
-        assert_eq!(arb.owner(1), None);
-        assert_eq!(arb.owner(2), Some(Domain::Digital));
-    }
-
-    #[test]
     fn out_of_range_pipeline_is_a_conflict_error() {
         let mut arb = AdArbiter::new(2);
         assert!(arb.acquire(7, Domain::Analog).is_err());
-    }
-
-    #[test]
-    fn stall_accounting() {
-        let mut arb = AdArbiter::new(1);
-        arb.stall_until_release(Cycles::new(100));
-        arb.stall_until_release(Cycles::new(20));
-        assert_eq!(arb.stall_cycles().get(), 120);
     }
 }

@@ -555,25 +555,8 @@ impl<P: DcePipeline> GenericChip<P> {
             )));
         }
         for (row, &v) in values.iter().enumerate() {
-            // Read-modify-write of the stored row, reconstructing the
-            // full-precision values from the per-array weight slices.
-            let mut stored: Vec<i64> = {
-                let core = self.tile.vacores().get(vacore)?;
-                let mut row_vals = vec![0i64; core_cols];
-                for (s, &array) in core.arrays.iter().enumerate() {
-                    let shift = core.plan().weight_shift(s);
-                    let w = self
-                        .tile
-                        .ace()
-                        .crossbar(array)
-                        .map_err(Error::Analog)?
-                        .weights();
-                    for (c, val) in row_vals.iter_mut().enumerate() {
-                        *val += w[row][c] << shift;
-                    }
-                }
-                row_vals
-            };
+            // Read-modify-write of the stored row.
+            let mut stored = self.tile.stored_row(vacore, row)?;
             stored[col] = v;
             self.tile.update_row(vacore, row, &stored)?;
         }
@@ -732,6 +715,36 @@ mod tests {
         let pipe = c.tile_mut().pipeline_mut(1).expect("exists");
         assert_eq!(pipe.read_value(4, 0).expect("in range"), 4); // 1 + 3
         assert_eq!(pipe.read_value(4, 1).expect("in range"), 18); // 9 + 9
+
+        // Signed 8-bit weights over four 2-bit slices, signed 2-bit
+        // inputs: the column update rewrites each row from its stored
+        // values, so the untouched column must survive the slice
+        // recombination exactly, negative weights included.
+        let mut c = chip();
+        let mut data = SideChannel::new();
+        let mh = data
+            .stage_matrix(vec![vec![-100, 27], vec![55, -3]])
+            .expect("stages");
+        let vh = data.stage_vector(vec![-77, 120]).expect("stages");
+        let minus_two = darth_digital::pipeline::twos_complement_field(-2, 32).expect("fits");
+        let program = assemble(&format!(
+            "valloc ac0 8 2 2 1\n\
+             progm ac0 {mh}\n\
+             updcol ac0 1 {vh}\n\
+             wimm p0 v0 0 1\n\
+             wimm p0 v0 1 {minus_two}\n\
+             mvm ac0 p0 v0 p1 v4 0\n\
+             halt\n"
+        ))
+        .expect("parses");
+        c.execute(&program, &data).expect("runs");
+        let id = darth_isa::VaCoreId(0);
+        assert_eq!(c.tile().stored_row(id, 0).expect("stored"), vec![-100, -77]);
+        assert_eq!(c.tile().stored_row(id, 1).expect("stored"), vec![55, 120]);
+        let pipe = c.tile_mut().pipeline_mut(1).expect("exists");
+        // [1, -2] · [[-100, -77], [55, 120]]
+        assert_eq!(pipe.read_value_signed(4, 0).expect("in range"), -210);
+        assert_eq!(pipe.read_value_signed(4, 1).expect("in range"), -317);
     }
 
     #[test]

@@ -51,13 +51,6 @@ impl DarthConfig {
         }
     }
 
-    /// Replaces the ADC kind (builder style).
-    #[must_use]
-    pub fn with_adc_kind(mut self, kind: AdcKind) -> Self {
-        self.ace.adc_kind = kind;
-        self
-    }
-
     /// Replaces the ADC resolution (builder style).
     #[must_use]
     pub fn with_adc_bits(mut self, bits: u8) -> Self {

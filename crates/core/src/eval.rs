@@ -226,32 +226,46 @@ impl std::fmt::Display for JobSignature {
     }
 }
 
-/// The explicit FNV-1a folder behind [`JobSignature`] — fixed constants,
-/// no per-process randomization.
-struct Fnv1a(u64);
+/// The explicit 64-bit FNV-1a folder behind [`JobSignature`] and the
+/// serving engine's output digest — fixed offset and prime, no
+/// per-process randomization, so digests are stable across runs and
+/// platforms.
+#[derive(Debug, Clone)]
+pub struct Fnv1a(u64);
 
 impl Fnv1a {
-    fn new() -> Self {
+    /// A hasher at the FNV-1a offset basis.
+    pub fn new() -> Self {
         Fnv1a(0xcbf2_9ce4_8422_2325)
     }
 
-    fn write(&mut self, bytes: &[u8]) {
+    /// Folds a byte stream.
+    pub fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= u64::from(b);
             self.0 = self.0.wrapping_mul(0x100_0000_01b3);
         }
     }
 
-    fn write_u64(&mut self, v: u64) {
+    /// Folds a `u64` as its little-endian bytes.
+    pub fn write_u64(&mut self, v: u64) {
         self.write(&v.to_le_bytes());
     }
 
-    fn write_i64(&mut self, v: i64) {
+    /// Folds an `i64` as its little-endian bytes.
+    pub fn write_i64(&mut self, v: i64) {
         self.write(&v.to_le_bytes());
     }
 
-    fn finish(&self) -> u64 {
+    /// The digest so far.
+    pub fn finish(&self) -> u64 {
         self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a::new()
     }
 }
 

@@ -4,31 +4,24 @@
 //! instruction per cycle. Without the IIU, every MVM's reduction sequence
 //! (hundreds of µops, §4.2) occupies the issue port and starves the other
 //! seven tiles; with it, the front end issues a single MVM instruction and
-//! moves on. [`FrontEnd`] models exactly that contention.
+//! moves on. [`FrontEnd`] counts the instructions one chip issues and
+//! prices their energy; the analytical model ([`crate::model`]) prices the
+//! issue contention across tiles itself.
 
-use crate::params::{power, HCTS_PER_FRONT_END};
+use crate::params::power;
 use darth_reram::{Cycles, PicoJoules};
 use serde::{Deserialize, Serialize};
 
 /// A front end shared by up to eight HCTs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FrontEnd {
     issued: u64,
-    injected_elsewhere: u64,
 }
 
 impl FrontEnd {
     /// Creates an idle front end.
     pub fn new() -> Self {
-        FrontEnd {
-            issued: 0,
-            injected_elsewhere: 0,
-        }
-    }
-
-    /// Number of tiles sharing this front end.
-    pub fn tiles(&self) -> usize {
-        HCTS_PER_FRONT_END
+        FrontEnd::default()
     }
 
     /// Issues `count` instructions, returning the occupancy (one per
@@ -38,47 +31,14 @@ impl FrontEnd {
         Cycles::new(count)
     }
 
-    /// Records µops that the IIU injected instead of the front end —
-    /// bandwidth this unit did *not* spend.
-    pub fn credit_injected(&mut self, count: u64) {
-        self.injected_elsewhere += count;
-    }
-
     /// Total instructions issued.
     pub fn issued(&self) -> u64 {
         self.issued
     }
 
-    /// µops saved by injection.
-    pub fn injected_elsewhere(&self) -> u64 {
-        self.injected_elsewhere
-    }
-
-    /// Fraction of issue bandwidth the IIU saved.
-    pub fn injection_savings(&self) -> f64 {
-        let total = self.issued + self.injected_elsewhere;
-        if total == 0 {
-            return 0.0;
-        }
-        self.injected_elsewhere as f64 / total as f64
-    }
-
     /// Front-end energy over an execution window.
     pub fn energy(&self, window: Cycles) -> PicoJoules {
         PicoJoules::from_power(power::FRONT_END, window)
-    }
-
-    /// Issue-port occupancy if `tile_count` tiles each demand
-    /// `per_tile_ops` issued operations in a window: the port serializes,
-    /// so occupancy is the sum.
-    pub fn contention_cycles(per_tile_ops: u64, tile_count: usize) -> Cycles {
-        Cycles::new(per_tile_ops * tile_count.min(HCTS_PER_FRONT_END) as u64)
-    }
-}
-
-impl Default for FrontEnd {
-    fn default() -> Self {
-        FrontEnd::new()
     }
 }
 
@@ -94,26 +54,9 @@ mod tests {
     }
 
     #[test]
-    fn injection_savings_fraction() {
-        let mut fe = FrontEnd::new();
-        fe.issue(10);
-        fe.credit_injected(90);
-        assert!((fe.injection_savings() - 0.9).abs() < 1e-12);
-        assert_eq!(FrontEnd::new().injection_savings(), 0.0);
-    }
-
-    #[test]
     fn energy_uses_table3_power() {
         let fe = FrontEnd::new();
         // 63 mW for 1000 cycles = 63,000 pJ
         assert!((fe.energy(Cycles::new(1000)).get() - 63_000.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn contention_serializes_across_tiles() {
-        assert_eq!(FrontEnd::contention_cycles(100, 8).get(), 800);
-        // capped at the tiles actually sharing the port
-        assert_eq!(FrontEnd::contention_cycles(100, 20).get(), 800);
-        assert_eq!(FrontEnd::contention_cycles(100, 2).get(), 200);
     }
 }

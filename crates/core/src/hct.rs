@@ -16,12 +16,10 @@
 //! analytically in [`crate::model`].
 
 use crate::arbiter::{AdArbiter, Domain};
-use crate::iiu::HardwareIiu;
 use crate::params::{power, HctParams};
-use crate::shift_unit::ShiftUnit;
-use crate::transpose::TransposeUnit;
+use crate::transpose::VECTOR_RETIME_CYCLES;
 use crate::vacore::{VaCore, VaCoreTable};
-use crate::{Error, Result};
+use crate::{iiu, shift_unit, Error, Result};
 use darth_analog::ace::{AceConfig, AnalogComputeElement};
 use darth_analog::adc::AdcKind;
 use darth_analog::dac::InputDriver;
@@ -194,9 +192,6 @@ pub struct GenericTile<P: DcePipeline> {
     ace: AnalogComputeElement,
     vacores: VaCoreTable,
     arbiter: AdArbiter,
-    shift_unit: ShiftUnit,
-    transpose: TransposeUnit,
-    iiu: HardwareIiu,
     meter: EnergyMeter,
     busy: Cycles,
     front_end_ops: u64,
@@ -258,9 +253,6 @@ impl<P: DcePipeline> GenericTile<P> {
             ace,
             vacores,
             arbiter,
-            shift_unit: ShiftUnit::new(),
-            transpose: TransposeUnit::new(),
-            iiu: HardwareIiu::new(),
             meter: EnergyMeter::new(),
             busy: Cycles::ZERO,
             front_end_ops: 0,
@@ -327,21 +319,6 @@ impl<P: DcePipeline> GenericTile<P> {
     /// The vACore firmware table.
     pub fn vacores(&self) -> &VaCoreTable {
         &self.vacores
-    }
-
-    /// The arbiter (stall statistics).
-    pub fn arbiter(&self) -> &AdArbiter {
-        &self.arbiter
-    }
-
-    /// The instruction injection unit (injection statistics).
-    pub fn iiu(&self) -> &HardwareIiu {
-        &self.iiu
-    }
-
-    /// The transpose unit.
-    pub fn transpose_unit(&mut self) -> &mut TransposeUnit {
-        &mut self.transpose
     }
 
     /// Macro operations issued by the front end on this tile's behalf.
@@ -451,6 +428,33 @@ impl<P: DcePipeline> GenericTile<P> {
         Ok(total)
     }
 
+    /// The full-precision values stored in one row of a vACore's matrix,
+    /// recombined from the per-slice crossbar weights (the read half of a
+    /// read-modify-write column update, and the exact MVM oracle's matrix).
+    ///
+    /// # Errors
+    ///
+    /// Returns vACore errors for unknown ids and [`Error::Shape`] for a
+    /// row outside the programmed matrix.
+    pub fn stored_row(&self, id: VaCoreId, row: usize) -> Result<Vec<i64>> {
+        let core = self.vacores.get(id)?;
+        if row >= core.rows {
+            return Err(Error::Shape(format!(
+                "row {row} out of range for {} rows",
+                core.rows
+            )));
+        }
+        let per_slice = core
+            .arrays
+            .iter()
+            .map(|&array| {
+                let weights = self.ace.crossbar(array).map_err(Error::Analog)?.weights();
+                Ok(weights[row][..core.cols].to_vec())
+            })
+            .collect::<Result<Vec<_>>>()?;
+        Ok(core.slicer().recombine(&per_slice))
+    }
+
     /// Executes a hybrid MVM: analog multiply, shift-unit transfer, IIU
     /// reduction. Partial products land in `regs.parts` of pipeline
     /// `dst_pipe`; the reduced vector ends in `regs.acc` and is returned.
@@ -548,27 +552,24 @@ impl<P: DcePipeline> GenericTile<P> {
             // double-count it).
             let (shift, _negative) = core.term_shift(t);
             let landing = if self.config.optimized_schedule {
-                self.shift_unit.apply(&codes, shift, false)
+                shift_unit::apply(&codes, shift)
             } else {
                 codes
             };
             let fields: Vec<u64> = landing.iter().map(|&v| (v as u64) & field_mask).collect();
             pipe.write_vector(regs.parts[t].0 as usize, &fields)?;
-            transfer_total += self.shift_unit.transfer_cycles(core.cols as u64, 8)
-                + self.transpose.vector_retime_cycles();
+            transfer_total +=
+                shift_unit::transfer_cycles(core.cols as u64, 8) + VECTOR_RETIME_CYCLES;
         }
 
         // --- Reduce phase: replay the IIU program.
         let zero_vr = pipe.vr_count() - 1;
         let program = core.injection_program(regs, self.config.optimized_schedule);
-        if self.config.use_iiu {
-            self.iiu.replay(&program, pipe, zero_vr)?;
-        } else {
+        if !self.config.use_iiu {
             // Same dataflow, but the front end issues every µop.
             self.front_end_ops += program.len() as u64;
-            let mut iiu = HardwareIiu::new();
-            iiu.replay(&program, pipe, zero_vr)?;
         }
+        iiu::replay(&program, pipe, zero_vr)?;
         let result: Vec<i64> = pipe.read_signed_prefix(regs.acc.0 as usize, core.cols)?;
 
         // --- Timing (documented schedule model).
@@ -646,16 +647,12 @@ impl<P: DcePipeline> GenericTile<P> {
         let core = self.checked_core(id, input)?;
         // Reconstruct from the programmed slices for full fidelity.
         let mut out = vec![0i64; core.cols];
-        for (s, &array) in core.arrays.iter().enumerate() {
-            let weights = self.ace.crossbar(array).map_err(Error::Analog)?.weights();
-            let shift = core.plan().weight_shift(s);
-            for (r, &x) in input.iter().enumerate() {
-                if x == 0 {
-                    continue;
-                }
-                for c in 0..core.cols {
-                    out[c] += x * (weights[r][c] << shift);
-                }
+        for (r, &x) in input.iter().enumerate() {
+            if x == 0 {
+                continue;
+            }
+            for (acc, w) in out.iter_mut().zip(self.stored_row(id, r)?) {
+                *acc += x * w;
             }
         }
         Ok(out)
@@ -828,9 +825,16 @@ mod tests {
         t.set_matrix(id, &[vec![1, 2], vec![3, 4]])
             .expect("programs");
         let regs = ReductionRegs::dense(6);
-        t.exec_mvm(id, &[1, 2], 0, &regs, None).expect("executes");
+        let front_end = t.exec_mvm(id, &[1, 2], 0, &regs, None).expect("executes");
         assert!(t.front_end_ops() > 0);
-        assert_eq!(t.iiu().replays(), 0);
+        // The IIU runs the same replay; only the issue charge differs.
+        let mut t = tile();
+        let id = t.alloc_vacore(4, 2, 3, false).expect("allocates");
+        t.set_matrix(id, &[vec![1, 2], vec![3, 4]])
+            .expect("programs");
+        let injected = t.exec_mvm(id, &[1, 2], 0, &regs, None).expect("executes");
+        assert_eq!(t.front_end_ops(), 0);
+        assert_eq!(injected.result, front_end.result);
     }
 
     #[test]

@@ -2,87 +2,49 @@
 //!
 //! A small table plus counter that replays the shift-and-add reduction
 //! directly into the digital µop queues, freeing the front end to serve
-//! other HCTs. This module executes an [`darth_isa::iiu::InjectionProgram`]
+//! other HCTs. [`replay`] executes an [`darth_isa::iiu::InjectionProgram`]
 //! against any [`darth_digital::DcePipeline`] implementation (the
-//! cell-accurate reference or the packed fast path), tracking how many
-//! macro operations were injected (versus front-end issued) for the IIU
-//! ablation.
+//! cell-accurate reference or the packed fast path). Whether the IIU or
+//! the front end issues the µops changes only who is charged for the
+//! issue, never the dataflow, so both paths run the same replay.
 
-use crate::{Error, Result};
+use crate::Result;
 use darth_digital::DcePipeline;
 use darth_isa::iiu::{InjectionProgram, InjectionStep};
-use serde::{Deserialize, Serialize};
 
-/// Replay engine for injection programs.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HardwareIiu {
-    injected_ops: u64,
-    replays: u64,
-}
-
-impl HardwareIiu {
-    /// Creates an idle IIU.
-    pub fn new() -> Self {
-        HardwareIiu::default()
-    }
-
-    /// Macro operations injected so far.
-    pub fn injected_ops(&self) -> u64 {
-        self.injected_ops
-    }
-
-    /// Programs replayed so far.
-    pub fn replays(&self) -> u64 {
-        self.replays
-    }
-
-    /// Replays `program` on `pipeline`.
-    ///
-    /// `zero_vr` names a vector register the tile keeps at zero, used to
-    /// realise negation (`Neg` = `0 - src`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates pipeline execution errors (bad registers, shift range).
-    pub fn replay<P: DcePipeline>(
-        &mut self,
-        program: &InjectionProgram,
-        pipeline: &mut P,
-        zero_vr: usize,
-    ) -> Result<()> {
-        for step in program.steps() {
-            match *step {
-                InjectionStep::Shift { dst, src, amount } => {
-                    pipeline
-                        .shl(dst.0 as usize, src.0 as usize, amount as usize)
-                        .map_err(Error::Digital)?;
-                }
-                InjectionStep::Add { dst, a, b } => {
-                    pipeline
-                        .add(dst.0 as usize, a.0 as usize, b.0 as usize)
-                        .map_err(Error::Digital)?;
-                }
-                InjectionStep::Sub { dst, a, b } => {
-                    pipeline
-                        .sub(dst.0 as usize, a.0 as usize, b.0 as usize)
-                        .map_err(Error::Digital)?;
-                }
-                InjectionStep::Copy { dst, src } => {
-                    pipeline
-                        .copy_vr(dst.0 as usize, src.0 as usize)
-                        .map_err(Error::Digital)?;
-                }
-                InjectionStep::Neg { dst, src } => {
-                    pipeline
-                        .sub(dst.0 as usize, zero_vr, src.0 as usize)
-                        .map_err(Error::Digital)?;
-                }
+/// Replays `program` on `pipeline`.
+///
+/// `zero_vr` names a vector register the tile keeps at zero, used to
+/// realise negation (`Neg` = `0 - src`).
+///
+/// # Errors
+///
+/// Propagates pipeline execution errors (bad registers, shift range).
+pub fn replay<P: DcePipeline>(
+    program: &InjectionProgram,
+    pipeline: &mut P,
+    zero_vr: usize,
+) -> Result<()> {
+    for step in program.steps() {
+        match *step {
+            InjectionStep::Shift { dst, src, amount } => {
+                pipeline.shl(dst.0 as usize, src.0 as usize, amount as usize)?;
             }
-            self.injected_ops += 1;
+            InjectionStep::Add { dst, a, b } => {
+                pipeline.add(dst.0 as usize, a.0 as usize, b.0 as usize)?;
+            }
+            InjectionStep::Sub { dst, a, b } => {
+                pipeline.sub(dst.0 as usize, a.0 as usize, b.0 as usize)?;
+            }
+            InjectionStep::Copy { dst, src } => {
+                pipeline.copy_vr(dst.0 as usize, src.0 as usize)?;
+            }
+            InjectionStep::Neg { dst, src } => {
+                pipeline.sub(dst.0 as usize, zero_vr, src.0 as usize)?;
+            }
         }
-        self.replays += 1;
-        Ok(())
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -114,11 +76,8 @@ mod tests {
         pipe.write_vector(1, &[4, 0, 8, 4]).expect("fits");
         let regs = ReductionRegs::dense(2); // parts v0, v1; tmp v2; acc v3
         let program = InjectionProgram::shift_and_add(2, false, 1, 2, &regs, true);
-        let mut iiu = HardwareIiu::new();
-        iiu.replay(&program, &mut pipe, zero_vr).expect("replays");
+        replay(&program, &mut pipe, zero_vr).expect("replays");
         assert_eq!(pipe.read_vector(3).expect("in range"), vec![7, 5, 8, 5]);
-        assert_eq!(iiu.replays(), 1);
-        assert_eq!(iiu.injected_ops() as usize, program.len());
     }
 
     #[test]
@@ -129,8 +88,7 @@ mod tests {
         pipe.write_vector(1, &[2, 0, 4, 2]).expect("fits");
         let regs = ReductionRegs::dense(2);
         let program = InjectionProgram::shift_and_add(2, false, 1, 2, &regs, false);
-        let mut iiu = HardwareIiu::new();
-        iiu.replay(&program, &mut pipe, 11).expect("replays");
+        replay(&program, &mut pipe, 11).expect("replays");
         assert_eq!(pipe.read_vector(3).expect("in range"), vec![7, 5, 8, 5]);
     }
 
@@ -141,8 +99,7 @@ mod tests {
         pipe.write_vector(0, &[1, 2, 3, 4]).expect("fits");
         let regs = ReductionRegs::dense(1);
         let program = InjectionProgram::shift_and_add(1, true, 1, 1, &regs, true);
-        let mut iiu = HardwareIiu::new();
-        iiu.replay(&program, &mut pipe, 11).expect("replays");
+        replay(&program, &mut pipe, 11).expect("replays");
         let signed: Vec<i64> = (0..4)
             .map(|e| pipe.read_value_signed(2, e).expect("in range"))
             .collect();
@@ -158,7 +115,6 @@ mod tests {
             acc: darth_isa::Vr(52),
         };
         let program = InjectionProgram::shift_and_add(1, false, 1, 1, &regs, true);
-        let mut iiu = HardwareIiu::new();
-        assert!(iiu.replay(&program, &mut pipe, 11).is_err());
+        assert!(replay(&program, &mut pipe, 11).is_err());
     }
 }

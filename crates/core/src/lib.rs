@@ -26,10 +26,14 @@
 //! * [`vacore`] — virtual analog cores: firmware-tracked array groups
 //!   supporting flexible operand widths (§4.2).
 //! * [`shift_unit`] / [`transpose`] / [`arbiter`] / [`iiu`] — the four
-//!   auxiliary component models.
+//!   auxiliary units, each modelled as far as the tile runs it: the shift
+//!   units' in-flight shift and transfer cost, the transpose unit's
+//!   one-cycle retime, the arbiter's acquire/release of an MVM's landing
+//!   pipeline, and the IIU's replay of the reduction program.
 //! * [`hct`] — the hybrid compute tile: functional hybrid MVM with the
 //!   optimized (Figure 10b) or unoptimized (Figure 10a) schedule.
-//! * [`front_end`] — fetch/decode/issue with and without IIU assistance.
+//! * [`front_end`] — the shared front end's issue count and energy (the
+//!   analytical [`model`] prices issue contention across tiles).
 //! * [`chip`] — whole-chip assembly, ISA interpretation and accounting.
 //! * [`runtime`] — the application-agnostic half of Table 1's library.
 //! * [`trace`] — architecture-neutral kernel op streams: the

@@ -18,7 +18,7 @@
 
 use crate::eval::{ArchModel, CostAccumulator};
 use crate::params::{power, ChipParams, HCTS_PER_FRONT_END};
-use crate::trace::{CostReport, KernelOp, TraceMeta, TraceSink, VectorKind};
+use crate::trace::{CostReport, KernelOp, TraceMeta, TraceSink};
 use darth_analog::adc::{Adc, AdcKind};
 use darth_digital::logic::LogicFamily;
 use darth_digital::macros::MacroOp;
@@ -199,15 +199,9 @@ impl DarthModel {
             } => {
                 let lanes = dim; // 64 elements per pipeline op
                 let instances = elements.div_ceil(lanes) * count;
-                let macro_op = match kind {
-                    VectorKind::Bool => MacroOp::Bool(darth_digital::BoolOp::Xor),
-                    VectorKind::Add => MacroOp::Add,
-                    VectorKind::Mul => MacroOp::Mul(bits),
-                    VectorKind::Shift => MacroOp::ShiftBits(1),
-                    VectorKind::Compare => MacroOp::CmpLt,
-                    VectorKind::Copy => MacroOp::CopyVr,
-                };
-                let cost = macro_op.cost(self.family, u64::from(bits).max(1), lanes);
+                let cost = kind
+                    .macro_op(bits)
+                    .cost(self.family, u64::from(bits).max(1), lanes);
                 let latency = if cost.barrier {
                     cost.latency().get() * instances
                 } else {
@@ -427,7 +421,7 @@ impl ArchModel for DarthModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::TraceSummary;
+    use crate::trace::{TraceSummary, VectorKind};
 
     /// A one-kernel, one-op stream under `meta`.
     fn one_op(meta: TraceMeta, kernel: &str, op: KernelOp) -> TraceSummary {

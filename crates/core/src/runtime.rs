@@ -135,12 +135,6 @@ impl Runtime {
         self.stats
     }
 
-    /// Borrow the functional tiles (application mappings drive pipelines
-    /// directly for digital kernels).
-    pub fn tiles_mut(&mut self) -> &mut [HybridComputeTile] {
-        &mut self.tiles
-    }
-
     /// Table 1 `setMatrix`: stores a matrix with the required number of
     /// vACores, tiling across tiles round-robin.
     ///
@@ -375,17 +369,9 @@ impl Runtime {
         let mut out = vec![0i64; alloc.cols];
         for ct in 0..alloc.col_tile {
             let (tile_idx, id) = alloc.cores[rt][ct];
-            let tile = &self.tiles[tile_idx];
-            let core = tile.vacores().get(id)?;
+            let stored = self.tiles[tile_idx].stored_row(id, local_row)?;
             let c0 = ct * dim;
-            let width = (c0 + dim).min(alloc.cols) - c0;
-            for (s, &array) in core.arrays.iter().enumerate() {
-                let shift = core.plan().weight_shift(s);
-                let weights = tile.ace().crossbar(array).map_err(Error::Analog)?.weights();
-                for c in 0..width {
-                    out[c0 + c] += weights[local_row][c] << shift;
-                }
-            }
+            out[c0..c0 + stored.len()].copy_from_slice(&stored);
         }
         Ok(out)
     }

@@ -23,6 +23,7 @@
 //! therefore the exact `f64` accumulation order) of the original
 //! emission.
 
+use darth_digital::{BoolOp, MacroOp};
 use serde::{Deserialize, Serialize};
 
 /// The element-wise vector operation classes a kernel can request.
@@ -40,6 +41,22 @@ pub enum VectorKind {
     Compare,
     /// Data copy between registers or buffers.
     Copy,
+}
+
+impl VectorKind {
+    /// The DCE macro that digital cost models price one op of this class
+    /// by, over `bits`-bit lanes: XOR stands for every Boolean op and a
+    /// one-bit shift for every shift or rotate.
+    pub fn macro_op(self, bits: u8) -> MacroOp {
+        match self {
+            VectorKind::Bool => MacroOp::Bool(BoolOp::Xor),
+            VectorKind::Add => MacroOp::Add,
+            VectorKind::Mul => MacroOp::Mul(bits),
+            VectorKind::Shift => MacroOp::ShiftBits(1),
+            VectorKind::Compare => MacroOp::CmpLt,
+            VectorKind::Copy => MacroOp::CopyVr,
+        }
+    }
 }
 
 /// One coarse-grained operation inside a kernel.

@@ -2,92 +2,24 @@
 //!
 //! Analog and digital PUM operate on different axes: analog applies inputs
 //! along wordlines and accumulates along bitlines, while digital stripes
-//! operands column-wise and computes row-wise. Any data crossing between
-//! domains — partial-product row vectors landing in column-oriented vector
-//! registers, or matrices migrating between array types — therefore passes
-//! through this unit.
+//! operands column-wise and computes row-wise. Every partial-product row
+//! vector an MVM lands in a column-oriented vector register passes through
+//! this unit, which retimes the stream as it passes: a one-cycle pipeline
+//! stage per vector rather than a full matrix pass. That stage is all the
+//! tile executes, so the unit is modelled by its cost alone.
 
 use darth_reram::Cycles;
-use serde::{Deserialize, Serialize};
 
-/// The HCT's transposition engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct TransposeUnit {
-    transposes: u64,
-}
-
-impl TransposeUnit {
-    /// Creates an idle unit.
-    pub fn new() -> Self {
-        TransposeUnit::default()
-    }
-
-    /// Number of transposes performed (for stats).
-    pub fn transposes(&self) -> u64 {
-        self.transposes
-    }
-
-    /// Transposes a matrix, streaming one element per cycle.
-    ///
-    /// Returns the transposed matrix and the cycle cost.
-    pub fn transpose<T: Copy>(&mut self, matrix: &[Vec<T>]) -> (Vec<Vec<T>>, Cycles) {
-        self.transposes += 1;
-        let rows = matrix.len();
-        let cols = matrix.first().map_or(0, Vec::len);
-        let out: Vec<Vec<T>> = (0..cols)
-            .map(|c| (0..rows).map(|r| matrix[r][c]).collect())
-            .collect();
-        (out, Cycles::new((rows * cols) as u64))
-    }
-
-    /// Cost of transposing a partial-product row vector into a column
-    /// register: the unit retimes the stream as it passes, adding a
-    /// one-cycle pipeline stage rather than a full matrix pass.
-    pub fn vector_retime_cycles(&self) -> Cycles {
-        Cycles::new(1)
-    }
-}
+/// Cycles the transpose unit adds to each partial-product vector it
+/// retimes into a column register.
+pub const VECTOR_RETIME_CYCLES: Cycles = Cycles::new(1);
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn transpose_square() {
-        let mut tu = TransposeUnit::new();
-        let (t, cycles) = tu.transpose(&[vec![1, 2], vec![3, 4]]);
-        assert_eq!(t, vec![vec![1, 3], vec![2, 4]]);
-        assert_eq!(cycles.get(), 4);
-    }
-
-    #[test]
-    fn transpose_rectangular() {
-        let mut tu = TransposeUnit::new();
-        let (t, cycles) = tu.transpose(&[vec![1, 2, 3], vec![4, 5, 6]]);
-        assert_eq!(t, vec![vec![1, 4], vec![2, 5], vec![3, 6]]);
-        assert_eq!(cycles.get(), 6);
-    }
-
-    #[test]
-    fn transpose_twice_is_identity() {
-        let mut tu = TransposeUnit::new();
-        let m = vec![vec![1, 2, 3], vec![4, 5, 6], vec![7, 8, 9]];
-        let (t, _) = tu.transpose(&m);
-        let (tt, _) = tu.transpose(&t);
-        assert_eq!(tt, m);
-        assert_eq!(tu.transposes(), 2);
-    }
-
-    #[test]
-    fn empty_matrix() {
-        let mut tu = TransposeUnit::new();
-        let (t, cycles) = tu.transpose::<i64>(&[]);
-        assert!(t.is_empty());
-        assert_eq!(cycles, Cycles::ZERO);
-    }
-
-    #[test]
     fn vector_retime_is_one_stage() {
-        assert_eq!(TransposeUnit::new().vector_retime_cycles().get(), 1);
+        assert_eq!(VECTOR_RETIME_CYCLES.get(), 1);
     }
 }

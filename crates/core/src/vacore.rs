@@ -113,11 +113,6 @@ impl VaCoreTable {
         self.free_arrays.len()
     }
 
-    /// Number of live vACores.
-    pub fn core_count(&self) -> usize {
-        self.cores.len()
-    }
-
     /// The uniform element width currently configured, if any core exists.
     pub fn fixed_element_bits(&self) -> Option<u8> {
         self.cores.values().next().map(|c| c.element_bits)

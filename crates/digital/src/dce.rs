@@ -4,19 +4,21 @@
 //! register I/O, the Boolean/arithmetic macro library, inter-pipeline
 //! transfers and the timing/energy meters. Two implementations exist:
 //!
-//! * [`Pipeline`] — the cell-accurate
+//! * [`Pipeline`](crate::pipeline::Pipeline) — the cell-accurate
 //!   reference, replaying each OSCAR primitive pulse by pulse over
 //!   simulated ReRAM devices;
 //! * [`PackedPipeline`](crate::packed::PackedPipeline) — the packed fast
 //!   path, evaluating 64 cells per `u64` word while booking identical
 //!   costs and primitive counts.
 //!
+//! The trait is the only declaration of the pipeline API: both types
+//! implement it directly, so callers import it to reach any operation.
 //! Making the chip generic over this trait keeps the MVM, timing and
 //! energy logic single-copy, so the fast path cannot drift from the
 //! reference in any layer above the pipeline.
 
 use crate::logic::{BoolOp, LogicFamily};
-use crate::pipeline::{Pipeline, PipelineConfig};
+use crate::pipeline::PipelineConfig;
 use crate::timing::MacroCost;
 use crate::{Error, Result};
 use darth_reram::{Cycles, PicoJoules};
@@ -267,127 +269,6 @@ pub trait DcePipeline: Sized + Clone + std::fmt::Debug + Send {
     fn charge_external(&mut self, cost: MacroCost);
 }
 
-impl DcePipeline for Pipeline {
-    fn new(config: PipelineConfig) -> Result<Self> {
-        Pipeline::new(config)
-    }
-
-    fn config(&self) -> &PipelineConfig {
-        Pipeline::config(self)
-    }
-
-    fn write_value(&mut self, vr: usize, element: usize, value: u64) -> Result<()> {
-        Pipeline::write_value(self, vr, element, value)
-    }
-
-    fn read_value(&mut self, vr: usize, element: usize) -> Result<u64> {
-        Pipeline::read_value(self, vr, element)
-    }
-
-    fn read_value_signed(&mut self, vr: usize, element: usize) -> Result<i64> {
-        Pipeline::read_value_signed(self, vr, element)
-    }
-
-    fn write_vector(&mut self, vr: usize, values: &[u64]) -> Result<()> {
-        Pipeline::write_vector(self, vr, values)
-    }
-
-    fn read_vector(&mut self, vr: usize) -> Result<Vec<u64>> {
-        Pipeline::read_vector(self, vr)
-    }
-
-    fn peek_value(&self, vr: usize, element: usize) -> u64 {
-        Pipeline::peek_value(self, vr, element)
-    }
-
-    fn bool_op(&mut self, op: BoolOp, dst: usize, a: usize, b: usize) -> Result<()> {
-        Pipeline::bool_op(self, op, dst, a, b)
-    }
-
-    fn not(&mut self, dst: usize, a: usize) -> Result<()> {
-        Pipeline::not(self, dst, a)
-    }
-
-    fn add(&mut self, dst: usize, a: usize, b: usize) -> Result<()> {
-        Pipeline::add(self, dst, a, b)
-    }
-
-    fn sub(&mut self, dst: usize, a: usize, b: usize) -> Result<()> {
-        Pipeline::sub(self, dst, a, b)
-    }
-
-    fn cmp_lt(&mut self, dst: usize, a: usize, b: usize) -> Result<()> {
-        Pipeline::cmp_lt(self, dst, a, b)
-    }
-
-    fn select(&mut self, dst: usize, cond: usize, a: usize, b: usize) -> Result<()> {
-        Pipeline::select(self, dst, cond, a, b)
-    }
-
-    fn relu(&mut self, dst: usize, a: usize) -> Result<()> {
-        Pipeline::relu(self, dst, a)
-    }
-
-    fn mul(&mut self, dst: usize, a: usize, b: usize, width: u8) -> Result<()> {
-        Pipeline::mul(self, dst, a, b, width)
-    }
-
-    fn copy_vr(&mut self, dst: usize, src: usize) -> Result<()> {
-        Pipeline::copy_vr(self, dst, src)
-    }
-
-    fn copy_from(&mut self, other: &Self, src_vr: usize, dst_vr: usize) -> Result<()> {
-        Pipeline::copy_from(self, other, src_vr, dst_vr)
-    }
-
-    fn shl(&mut self, dst: usize, src: usize, k: usize) -> Result<()> {
-        Pipeline::shl(self, dst, src, k)
-    }
-
-    fn shr(&mut self, dst: usize, src: usize, k: usize) -> Result<()> {
-        Pipeline::shr(self, dst, src, k)
-    }
-
-    fn rotate_left(
-        &mut self,
-        dst: usize,
-        src: usize,
-        tmp: usize,
-        k: usize,
-        width: usize,
-    ) -> Result<()> {
-        Pipeline::rotate_left(self, dst, src, tmp, k, width)
-    }
-
-    fn reverse(&mut self) {
-        Pipeline::reverse(self);
-    }
-
-    fn elementwise_load(&mut self, addr_vr: usize, table: &Self, dst_vr: usize) -> Result<()> {
-        Pipeline::elementwise_load(self, addr_vr, table, dst_vr)
-    }
-
-    fn primitives_executed(&self) -> u64 {
-        Pipeline::primitives_executed(self)
-    }
-
-    fn energy(&self) -> PicoJoules {
-        Pipeline::energy(self)
-    }
-
-    fn elapsed(&self) -> Cycles {
-        Pipeline::elapsed(self)
-    }
-
-    fn reset_timer(&mut self) -> Cycles {
-        Pipeline::reset_timer(self)
-    }
-
-    fn charge_external(&mut self, cost: MacroCost) {
-        Pipeline::charge_external(self, cost);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -414,7 +295,7 @@ mod tests {
 
     #[test]
     fn reference_and_packed_agree_through_the_trait() {
-        let (sum_ref, prims_ref) = add_through_trait::<Pipeline>();
+        let (sum_ref, prims_ref) = add_through_trait::<crate::pipeline::Pipeline>();
         let (sum_fast, prims_fast) = add_through_trait::<crate::packed::PackedPipeline>();
         assert_eq!(sum_ref, 42);
         assert_eq!(sum_fast, 42);

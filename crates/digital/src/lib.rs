@@ -17,9 +17,14 @@
 //!   the Figure 7 ablation).
 //! * [`mod@array`] — a digital PUM array: column-parallel gate execution over a
 //!   [`darth_reram::ReramArray`] in SLC mode.
-//! * [`pipeline`] — a RACER pipeline: `depth` arrays, bit-striped vector
-//!   registers, inter-array carry movement, element-wise load/store, and
-//!   pipeline reversal.
+//! * [`dce`] — the [`DcePipeline`] trait, the one declaration of the
+//!   pipeline API (vector-register I/O, the macro library, transfers and
+//!   the timing/energy meters). Import it to call any pipeline operation.
+//! * [`pipeline`] — the cell-accurate reference RACER pipeline: `depth`
+//!   arrays, bit-striped vector registers, inter-array carry movement,
+//!   element-wise load/store, and pipeline reversal.
+//! * [`packed`] — [`PackedPipeline`], the same pipeline with each bit-plane
+//!   column packed into `u64` words (the fast path the simulators run).
 //! * [`macros`] — the NOR-only macro library (ADD, SUB, XOR, MUL, shifts,
 //!   comparisons, ReLU, …) with per-macro primitive counts that drive both
 //!   the functional simulation and the analytical timing model.
@@ -34,6 +39,7 @@
 //! ```
 //! use darth_digital::logic::LogicFamily;
 //! use darth_digital::pipeline::{Pipeline, PipelineConfig};
+//! use darth_digital::DcePipeline;
 //!
 //! # fn main() -> Result<(), darth_digital::Error> {
 //! let mut pipe = Pipeline::new(PipelineConfig {

@@ -334,28 +334,6 @@ pub struct PackedPipeline {
 }
 
 impl PackedPipeline {
-    /// Creates an erased packed pipeline.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidConfig`] for unusable geometry.
-    pub fn new(config: PipelineConfig) -> Result<Self> {
-        config.validate()?;
-        let nw = config.elements.div_ceil(64);
-        Ok(PackedPipeline {
-            config,
-            nw,
-            words: vec![0; config.vr_count * config.depth * nw],
-            primitives: 0,
-            timer: PipelineTimer::new(config.depth as u64),
-        })
-    }
-
-    /// The pipeline's configuration.
-    pub fn config(&self) -> &PipelineConfig {
-        &self.config
-    }
-
     fn check_vr(&self, vr: usize) -> Result<()> {
         if vr >= self.config.vr_count {
             return Err(Error::InvalidVectorRegister {
@@ -491,7 +469,15 @@ impl PackedPipeline {
 
 impl DcePipeline for PackedPipeline {
     fn new(config: PipelineConfig) -> Result<Self> {
-        PackedPipeline::new(config)
+        config.validate()?;
+        let nw = config.elements.div_ceil(64);
+        Ok(PackedPipeline {
+            config,
+            nw,
+            words: vec![0; config.vr_count * config.depth * nw],
+            primitives: 0,
+            timer: PipelineTimer::new(config.depth as u64),
+        })
     }
 
     fn config(&self) -> &PipelineConfig {

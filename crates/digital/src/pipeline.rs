@@ -15,6 +15,7 @@
 //! charge the same modelled cost; they are marked below.
 
 use crate::array::DigitalArray;
+use crate::dce::DcePipeline;
 use crate::logic::{BoolOp, LogicFamily};
 use crate::macros::MacroOp;
 use crate::timing::{MacroCost, PipelineTimer};
@@ -82,7 +83,7 @@ impl PipelineConfig {
 
 /// Encodes a signed value as the `depth`-bit two's-complement field a
 /// pipeline stores — the host-side inverse of
-/// [`Pipeline::read_value_signed`], used when staging signed operands
+/// [`DcePipeline::read_value_signed`], used when staging signed operands
 /// through `WriteImm` instructions.
 ///
 /// # Errors
@@ -129,48 +130,6 @@ pub struct Pipeline {
 }
 
 impl Pipeline {
-    /// Creates an erased pipeline.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidConfig`] for unusable geometry.
-    pub fn new(config: PipelineConfig) -> Result<Self> {
-        config.validate()?;
-        let arrays = (0..config.depth)
-            .map(|_| DigitalArray::new(config.elements, config.cols()))
-            .collect::<Result<Vec<_>>>()?;
-        Ok(Pipeline {
-            config,
-            arrays,
-            timer: PipelineTimer::new(config.depth as u64),
-        })
-    }
-
-    /// The pipeline's configuration.
-    pub fn config(&self) -> &PipelineConfig {
-        &self.config
-    }
-
-    /// Bit width of stored values.
-    pub fn depth(&self) -> usize {
-        self.config.depth
-    }
-
-    /// SIMD element count.
-    pub fn elements(&self) -> usize {
-        self.config.elements
-    }
-
-    /// Number of architectural vector registers.
-    pub fn vr_count(&self) -> usize {
-        self.config.vr_count
-    }
-
-    /// The logic family in use.
-    pub fn family(&self) -> LogicFamily {
-        self.config.family
-    }
-
     fn check_vr(&self, vr: usize) -> Result<()> {
         if vr >= self.config.vr_count {
             return Err(Error::InvalidVectorRegister {
@@ -222,181 +181,6 @@ impl Pipeline {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Peripheral I/O
-    // ------------------------------------------------------------------
-
-    /// Writes one element of a vector register (one row of data per cycle,
-    /// §4.1).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for out-of-range indices or a value wider than the
-    /// pipeline depth.
-    pub fn write_value(&mut self, vr: usize, element: usize, value: u64) -> Result<()> {
-        self.check_vr(vr)?;
-        self.check_elem(element)?;
-        if value & !self.value_mask() != 0 {
-            return Err(Error::ValueTooWide {
-                value,
-                depth: self.config.depth,
-            });
-        }
-        for (i, array) in self.arrays.iter_mut().enumerate() {
-            array.set_bit(element, vr, (value >> i) & 1 == 1);
-        }
-        self.charge(MacroOp::WriteElement);
-        Ok(())
-    }
-
-    /// Reads one element of a vector register.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for out-of-range indices.
-    pub fn read_value(&mut self, vr: usize, element: usize) -> Result<u64> {
-        self.check_vr(vr)?;
-        self.check_elem(element)?;
-        let mut value = 0u64;
-        for (i, array) in self.arrays.iter().enumerate() {
-            if array.bit(element, vr) {
-                value |= 1 << i;
-            }
-        }
-        self.charge(MacroOp::ReadElement);
-        Ok(value)
-    }
-
-    /// Reads one element as a signed two's-complement value.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for out-of-range indices.
-    pub fn read_value_signed(&mut self, vr: usize, element: usize) -> Result<i64> {
-        let raw = self.read_value(vr, element)?;
-        let depth = self.config.depth;
-        if depth == 64 {
-            return Ok(raw as i64);
-        }
-        let sign = 1u64 << (depth - 1);
-        if raw & sign != 0 {
-            Ok((raw as i64) - (1i64 << depth))
-        } else {
-            Ok(raw as i64)
-        }
-    }
-
-    /// Writes a full vector (one element per row).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `values` exceeds the element count or any value
-    /// is too wide.
-    pub fn write_vector(&mut self, vr: usize, values: &[u64]) -> Result<()> {
-        if values.len() > self.config.elements {
-            return Err(Error::InvalidElement {
-                element: values.len(),
-                count: self.config.elements,
-            });
-        }
-        for (e, &v) in values.iter().enumerate() {
-            self.write_value(vr, e, v)?;
-        }
-        Ok(())
-    }
-
-    /// Reads a full vector.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for an out-of-range register.
-    pub fn read_vector(&mut self, vr: usize) -> Result<Vec<u64>> {
-        self.check_vr(vr)?;
-        (0..self.config.elements)
-            .map(|e| self.read_value(vr, e))
-            .collect()
-    }
-
-    // ------------------------------------------------------------------
-    // Boolean macros (cell-accurate)
-    // ------------------------------------------------------------------
-
-    /// `dst := op(a, b)` element-wise across the whole vector register.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for out-of-range registers.
-    pub fn bool_op(&mut self, op: BoolOp, dst: usize, a: usize, b: usize) -> Result<()> {
-        self.check_vr(dst)?;
-        self.check_vr(a)?;
-        self.check_vr(b)?;
-        let family = self.config.family;
-        let scratch = self.gate_scratch();
-        for array in &mut self.arrays {
-            array.exec_gate(family, op, a, b, dst, &scratch)?;
-        }
-        self.charge(MacroOp::Bool(op));
-        Ok(())
-    }
-
-    /// `dst := !a`, element-wise.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for out-of-range registers.
-    pub fn not(&mut self, dst: usize, a: usize) -> Result<()> {
-        self.check_vr(dst)?;
-        self.check_vr(a)?;
-        let family = self.config.family;
-        for array in &mut self.arrays {
-            array.exec_gate(family, BoolOp::Nor, a, a, dst, &[])?;
-        }
-        self.charge(MacroOp::Not);
-        Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // Arithmetic macros (cell-accurate ripple chains)
-    // ------------------------------------------------------------------
-
-    /// `dst := a + b` (mod `2^depth`), element-wise.
-    ///
-    /// Executes the real NOR-decomposed full-adder chain: the carry ripples
-    /// from array to array through the inter-array buffer, exactly the wave
-    /// that bit-pipelining overlaps across successive operations.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for out-of-range registers.
-    pub fn add(&mut self, dst: usize, a: usize, b: usize) -> Result<()> {
-        self.check_vr(dst)?;
-        self.check_vr(a)?;
-        self.check_vr(b)?;
-        self.ripple_add(dst, a, b, false)?;
-        self.charge(MacroOp::Add);
-        Ok(())
-    }
-
-    /// `dst := a - b` (mod `2^depth`), element-wise, via `a + !b + 1`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for out-of-range registers.
-    pub fn sub(&mut self, dst: usize, a: usize, b: usize) -> Result<()> {
-        self.check_vr(dst)?;
-        self.check_vr(a)?;
-        self.check_vr(b)?;
-        // NOT b into the X1 scratch of each array, then add with carry-in 1.
-        let family = self.config.family;
-        let nb = self.scratch(SC_MASK);
-        for array in &mut self.arrays {
-            array.exec_gate(family, BoolOp::Nor, b, b, nb, &[])?;
-        }
-        self.ripple_add(dst, a, nb, true)?;
-        self.charge(MacroOp::Sub);
-        Ok(())
-    }
-
     /// The full-adder wave shared by `add` and `sub`. `b_col` may be a
     /// scratch column (for the negated subtrahend).
     fn ripple_add(&mut self, dst: usize, a: usize, b_col: usize, carry_in: bool) -> Result<()> {
@@ -424,16 +208,128 @@ impl Pipeline {
         }
         Ok(())
     }
+}
+
+impl DcePipeline for Pipeline {
+    /// Creates an erased pipeline.
+    fn new(config: PipelineConfig) -> Result<Self> {
+        config.validate()?;
+        let arrays = (0..config.depth)
+            .map(|_| DigitalArray::new(config.elements, config.cols()))
+            .collect::<Result<Vec<_>>>()?;
+        Ok(Pipeline {
+            config,
+            arrays,
+            timer: PipelineTimer::new(config.depth as u64),
+        })
+    }
+
+    fn config(&self) -> &PipelineConfig {
+        &self.config
+    }
+
+    // ------------------------------------------------------------------
+    // Peripheral I/O
+    // ------------------------------------------------------------------
+
+    /// Writes one element of a vector register (one row of data per cycle,
+    /// §4.1).
+    fn write_value(&mut self, vr: usize, element: usize, value: u64) -> Result<()> {
+        self.check_vr(vr)?;
+        self.check_elem(element)?;
+        if value & !self.value_mask() != 0 {
+            return Err(Error::ValueTooWide {
+                value,
+                depth: self.config.depth,
+            });
+        }
+        for (i, array) in self.arrays.iter_mut().enumerate() {
+            array.set_bit(element, vr, (value >> i) & 1 == 1);
+        }
+        self.charge(MacroOp::WriteElement);
+        Ok(())
+    }
+
+    fn read_value(&mut self, vr: usize, element: usize) -> Result<u64> {
+        self.check_vr(vr)?;
+        self.check_elem(element)?;
+        let mut value = 0u64;
+        for (i, array) in self.arrays.iter().enumerate() {
+            if array.bit(element, vr) {
+                value |= 1 << i;
+            }
+        }
+        self.charge(MacroOp::ReadElement);
+        Ok(value)
+    }
+
+    // ------------------------------------------------------------------
+    // Boolean macros (cell-accurate)
+    // ------------------------------------------------------------------
+
+    fn bool_op(&mut self, op: BoolOp, dst: usize, a: usize, b: usize) -> Result<()> {
+        self.check_vr(dst)?;
+        self.check_vr(a)?;
+        self.check_vr(b)?;
+        let family = self.config.family;
+        let scratch = self.gate_scratch();
+        for array in &mut self.arrays {
+            array.exec_gate(family, op, a, b, dst, &scratch)?;
+        }
+        self.charge(MacroOp::Bool(op));
+        Ok(())
+    }
+
+    fn not(&mut self, dst: usize, a: usize) -> Result<()> {
+        self.check_vr(dst)?;
+        self.check_vr(a)?;
+        let family = self.config.family;
+        for array in &mut self.arrays {
+            array.exec_gate(family, BoolOp::Nor, a, a, dst, &[])?;
+        }
+        self.charge(MacroOp::Not);
+        Ok(())
+    }
+
+    // ------------------------------------------------------------------
+    // Arithmetic macros (cell-accurate ripple chains)
+    // ------------------------------------------------------------------
+
+    /// `dst := a + b` (mod `2^depth`), element-wise.
+    ///
+    /// Executes the real NOR-decomposed full-adder chain: the carry ripples
+    /// from array to array through the inter-array buffer, exactly the wave
+    /// that bit-pipelining overlaps across successive operations.
+    fn add(&mut self, dst: usize, a: usize, b: usize) -> Result<()> {
+        self.check_vr(dst)?;
+        self.check_vr(a)?;
+        self.check_vr(b)?;
+        self.ripple_add(dst, a, b, false)?;
+        self.charge(MacroOp::Add);
+        Ok(())
+    }
+
+    /// `dst := a - b` (mod `2^depth`), element-wise, via `a + !b + 1`.
+    fn sub(&mut self, dst: usize, a: usize, b: usize) -> Result<()> {
+        self.check_vr(dst)?;
+        self.check_vr(a)?;
+        self.check_vr(b)?;
+        // NOT b into the X1 scratch of each array, then add with carry-in 1.
+        let family = self.config.family;
+        let nb = self.scratch(SC_MASK);
+        for array in &mut self.arrays {
+            array.exec_gate(family, BoolOp::Nor, b, b, nb, &[])?;
+        }
+        self.ripple_add(dst, a, nb, true)?;
+        self.charge(MacroOp::Sub);
+        Ok(())
+    }
 
     /// `dst := (a < b) ? all-ones : 0`, element-wise unsigned compare.
     ///
     /// Functionally value-level (the borrow chain is the same wave as
-    /// [`Pipeline::sub`]); charges the modelled [`MacroOp::CmpLt`] cost.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for out-of-range registers.
-    pub fn cmp_lt(&mut self, dst: usize, a: usize, b: usize) -> Result<()> {
+    /// `sub`); charges the modelled [`MacroOp::CmpLt`] cost.
+    fn cmp_lt(&mut self, dst: usize, a: usize, b: usize) -> Result<()> {
         self.check_vr(dst)?;
         self.check_vr(a)?;
         self.check_vr(b)?;
@@ -451,12 +347,8 @@ impl Pipeline {
     }
 
     /// `dst := cond ? a : b`, element-wise, where `cond` is a 0/all-ones
-    /// mask register (as produced by [`Pipeline::cmp_lt`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for out-of-range registers.
-    pub fn select(&mut self, dst: usize, cond: usize, a: usize, b: usize) -> Result<()> {
+    /// mask register (as produced by `cmp_lt`).
+    fn select(&mut self, dst: usize, cond: usize, a: usize, b: usize) -> Result<()> {
         self.check_vr(dst)?;
         self.check_vr(cond)?;
         self.check_vr(a)?;
@@ -480,11 +372,7 @@ impl Pipeline {
     ///
     /// The sign bit is read from the top array and broadcast down the
     /// pipeline as an AND mask.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for out-of-range registers.
-    pub fn relu(&mut self, dst: usize, a: usize) -> Result<()> {
+    fn relu(&mut self, dst: usize, a: usize) -> Result<()> {
         self.check_vr(dst)?;
         self.check_vr(a)?;
         let family = self.config.family;
@@ -506,11 +394,7 @@ impl Pipeline {
     ///
     /// Functionally value-level; charges the shift-add long-multiplication
     /// cost [`MacroOp::Mul`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for out-of-range registers.
-    pub fn mul(&mut self, dst: usize, a: usize, b: usize, width: u8) -> Result<()> {
+    fn mul(&mut self, dst: usize, a: usize, b: usize, width: u8) -> Result<()> {
         self.check_vr(dst)?;
         self.check_vr(a)?;
         self.check_vr(b)?;
@@ -532,11 +416,7 @@ impl Pipeline {
     // ------------------------------------------------------------------
 
     /// `dst := src` within this pipeline (Boolean identity per array).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for out-of-range registers.
-    pub fn copy_vr(&mut self, dst: usize, src: usize) -> Result<()> {
+    fn copy_vr(&mut self, dst: usize, src: usize) -> Result<()> {
         self.check_vr(dst)?;
         self.check_vr(src)?;
         for array in &mut self.arrays {
@@ -546,13 +426,7 @@ impl Pipeline {
         Ok(())
     }
 
-    /// Copies a vector register from another pipeline into this one.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::GeometryMismatch`] when the pipelines differ in
-    /// depth or element count, or an index error.
-    pub fn copy_from(&mut self, other: &Pipeline, src_vr: usize, dst_vr: usize) -> Result<()> {
+    fn copy_from(&mut self, other: &Pipeline, src_vr: usize, dst_vr: usize) -> Result<()> {
         if other.config.depth != self.config.depth || other.config.elements != self.config.elements
         {
             return Err(Error::GeometryMismatch(
@@ -570,11 +444,7 @@ impl Pipeline {
     }
 
     /// `dst := src << k` (element-wise bit shift via inter-array moves).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::ShiftTooFar`] when `k` exceeds the depth.
-    pub fn shl(&mut self, dst: usize, src: usize, k: usize) -> Result<()> {
+    fn shl(&mut self, dst: usize, src: usize, k: usize) -> Result<()> {
         self.check_vr(dst)?;
         self.check_vr(src)?;
         if k > self.config.depth {
@@ -594,12 +464,7 @@ impl Pipeline {
         Ok(())
     }
 
-    /// `dst := src >> k` (logical right shift).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::ShiftTooFar`] when `k` exceeds the depth.
-    pub fn shr(&mut self, dst: usize, src: usize, k: usize) -> Result<()> {
+    fn shr(&mut self, dst: usize, src: usize, k: usize) -> Result<()> {
         self.check_vr(dst)?;
         self.check_vr(src)?;
         if k > self.config.depth {
@@ -623,12 +488,7 @@ impl Pipeline {
     /// scratch register. This is the ShiftRows building block (§5.3): left
     /// rotation is realised as `(src << k) | (src >> (width - k))` with the
     /// result masked to `width` bits.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for out-of-range registers, a `width` above the
-    /// pipeline depth, or `k >= width`.
-    pub fn rotate_left(
+    fn rotate_left(
         &mut self,
         dst: usize,
         src: usize,
@@ -666,7 +526,7 @@ impl Pipeline {
     /// The paper uses reversal plus right shifts to emulate left shifts when
     /// no left terminal buffer exists; we expose it for the same purpose and
     /// for the ShiftRows macro.
-    pub fn reverse(&mut self) {
+    fn reverse(&mut self) {
         self.arrays.reverse();
         self.charge(MacroOp::Reverse);
     }
@@ -678,17 +538,7 @@ impl Pipeline {
     /// Addresses index the table pipeline's register file in row-major
     /// order: address `a` maps to register `a / elements`, element
     /// `a % elements`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::AddressOutOfRange`] if any address exceeds the
-    /// table's register file, or a geometry error when depths differ.
-    pub fn elementwise_load(
-        &mut self,
-        addr_vr: usize,
-        table: &Pipeline,
-        dst_vr: usize,
-    ) -> Result<()> {
+    fn elementwise_load(&mut self, addr_vr: usize, table: &Pipeline, dst_vr: usize) -> Result<()> {
         if table.config.depth != self.config.depth {
             return Err(Error::GeometryMismatch(
                 "element-wise load requires identical pipeline depth",
@@ -719,7 +569,7 @@ impl Pipeline {
     /// Reads a value without charging I/O cost (internal and test use; the
     /// hardware equivalent is the peripheral sensing that element-wise ops
     /// already pay for in their own cost).
-    pub fn peek_value(&self, vr: usize, element: usize) -> u64 {
+    fn peek_value(&self, vr: usize, element: usize) -> u64 {
         let mut value = 0u64;
         for (i, array) in self.arrays.iter().enumerate() {
             if array.bit(element, vr) {
@@ -734,25 +584,23 @@ impl Pipeline {
     // ------------------------------------------------------------------
 
     /// Total native primitives executed by the pipeline's arrays.
-    pub fn primitives_executed(&self) -> u64 {
+    fn primitives_executed(&self) -> u64 {
         self.arrays.iter().map(|a| a.primitives_executed()).sum()
     }
 
-    /// Dynamic energy of all executed primitives.
-    pub fn energy(&self) -> PicoJoules {
+    fn energy(&self) -> PicoJoules {
         PicoJoules::new(
             self.primitives_executed() as f64 * self.config.family.energy_per_primitive_pj(),
         )
     }
 
-    /// Elapsed cycles including a drain of in-flight work.
-    pub fn elapsed(&self) -> Cycles {
+    fn elapsed(&self) -> Cycles {
         self.timer.elapsed()
     }
 
     /// Replaces the timer, returning the previous elapsed time. Used by the
     /// chip model when it re-schedules pipeline work itself.
-    pub fn reset_timer(&mut self) -> Cycles {
+    fn reset_timer(&mut self) -> Cycles {
         let old = std::mem::replace(
             &mut self.timer,
             PipelineTimer::new(self.config.depth as u64),
@@ -763,7 +611,7 @@ impl Pipeline {
     /// Issues an externally computed cost into this pipeline's timer (used
     /// by the HCT when the shift units write ACE partial products directly
     /// into the arrays).
-    pub fn charge_external(&mut self, cost: MacroCost) {
+    fn charge_external(&mut self, cost: MacroCost) {
         self.timer.issue(cost);
     }
 }

@@ -304,11 +304,6 @@ impl Engine {
         self.workloads.len()
     }
 
-    /// Registered model count.
-    pub fn model_count(&self) -> usize {
-        self.models.len()
-    }
-
     /// Prices the full workload × model matrix.
     ///
     /// Each workload's cached summary replays **once** into a [`Fanout`]

@@ -54,50 +54,14 @@ impl ArchModel for PaperDarthModel {
     }
 
     fn accumulator(&self) -> Box<dyn CostAccumulator + '_> {
-        Box::new(PaperDarthAccumulator {
-            model: self.model,
-            inner: None,
-        })
-    }
-}
-
-/// The streaming accumulator behind [`PaperDarthModel`]: the workload
-/// name arrives with [`TraceSink::begin_trace`], so that is where the
-/// §7.3 early-termination policy configures the wrapped model.
-struct PaperDarthAccumulator {
-    model: DarthModel,
-    inner: Option<DarthAccumulator>,
-}
-
-impl PaperDarthAccumulator {
-    fn inner(&mut self) -> &mut DarthAccumulator {
-        self.inner.as_mut().expect("begin_trace precedes events")
-    }
-}
-
-impl TraceSink for PaperDarthAccumulator {
-    fn begin_trace(&mut self, meta: &TraceMeta) {
-        let mut model = self.model;
-        if model.chip.hct.adc_kind == AdcKind::Ramp && meta.name.starts_with("aes") {
-            model.early_levels = Some(4);
-        }
-        let mut inner = DarthAccumulator::new(model);
-        inner.begin_trace(meta);
-        self.inner = Some(inner);
-    }
-
-    fn begin_kernel(&mut self, name: &str) {
-        self.inner().begin_kernel(name);
-    }
-
-    fn op_run(&mut self, op: &KernelOp, repeat: u64) {
-        self.inner().op_run(op, repeat);
-    }
-}
-
-impl CostAccumulator for PaperDarthAccumulator {
-    fn finish(&mut self) -> CostReport {
-        self.inner().finish()
+        let model = self.model;
+        Box::new(PerTraceAccumulator::new(move |meta: &TraceMeta| {
+            let mut model = model;
+            if model.chip.hct.adc_kind == AdcKind::Ramp && meta.name.starts_with("aes") {
+                model.early_levels = Some(4);
+            }
+            DarthAccumulator::new(model)
+        }))
     }
 }
 
@@ -136,25 +100,37 @@ impl ArchModel for PaperAppAccel {
     }
 
     fn accumulator(&self) -> Box<dyn CostAccumulator + '_> {
-        Box::new(PaperAppAccelAccumulator { inner: None })
+        Box::new(PerTraceAccumulator::new(|meta: &TraceMeta| {
+            AppAccelAccumulator::new(PaperAppAccel::dispatch(&meta.name))
+        }))
     }
 }
 
-/// The streaming accumulator behind [`PaperAppAccel`]: dispatches to the
-/// per-family accelerator once the workload name arrives.
-struct PaperAppAccelAccumulator {
-    inner: Option<AppAccelAccumulator>,
+/// The streaming accumulator behind both paper wrappers: the workload
+/// name arrives with [`TraceSink::begin_trace`], so that is where
+/// `choose` builds the accumulator the rest of the trace feeds (the
+/// §7.3 early-termination policy, or the per-family accelerator).
+struct PerTraceAccumulator<A, F> {
+    choose: F,
+    inner: Option<A>,
 }
 
-impl PaperAppAccelAccumulator {
-    fn inner(&mut self) -> &mut AppAccelAccumulator {
+impl<A: CostAccumulator, F: Fn(&TraceMeta) -> A> PerTraceAccumulator<A, F> {
+    fn new(choose: F) -> Self {
+        PerTraceAccumulator {
+            choose,
+            inner: None,
+        }
+    }
+
+    fn inner(&mut self) -> &mut A {
         self.inner.as_mut().expect("begin_trace precedes events")
     }
 }
 
-impl TraceSink for PaperAppAccelAccumulator {
+impl<A: CostAccumulator, F: Fn(&TraceMeta) -> A> TraceSink for PerTraceAccumulator<A, F> {
     fn begin_trace(&mut self, meta: &TraceMeta) {
-        let mut inner = AppAccelAccumulator::new(PaperAppAccel::dispatch(&meta.name));
+        let mut inner = (self.choose)(meta);
         inner.begin_trace(meta);
         self.inner = Some(inner);
     }
@@ -168,7 +144,7 @@ impl TraceSink for PaperAppAccelAccumulator {
     }
 }
 
-impl CostAccumulator for PaperAppAccelAccumulator {
+impl<A: CostAccumulator, F: Fn(&TraceMeta) -> A> CostAccumulator for PerTraceAccumulator<A, F> {
     fn finish(&mut self) -> CostReport {
         self.inner().finish()
     }

@@ -250,11 +250,6 @@ impl KernelIr {
         self.body.len()
     }
 
-    /// Values (temps + slots + inputs) the kernel defines.
-    pub fn value_count(&self) -> usize {
-        self.values.len()
-    }
-
     pub(crate) fn info(&self, v: Value) -> &ValueInfo {
         &self.values[v.0 as usize]
     }

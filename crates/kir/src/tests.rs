@@ -5,6 +5,7 @@
 //! registry, parity pins) lives in `darth_apps`/`darth_sim`; the
 //! property-based round-trip suite is `tests/roundtrip.rs`.
 
+use darth_digital::DcePipeline;
 use darth_isa::encode::decode_program;
 use darth_isa::instruction::{Instruction, IsaBoolOp};
 use darth_pum::hct::HctConfig;

@@ -32,7 +32,7 @@
 use std::collections::VecDeque;
 use std::time::Instant;
 
-use darth_pum::eval::{ExecOutput, Executor};
+use darth_pum::eval::{ExecOutput, Executor, Fnv1a};
 use darth_pum::workers::{scoped_map, worker_count};
 use darth_pum::Error;
 use darth_sim::{FastExecutor, ProgramCache, ResidentProgram, SimExecutor};
@@ -42,27 +42,6 @@ use crate::fleet::FleetChip;
 use crate::report::{ChipReport, LatencyStats, ServeReport, SpotChecks, WarmColdReport};
 use crate::trace::Request;
 
-/// FNV-1a over a byte stream (fixed offset/prime, so digests are
-/// stable across runs and platforms).
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    fn new() -> Self {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    fn write_u64(&mut self, value: u64) {
-        self.write(&value.to_le_bytes());
-    }
-}
-
 /// Hashes a served request's outputs (labels + cells, in order).
 fn hash_outputs(outputs: &[ExecOutput]) -> u64 {
     let mut h = Fnv1a::new();
@@ -71,11 +50,17 @@ fn hash_outputs(outputs: &[ExecOutput]) -> u64 {
         h.write(out.label.as_bytes());
         h.write_u64(out.cells.len() as u64);
         for &cell in &out.cells {
-            h.write(&cell.to_le_bytes());
+            h.write_i64(cell);
         }
     }
-    h.0
+    h.finish()
 }
+
+/// Most requests coalesced into one batch.
+const BATCH_LIMIT: usize = 32;
+
+/// Cycles each batch dispatch costs (host dispatch + DMA setup).
+const DISPATCH_OVERHEAD_CYCLES: u64 = 2000;
 
 /// Converts a cycle count on a chip's clock to nanoseconds of virtual
 /// time.
@@ -116,8 +101,6 @@ pub struct ServeEngine {
     probe_cycles: Vec<u64>,
     chips: Vec<FleetChip>,
     workers: Option<usize>,
-    batch_limit: usize,
-    dispatch_overhead_cycles: u64,
     spot_interval: u64,
 }
 
@@ -126,10 +109,10 @@ impl ServeEngine {
     /// each class's admission estimate once: one scratch resident
     /// program and one probe serve per class.
     ///
-    /// Defaults: batch limit 32, dispatch overhead 2000 cycles per
-    /// batch (host dispatch + DMA setup), spot-check every 8192nd
-    /// request, workers from `DARTH_EVAL_THREADS` else available
-    /// parallelism.
+    /// Batches hold at most 32 requests, and each batch pays 2000
+    /// dispatch cycles (host dispatch + DMA setup). Defaults: spot-check
+    /// every 8192nd request, workers from `DARTH_EVAL_THREADS` else
+    /// available parallelism.
     ///
     /// # Errors
     ///
@@ -168,8 +151,6 @@ impl ServeEngine {
             probe_cycles,
             chips,
             workers: None,
-            batch_limit: 32,
-            dispatch_overhead_cycles: 2000,
             spot_interval: 8192,
         })
     }
@@ -179,20 +160,6 @@ impl ServeEngine {
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers.max(1));
-        self
-    }
-
-    /// Sets the maximum requests coalesced into one batch (min 1).
-    #[must_use]
-    pub fn with_batch_limit(mut self, limit: usize) -> Self {
-        self.batch_limit = limit.max(1);
-        self
-    }
-
-    /// Sets the per-batch dispatch overhead in cycles.
-    #[must_use]
-    pub fn with_dispatch_overhead(mut self, cycles: u64) -> Self {
-        self.dispatch_overhead_cycles = cycles;
         self
     }
 
@@ -252,7 +219,7 @@ impl ServeEngine {
                 if queue.inflight.len() >= chip.queue_capacity {
                     continue;
                 }
-                let est_cycles = self.probe_cycles[request.class] + self.dispatch_overhead_cycles;
+                let est_cycles = self.probe_cycles[request.class] + DISPATCH_OVERHEAD_CYCLES;
                 let finish =
                     queue.free_ns.max(request.arrival_ns) + cycles_to_ns(est_cycles, chip.clock_hz);
                 if best.is_none_or(|(t, _)| finish < t) {
@@ -300,7 +267,7 @@ impl ServeEngine {
             // stops at the first future arrival).
             let mut batch = vec![head];
             let mut next = head + 1;
-            while next < assigned.len() && batch.len() < self.batch_limit {
+            while next < assigned.len() && batch.len() < BATCH_LIMIT {
                 let candidate = &assigned[next];
                 if candidate.arrival_ns > batch_start_ns {
                     break;
@@ -327,7 +294,7 @@ impl ServeEngine {
             // Timeline: dispatch overhead (plus setup on a cache miss)
             // lands before the first member; members then complete in
             // batch order as their cycles accumulate.
-            let mut elapsed = self.dispatch_overhead_cycles + if missed { setup_cycles } else { 0 };
+            let mut elapsed = DISPATCH_OVERHEAD_CYCLES + if missed { setup_cycles } else { 0 };
             for (&idx, run) in batch.iter().zip(&batch_runs) {
                 elapsed += run.busy_cycles.get();
                 let request = &assigned[idx];
@@ -492,7 +459,7 @@ impl ServeEngine {
             cache,
             chips,
             spot_checks: spot,
-            output_digest: digest.0,
+            output_digest: digest.finish(),
             warm_vs_cold: None,
         }
     }

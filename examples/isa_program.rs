@@ -4,6 +4,7 @@
 //!
 //! Run with: `cargo run --release --example isa_program`
 
+use darth_digital::DcePipeline;
 use darth_isa::asm::{assemble, disassemble_program};
 use darth_pum::chip::{DarthPumChip, SideChannel};
 use darth_pum::hct::HctConfig;

@@ -3,6 +3,7 @@
 
 use darth_apps::aes::golden::Aes;
 use darth_apps::aes::mapping::AesDarth;
+use darth_digital::DcePipeline;
 use darth_isa::asm::assemble;
 use darth_pum::chip::{DarthPumChip, SideChannel};
 use darth_pum::hct::HctConfig;

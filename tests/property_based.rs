@@ -5,7 +5,7 @@
 use darth_analog::adc::AdcKind;
 use darth_digital::logic::LogicFamily;
 use darth_digital::pipeline::{Pipeline, PipelineConfig};
-use darth_digital::BoolOp;
+use darth_digital::{BoolOp, DcePipeline};
 use darth_isa::encode::{decode, encode};
 use darth_isa::instruction::{Instruction, IsaBoolOp, PipelineId, Vr};
 use proptest::prelude::*;

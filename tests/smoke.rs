@@ -18,6 +18,7 @@ fn reram_substrate_is_reachable() {
 
 #[test]
 fn digital_pipeline_is_reachable() {
+    use digital::DcePipeline;
     let mut pipe = digital::Pipeline::new(digital::PipelineConfig {
         depth: 8,
         family: digital::LogicFamily::Oscar,
