@@ -370,7 +370,6 @@ impl AnalogComputeElement {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::crossbar::Representation;
     use darth_reram::DeviceParams;
 
     fn ideal_ace() -> AnalogComputeElement {
@@ -505,9 +504,9 @@ mod tests {
     fn integer_codes_match_the_f64_model_on_level_exact_crossbars() {
         // Seeded random level-exact crossbars: every code the ACE digitizes
         // from integer level sums must equal the code of the f64 device
-        // model's current, across cell widths, both representations, tall
-        // columns, clipping ADCs, stuck cells and row updates — including
-        // an update on a clone, which must leave the original untouched.
+        // model's current, across cell widths, tall columns, clipping ADCs,
+        // stuck cells and row updates — including an update on a clone,
+        // which must leave the original untouched.
         let mut draw = NoiseRng::seed_from(0x5eed);
         let (mut codes, mut clipped, mut faulted, mut updated) = (0, 0, 0, 0);
         let driver = InputDriver::new(1, false).expect("valid");
@@ -518,9 +517,9 @@ mod tests {
             let bits = 1 + pick(&mut draw, 8) as u8;
             config.crossbar.bits_per_cell = bits;
             config.crossbar.device = DeviceParams::ideal(bits).expect("valid");
-            if pick(&mut draw, 2) == 1 {
-                config.crossbar.representation = Representation::OffsetSubtraction;
-            }
+            // An unused draw: every later case depends on the stream
+            // consuming it here.
+            pick(&mut draw, 2);
             config.adc_bits = 4 + pick(&mut draw, 7) as u8;
             let faults = case % 8 == 0;
             if faults {
@@ -580,22 +579,18 @@ mod tests {
 
     #[test]
     fn crossbars_that_are_not_level_exact_digitize_f64_currents() {
-        // IR drop, programming noise without read noise, and drift each
-        // take a crossbar off the integer model: the ACE must then
-        // digitize the f64 device currents, not the level sums.
-        for variant in 0..3 {
+        // IR drop, and programming noise without read noise, each take a
+        // crossbar off the integer model: the ACE must then digitize the
+        // f64 device currents, not the level sums.
+        for variant in 0..2 {
             let mut config = AceConfig::ideal(1, 32, 4);
             match variant {
                 0 => config.crossbar.ir_drop_alpha = 0.002,
-                1 => config.crossbar.device.program_sigma = 0.05,
-                _ => config.crossbar.device.drift_nu = 0.05,
+                _ => config.crossbar.device.program_sigma = 0.05,
             }
             let mut ace = AnalogComputeElement::new(config, 3).expect("valid");
             ace.program_matrix(0, &vec![vec![15, -9, 4, 0]; 32])
                 .expect("programs");
-            if variant == 2 {
-                ace.crossbars[0].drift(1.0);
-            }
             let level_sums = [32 * 15, 32 * -9, 32 * 4, 0];
             let driver = InputDriver::new(1, false).expect("valid");
             let out = ace.mvm(0, &[1; 32], driver, None).expect("runs");
@@ -611,7 +606,7 @@ mod tests {
                 .map(|&c| ace.adc().quantize_units(c / unit))
                 .collect();
             assert_eq!(out.partial_products[0], f64_codes, "variant {variant}");
-            if variant != 1 {
+            if variant == 0 {
                 assert_ne!(f64_codes, level_sums, "variant {variant}");
             }
         }
@@ -624,7 +619,6 @@ mod tests {
         config.arrays = 1;
         config.crossbar.rows = 16;
         config.crossbar.cols = 8;
-        config.crossbar.representation = Representation::DifferentialPair;
         config.crossbar.range_scale = 0.5;
         let mut ace = AnalogComputeElement::new(config, 13).expect("valid");
         let matrix: Vec<Vec<i64>> = (0..16)

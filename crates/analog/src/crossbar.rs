@@ -5,18 +5,19 @@
 //! current equal to the dot product of the inputs with that column's
 //! conductances. This module models the crossbar with:
 //!
-//! * **Number representations** (Figure 3): differential cell pairs (two
-//!   physical devices per logical weight, opposite-polarity contributions)
-//!   or offset subtraction (a single device per weight, with the zero point
-//!   shifted to mid-range and subtracted after the ADC).
+//! * **Differential pairs** (Figure 3): two physical devices per logical
+//!   weight, one per polarity plane, whose bitline currents subtract.
 //! * **Programming noise** from the ReRAM substrate's write–verify model.
 //! * **Read noise** per device per MVM.
 //! * **IR drop** (parasitic resistance): current flowing down a bitline
 //!   sees distributed wire resistance, attenuating large accumulated
 //!   currents quadratically — the effect the §4.3 remapping suppresses.
 //!
+//! The matrix lives only in the planes: each keeps its devices' intended
+//! levels, from which [`Crossbar::weights`] rebuilds the logical weights.
+//!
 //! A bitline has two models. A *level-exact* crossbar (no programming or
-//! read noise, no drift, no IR drop, full conductance range; see
+//! read noise, no IR drop, full conductance range; see
 //! `Crossbar::level_exact`) sums integer device levels: the crossbar
 //! keeps a net-level matrix, and one input slice adds its active rows
 //! into `i32` column sums (`Crossbar::level_sums`). Every other
@@ -25,20 +26,9 @@
 //! give the same ADC code; the argument is on `level_sums`.
 
 use crate::{Error, Result};
-use darth_reram::{DeviceParams, NoiseRng, ReramArray};
+use darth_reram::{device, DeviceParams, NoiseRng, ReramArray};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-
-/// How signed weights map onto strictly positive conductances (Figure 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Representation {
-    /// Two devices per weight; the bitline pair is subtracted in analog.
-    /// More resilient to parasitics (§2.2.1); DARTH-PUM's default.
-    DifferentialPair,
-    /// One device per weight, programmed to `weight + offset`; the offset
-    /// is subtracted digitally after the ADC.
-    OffsetSubtraction,
-}
 
 /// Crossbar geometry, device configuration and parasitic coefficients.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -49,8 +39,6 @@ pub struct CrossbarConfig {
     pub cols: usize,
     /// Bits per cell for weight storage (1 = SLC).
     pub bits_per_cell: u8,
-    /// Signed-weight representation.
-    pub representation: Representation,
     /// Device population parameters (noise sigmas live here).
     pub device: DeviceParams,
     /// IR-drop coefficient: fractional current loss per unit of
@@ -69,7 +57,6 @@ impl CrossbarConfig {
             rows,
             cols,
             bits_per_cell: 4,
-            representation: Representation::DifferentialPair,
             device: DeviceParams::ideal(4).expect("4 bits per cell is valid"),
             ir_drop_alpha: 0.0,
             range_scale: 1.0,
@@ -86,7 +73,6 @@ impl CrossbarConfig {
             rows: 64,
             cols: 64,
             bits_per_cell,
-            representation: Representation::DifferentialPair,
             device,
             ir_drop_alpha: 0.0008,
             range_scale: 1.0,
@@ -114,23 +100,10 @@ impl CrossbarConfig {
         Ok(())
     }
 
-    /// Largest representable weight magnitude.
+    /// Largest representable weight magnitude: the top device level, held
+    /// by one plane of the pair.
     pub fn max_magnitude(&self) -> i64 {
-        let levels = (1i64 << self.bits_per_cell) - 1;
-        match self.representation {
-            Representation::DifferentialPair => levels,
-            // offset subtraction splits the level range into +/- halves
-            Representation::OffsetSubtraction => levels / 2,
-        }
-    }
-
-    /// The digital offset added before programming under offset
-    /// subtraction (zero for differential pairs).
-    pub fn offset(&self) -> i64 {
-        match self.representation {
-            Representation::DifferentialPair => 0,
-            Representation::OffsetSubtraction => ((1i64 << self.bits_per_cell) - 1) / 2,
-        }
+        (1i64 << self.bits_per_cell) - 1
     }
 }
 
@@ -140,18 +113,15 @@ impl CrossbarConfig {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Crossbar {
     config: CrossbarConfig,
-    /// Positive-polarity devices (the only plane under offset subtraction).
+    /// Positive-polarity devices.
     positive: ReramArray,
-    /// Negative-polarity devices (differential pairs only).
-    negative: Option<ReramArray>,
-    /// The logical weights as programmed (for verification / re-slicing).
-    weights: Vec<Vec<i64>>,
+    /// Negative-polarity devices.
+    negative: ReramArray,
     /// Net device level per cell, row-major: the positive-plane level
-    /// minus the negative-plane level under differential pairs, the single
-    /// plane's level under offset subtraction. Holds *realised* levels, so
-    /// stuck cells count at their stuck level. Clones share it until one
-    /// of them writes: a served request's machine copy never does. Empty
-    /// on a crossbar that is not [level-exact](Crossbar::level_exact).
+    /// minus the negative-plane level. Holds *realised* levels, so stuck
+    /// cells count at their stuck level. Clones share it until one of
+    /// them writes: a served request's machine copy never does. Empty on
+    /// a crossbar that is not [level-exact](Crossbar::level_exact).
     net_levels: Arc<[i16]>,
     programmed: bool,
 }
@@ -173,24 +143,17 @@ impl Crossbar {
                 let mut d = DeviceParams::mlc(config.bits_per_cell).map_err(Error::Reram)?;
                 d.program_sigma = device.program_sigma;
                 d.read_sigma = device.read_sigma;
-                d.drift_nu = device.drift_nu;
                 d.stuck_at_rate = device.stuck_at_rate;
                 d
             };
         }
         let positive = ReramArray::new(config.rows, config.cols, device.clone())?;
-        let negative = match config.representation {
-            Representation::DifferentialPair => {
-                Some(ReramArray::new(config.rows, config.cols, device)?)
-            }
-            Representation::OffsetSubtraction => None,
-        };
+        let negative = ReramArray::new(config.rows, config.cols, device)?;
         let mut xbar = Crossbar {
             net_levels: Arc::from([]),
             config,
             positive,
             negative,
-            weights: Vec::new(),
             programmed: false,
         };
         if xbar.level_exact() {
@@ -214,9 +177,31 @@ impl Crossbar {
         self.programmed
     }
 
-    /// The logical weights as last programmed (empty before programming).
-    pub fn weights(&self) -> &[Vec<i64>] {
-        &self.weights
+    /// The logical weights as last programmed (empty before programming),
+    /// rebuilt from the two planes' intended levels.
+    pub fn weights(&self) -> Vec<Vec<i64>> {
+        if !self.programmed {
+            return Vec::new();
+        }
+        (0..self.config.rows).map(|r| self.weight_row(r)).collect()
+    }
+
+    /// One row of the logical weights: the positive plane's intended
+    /// levels minus the negative plane's (zeros before programming).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` exceeds the crossbar.
+    pub fn weight_row(&self, row: usize) -> Vec<i64> {
+        let cols = self.config.cols;
+        let span = row * cols..(row + 1) * cols;
+        let positive = &self.positive.levels()[span.clone()];
+        let negative = &self.negative.levels()[span];
+        positive
+            .iter()
+            .zip(negative)
+            .map(|(&p, &n)| i64::from(p) - i64::from(n))
+            .collect()
     }
 
     /// The bitline current of one weight unit at *full* conductance range —
@@ -229,11 +214,25 @@ impl Crossbar {
         (p.g_on - p.g_off) / ((p.levels() - 1) as f64).max(1.0)
     }
 
-    /// Programs a signed weight matrix.
-    ///
-    /// Under differential pairs, `w >= 0` programs the positive device to
-    /// level `w` and the negative device to 0, and vice versa. Under offset
-    /// subtraction, `w + offset` is programmed into the single plane.
+    /// Checks a run of weights against the representable magnitude.
+    fn check_range<'a>(&self, weights: impl IntoIterator<Item = &'a i64>) -> Result<()> {
+        let max = self.config.max_magnitude();
+        for &w in weights {
+            // `unsigned_abs`, not `abs`: `abs(i64::MIN)` overflows
+            // (debug panic / release wrap) instead of rejecting.
+            if w.unsigned_abs() > max as u64 {
+                return Err(Error::WeightOutOfRange {
+                    weight: w,
+                    max_magnitude: max,
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// Programs a signed weight matrix, row-major: `w >= 0` programs the
+    /// positive device to level `w` and the negative device to 0, and vice
+    /// versa.
     ///
     /// # Errors
     ///
@@ -248,19 +247,7 @@ impl Crossbar {
                 got_cols: matrix.first().map_or(0, |r| r.len()),
             });
         }
-        let max = self.config.max_magnitude();
-        for row in matrix {
-            for &w in row {
-                // `unsigned_abs`, not `abs`: `abs(i64::MIN)` overflows
-                // (debug panic / release wrap) instead of rejecting.
-                if w.unsigned_abs() > max as u64 {
-                    return Err(Error::WeightOutOfRange {
-                        weight: w,
-                        max_magnitude: max,
-                    });
-                }
-            }
-        }
+        self.check_range(matrix.iter().flatten())?;
         let exact = self.level_exact();
         let mut net_levels = Vec::with_capacity(if exact { self.cells() } else { 0 });
         for (r, row) in matrix.iter().enumerate() {
@@ -274,81 +261,42 @@ impl Crossbar {
         if exact {
             self.net_levels = net_levels.into();
         }
-        self.weights = matrix.to_vec();
         self.programmed = true;
         Ok(())
     }
 
-    /// The checked device level(s) for one signed weight: `(positive
-    /// plane, negative plane)` under differential pairs, the single
-    /// offset-shifted plane level otherwise.
+    /// The checked `(positive, negative)` device levels for one signed
+    /// weight.
     ///
-    /// The conversions are `try_from`, not `as`: a weight whose level
-    /// leaves `u16` — in particular a negative post-offset level under
-    /// offset subtraction — returns [`Error::WeightOutOfRange`] instead
-    /// of wrapping into a huge device level. The public entry points'
-    /// magnitude checks make such weights unreachable today; this keeps
-    /// them errors rather than silent corruption if those checks drift.
-    fn weight_levels(&self, w: i64) -> Result<(u16, Option<u16>)> {
-        let out_of_range = || Error::WeightOutOfRange {
+    /// The conversion is `try_from`, not `as`: a weight whose level leaves
+    /// `u16` returns [`Error::WeightOutOfRange`] instead of wrapping into a
+    /// huge device level. The public entry points' magnitude checks make
+    /// such weights unreachable today; this keeps them errors rather than
+    /// silent corruption if those checks drift.
+    fn weight_levels(&self, w: i64) -> Result<(u16, u16)> {
+        let magnitude = u16::try_from(w.unsigned_abs()).map_err(|_| Error::WeightOutOfRange {
             weight: w,
             max_magnitude: self.config.max_magnitude(),
-        };
-        match self.config.representation {
-            Representation::DifferentialPair => {
-                let magnitude = u16::try_from(w.unsigned_abs()).map_err(|_| out_of_range())?;
-                Ok(if w >= 0 {
-                    (magnitude, Some(0))
-                } else {
-                    (0, Some(magnitude))
-                })
-            }
-            Representation::OffsetSubtraction => {
-                let level = w
-                    .checked_add(self.config.offset())
-                    .and_then(|level| u16::try_from(level).ok())
-                    .ok_or_else(out_of_range)?;
-                Ok((level, None))
-            }
-        }
+        })?;
+        Ok(if w >= 0 {
+            (magnitude, 0)
+        } else {
+            (0, magnitude)
+        })
     }
 
-    /// Programs one logical weight into the device plane(s), returning the
-    /// cell's realised net level for a level-exact caller to store in
-    /// `net_levels`.
+    /// Programs one logical weight into the pair, positive device first,
+    /// returning the cell's realised net level for a level-exact caller to
+    /// store in `net_levels`.
     ///
     /// After the callers' range checks, a write can fail only in the
     /// write–verify loop, which needs programming noise — so an error never
     /// leaves a stale net level on a level-exact crossbar.
     fn program_cell(&mut self, row: usize, col: usize, w: i64, rng: &mut NoiseRng) -> Result<i16> {
         let (positive_level, negative_level) = self.weight_levels(w)?;
-        let positive = self
-            .positive
-            .program_level(row, col, positive_level, rng)
-            .map_err(Error::Reram)?;
-        let negative = match negative_level {
-            Some(level) => self
-                .negative
-                .as_mut()
-                .expect("differential pairs have a negative plane")
-                .program_level(row, col, level, rng)
-                .map_err(Error::Reram)?,
-            None => 0,
-        };
+        let positive = self.positive.program_level(row, col, positive_level, rng)?;
+        let negative = self.negative.program_level(row, col, negative_level, rng)?;
         Ok(net_level(positive, negative))
-    }
-
-    /// The realised net level of one programmed cell, read back from the
-    /// planes (see `Crossbar::net_levels`).
-    fn cell_net_level(&self, row: usize, col: usize) -> Result<i16> {
-        let level = |plane: &ReramArray| -> Result<u16> {
-            Ok(plane.cell(row, col).map_err(Error::Reram)?.level())
-        };
-        let negative = match &self.negative {
-            Some(plane) => level(plane)?,
-            None => 0,
-        };
-        Ok(net_level(level(&self.positive)?, negative))
     }
 
     /// Updates a single row of the programmed matrix (the `updateRow`
@@ -356,8 +304,12 @@ impl Crossbar {
     ///
     /// # Errors
     ///
-    /// Returns shape/range errors as in [`Crossbar::program`].
+    /// Returns [`Error::NotProgrammed`] before any [`Crossbar::program`],
+    /// and shape/range errors as in [`Crossbar::program`].
     pub fn update_row(&mut self, row: usize, values: &[i64], rng: &mut NoiseRng) -> Result<()> {
+        if !self.programmed {
+            return Err(Error::NotProgrammed);
+        }
         if row >= self.config.rows || values.len() != self.config.cols {
             return Err(Error::ShapeMismatch {
                 expected_rows: self.config.rows,
@@ -366,21 +318,7 @@ impl Crossbar {
                 got_cols: values.len(),
             });
         }
-        let mut matrix = self.weights.clone();
-        if matrix.is_empty() {
-            matrix = vec![vec![0; self.config.cols]; self.config.rows];
-        }
-        matrix[row] = values.to_vec();
-        let max = self.config.max_magnitude();
-        for &w in values {
-            // `unsigned_abs`, not `abs`: see `Crossbar::program`.
-            if w.unsigned_abs() > max as u64 {
-                return Err(Error::WeightOutOfRange {
-                    weight: w,
-                    max_magnitude: max,
-                });
-            }
-        }
+        self.check_range(values)?;
         // Reprogram only the affected row's devices.
         let mut row_levels = Vec::with_capacity(values.len());
         for (c, &w) in values.iter().enumerate() {
@@ -391,28 +329,25 @@ impl Crossbar {
             Arc::make_mut(&mut self.net_levels)[start..start + values.len()]
                 .copy_from_slice(&row_levels);
         }
-        self.weights = matrix;
         Ok(())
     }
 
     /// Whether the integer level sum is the exact bitline model: every
     /// device sits at its programmed level (zero programming and read
-    /// noise, no drift) and the bitline neither loses nor scales current
-    /// (no IR drop, full conductance range). These are properties of the
+    /// noise) and the bitline neither loses nor scales current (no IR
+    /// drop, full conductance range). These are properties of the
     /// configuration, fixed at construction and never of the data.
     pub(crate) fn level_exact(&self) -> bool {
         let device = self.positive.params();
         device.program_sigma == 0.0
             && device.read_sigma == 0.0
-            && device.drift_nu == 0.0
             && self.config.ir_drop_alpha == 0.0
             && self.config.range_scale == 1.0
     }
 
     /// The bitline model of a [level-exact](Crossbar::level_exact)
     /// crossbar: for one Boolean wordline vector, `sums[c]` becomes the sum
-    /// of the active rows' net levels in column `c` (offset included under
-    /// offset subtraction), in weight units.
+    /// of the active rows' net levels in column `c`, in weight units.
     ///
     /// This equals [`Crossbar::mvm_currents`] divided by
     /// [`Crossbar::unit_current`] up to rounding: at zero noise a level-`L`
@@ -455,9 +390,6 @@ impl Crossbar {
     /// device and IR drop per line. The ACE digitizes these for every
     /// crossbar that is not level-exact (see `Crossbar::level_exact`).
     ///
-    /// Under offset subtraction the returned current still contains the
-    /// offset term; the ADC-side post-processing removes it.
-    ///
     /// # Errors
     ///
     /// Returns [`Error::InputLengthMismatch`] for a wrong-sized input.
@@ -468,18 +400,12 @@ impl Crossbar {
                 got: input.len(),
             });
         }
-        let g_off = self.positive.params().g_off;
-        let scale = self.config.range_scale;
-        let mut currents = Vec::with_capacity(self.config.cols);
-        for c in 0..self.config.cols {
-            let pos_line = self.line_current(&self.positive, c, input, g_off, scale, rng)?;
-            let neg_line = match &self.negative {
-                Some(neg) => self.line_current(neg, c, input, g_off, scale, rng)?,
-                None => 0.0,
-            };
-            currents.push(pos_line - neg_line);
-        }
-        Ok(currents)
+        Ok((0..self.config.cols)
+            .map(|c| {
+                let positive = self.line_current(&self.positive, c, input, rng);
+                positive - self.line_current(&self.negative, c, input, rng)
+            })
+            .collect())
     }
 
     /// Attenuates one accumulated line current by the distributed-wire
@@ -496,30 +422,30 @@ impl Crossbar {
         line
     }
 
-    /// Accumulates one physical bitline, applying read noise per device and
-    /// the IR-drop attenuation on the accumulated line current.
+    /// Accumulates one physical bitline straight from the plane, applying
+    /// read noise per device and the IR-drop attenuation on the
+    /// accumulated line current. Every device on the line is read, active
+    /// or not, top row first: one read-noise draw each.
     fn line_current(
         &self,
         plane: &ReramArray,
         col: usize,
         input: &[bool],
-        g_off: f64,
-        scale: f64,
         rng: &mut NoiseRng,
-    ) -> Result<f64> {
-        let conductances = plane.col_conductances(col, rng).map_err(Error::Reram)?;
+    ) -> f64 {
+        let params = plane.params();
         let mut line = 0.0;
-        for (r, g) in conductances.iter().enumerate() {
-            if input[r] {
+        for (g, &active) in plane.col_conductances(col).zip(input) {
+            let g = device::read_conductance(g, params, rng);
+            if active {
                 // Subtract g_off so a level-0 device contributes no signal;
                 // physical designs null this with a reference column.
-                line += (g - g_off).max(0.0) * scale;
+                line += (g - params.g_off).max(0.0) * self.config.range_scale;
             }
         }
         // IR drop: distributed wire resistance attenuates in proportion to
         // the accumulated current itself (quadratic loss in line units).
-        line = self.apply_ir_drop(line);
-        Ok(line)
+        self.apply_ir_drop(line)
     }
 
     /// The exact (noise-free, parasitic-free) MVM result in weight units,
@@ -536,61 +462,39 @@ impl Crossbar {
             });
         }
         let mut out = vec![0i64; self.config.cols];
-        for (r, &active) in input.iter().enumerate() {
-            if !active {
-                continue;
-            }
-            if let Some(row) = self.weights.get(r) {
-                for (c, &w) in row.iter().enumerate() {
-                    out[c] += w;
-                }
+        for (r, _) in input.iter().enumerate().filter(|(_, &active)| active) {
+            for (sum, w) in out.iter_mut().zip(self.weight_row(r)) {
+                *sum += w;
             }
         }
         Ok(out)
     }
 
-    /// Injects stuck-at faults into both device planes, returning the
-    /// number of faulted devices.
+    /// Injects stuck-at faults into both device planes, the whole positive
+    /// plane first, returning the number of faulted devices.
     pub fn inject_stuck_at_faults(&mut self, rng: &mut NoiseRng) -> usize {
-        let mut n = self.positive.inject_stuck_at_faults(rng);
-        if let Some(neg) = &mut self.negative {
-            n += neg.inject_stuck_at_faults(rng);
-        }
+        let positive = self.positive.inject_stuck_at_faults(rng);
+        let negative = self.negative.inject_stuck_at_faults(rng);
         if self.level_exact() {
-            let cols = self.config.cols;
-            self.net_levels = (0..self.cells())
-                .map(|i| self.cell_net_level(i / cols, i % cols))
-                .collect::<Result<_>>()
-                .expect("indices lie within the planes");
+            let negative = self.negative.realised_levels();
+            self.net_levels = (self.positive.realised_levels().into_iter())
+                .zip(negative)
+                .map(|(p, n)| net_level(p, n))
+                .collect();
         }
-        n
+        positive + negative
     }
 
     /// Total writes across both device planes that railed outside the
     /// conductance window and were clamped to an endpoint (the Monte-Carlo
-    /// saturation counter; see `darth_reram::device::Cell::program`).
+    /// saturation counter; see `darth_reram::device::write_verify`).
     pub fn saturated_writes(&self) -> u64 {
-        self.positive.saturated_writes()
-            + self
-                .negative
-                .as_ref()
-                .map_or(0, darth_reram::ReramArray::saturated_writes)
-    }
-
-    /// Applies retention drift to both planes. A drift-capable device
-    /// (`drift_nu > 0`) already keeps the crossbar off the integer model;
-    /// at `drift_nu == 0` this moves nothing.
-    pub fn drift(&mut self, decades: f64) {
-        self.positive.drift_all(decades);
-        if let Some(neg) = &mut self.negative {
-            neg.drift_all(decades);
-        }
+        self.positive.saturated_writes() + self.negative.saturated_writes()
     }
 }
 
 /// One cell's net level: the positive-plane level minus the negative-plane
-/// level (zero under offset subtraction). Levels stay below 2^8, so both
-/// fit an `i16`.
+/// level. Levels stay below 2^8, so both fit an `i16`.
 fn net_level(positive: u16, negative: u16) -> i16 {
     positive as i16 - negative as i16
 }
@@ -706,27 +610,6 @@ mod tests {
     }
 
     #[test]
-    fn offset_subtraction_range_is_halved() {
-        let config = CrossbarConfig {
-            representation: Representation::OffsetSubtraction,
-            ..CrossbarConfig::ideal(2, 2)
-        };
-        // 4 bits per cell: levels 0..15, offset 7, magnitude limit 7
-        assert_eq!(config.max_magnitude(), 7);
-        assert_eq!(config.offset(), 7);
-        let mut xbar = Crossbar::new(config).expect("valid");
-        xbar.program(&[vec![-7, 7], vec![0, 1]], &mut rng())
-            .expect("programs");
-        // net current includes the offset: col0 = (-7+7) + (0+7) = 7 offsets
-        let currents = xbar
-            .mvm_currents(&[true, true], &mut rng())
-            .expect("shape ok");
-        let units0 = currents[0] / xbar.unit_current();
-        // raw = (0) + (7)  [levels] = weights + 2*offset = -7+0 + 14
-        assert!((units0 - 7.0).abs() < 1e-9, "units0 = {units0}");
-    }
-
-    #[test]
     fn extreme_weights_error_through_the_public_api() {
         // i64::MIN has no i64 absolute value; the magnitude pre-checks
         // must reject it as out-of-range, not overflow-panic (debug) or
@@ -746,35 +629,14 @@ mod tests {
 
     #[test]
     fn weight_levels_boundary_values() {
-        // Differential pairs: ±max map to (max, 0) / (0, max); levels
-        // past u16 (unreachable through the range-checked public API)
-        // error instead of wrapping.
+        // ±max map to (max, 0) / (0, max); levels past u16 (unreachable
+        // through the range-checked public API) error instead of wrapping.
         let xbar = ideal_xbar(2, 2, 4);
-        assert_eq!(xbar.weight_levels(15).unwrap(), (15, Some(0)));
-        assert_eq!(xbar.weight_levels(-15).unwrap(), (0, Some(15)));
-        assert_eq!(xbar.weight_levels(0).unwrap(), (0, Some(0)));
+        assert_eq!(xbar.weight_levels(15).unwrap(), (15, 0));
+        assert_eq!(xbar.weight_levels(-15).unwrap(), (0, 15));
+        assert_eq!(xbar.weight_levels(0).unwrap(), (0, 0));
         assert!(matches!(
             xbar.weight_levels(i64::from(u16::MAX) + 1),
-            Err(Error::WeightOutOfRange { .. })
-        ));
-        assert!(matches!(
-            xbar.weight_levels(i64::MIN),
-            Err(Error::WeightOutOfRange { .. })
-        ));
-
-        // Offset subtraction (4-bit: offset 7): the boundary weights
-        // map to levels 0 and 14; a weight below -offset would be a
-        // negative post-offset level and errors instead of wrapping to
-        // a huge u16.
-        let config = CrossbarConfig {
-            representation: Representation::OffsetSubtraction,
-            ..CrossbarConfig::ideal(2, 2)
-        };
-        let xbar = Crossbar::new(config).expect("valid");
-        assert_eq!(xbar.weight_levels(-7).unwrap(), (0, None));
-        assert_eq!(xbar.weight_levels(7).unwrap(), (14, None));
-        assert!(matches!(
-            xbar.weight_levels(-8),
             Err(Error::WeightOutOfRange { .. })
         ));
         assert!(matches!(
@@ -791,6 +653,47 @@ mod tests {
         xbar.update_row(1, &[9, -9], &mut rng()).expect("updates");
         let exact = xbar.mvm_exact(&[true, true, true]).expect("shape ok");
         assert_eq!(exact, vec![1 + 9 + 3, 1 - 9 + 3]);
+        assert_eq!(xbar.weights(), vec![vec![1, 1], vec![9, -9], vec![3, 3]]);
+    }
+
+    #[test]
+    fn update_row_before_program_is_an_error() {
+        // There is no matrix to update a row of: the crossbar stays
+        // unprogrammed and erased instead of inventing a zero matrix.
+        let mut xbar = ideal_xbar(2, 2, 4);
+        assert_eq!(
+            xbar.update_row(0, &[1, 2], &mut rng()),
+            Err(Error::NotProgrammed)
+        );
+        assert!(!xbar.is_programmed());
+        assert!(xbar.weights().is_empty());
+        assert_eq!(xbar.mvm_exact(&[true, true]).expect("shape ok"), vec![0, 0]);
+    }
+
+    #[test]
+    fn weights_are_the_programmed_matrix_despite_stuck_devices() {
+        // The planes' intended levels are the only copy of the matrix; a
+        // stuck device changes what the bitline reads, not the weights.
+        let mut cfg = CrossbarConfig::ideal(8, 3);
+        cfg.device.stuck_at_rate = 0.5;
+        let mut xbar = Crossbar::new(cfg).expect("valid");
+        let matrix: Vec<Vec<i64>> = (0..8)
+            .map(|r| (0..3).map(|c| (r * 3 + c) as i64 % 31 - 15).collect())
+            .collect();
+        xbar.program(&matrix, &mut rng()).expect("programs");
+        assert!(xbar.inject_stuck_at_faults(&mut rng()) > 0);
+        assert_eq!(xbar.weights(), matrix);
+        let all = vec![true; 8];
+        let sums: Vec<i64> = (0..3)
+            .map(|c| matrix.iter().map(|row| row[c]).sum())
+            .collect();
+        assert_eq!(xbar.mvm_exact(&all).expect("shape ok"), sums);
+        let mut stuck_sums = vec![0; 3];
+        xbar.level_sums(&all, &mut stuck_sums).expect("shape ok");
+        assert_ne!(
+            stuck_sums.iter().map(|&s| i64::from(s)).collect::<Vec<_>>(),
+            sums
+        );
     }
 
     #[test]
@@ -909,7 +812,6 @@ mod tests {
         assert!(!with(|c| c.range_scale = 0.5));
         assert!(!with(|c| c.device.program_sigma = 0.02));
         assert!(!with(|c| c.device.read_sigma = 0.005));
-        assert!(!with(|c| c.device.drift_nu = 0.1));
         assert!(with(|c| c.device.stuck_at_rate = 0.1));
 
         // Only a level-exact crossbar pays for the net-level matrix.

@@ -6,8 +6,9 @@
 //! Ohm's law and Kirchhoff's current law. This crate models that pipeline
 //! end to end:
 //!
-//! * [`crossbar`] — a conductance-programmed crossbar with differential-pair
-//!   or offset-subtraction number representations, programming noise, read
+//! * [`crossbar`] — a conductance-programmed crossbar of differential
+//!   device pairs (two planes of [`darth_reram::ReramArray`], whose level
+//!   slabs are the only copy of the matrix), with programming noise, read
 //!   noise and an IR-drop parasitic model.
 //! * [`adc`] — SAR and ramp analog-to-digital converters with the latency,
 //!   multiplexing and early-termination behaviours of Table 2 / §7.3.
@@ -29,7 +30,7 @@
 //! # Example: a noisy 2×2 MVM
 //!
 //! ```
-//! use darth_analog::crossbar::{Crossbar, CrossbarConfig, Representation};
+//! use darth_analog::crossbar::{Crossbar, CrossbarConfig};
 //! use darth_reram::NoiseRng;
 //!
 //! # fn main() -> Result<(), darth_analog::Error> {
@@ -38,7 +39,6 @@
 //!     rows: 2,
 //!     cols: 2,
 //!     bits_per_cell: 2,
-//!     representation: Representation::DifferentialPair,
 //!     ..CrossbarConfig::ideal(2, 2)
 //! };
 //! let mut xbar = Crossbar::new(config)?;
@@ -62,7 +62,7 @@ pub mod slicing;
 pub use ace::{AnalogComputeElement, MvmOutput};
 pub use adc::{Adc, AdcKind};
 pub use compensation::CompensationScheme;
-pub use crossbar::{Crossbar, CrossbarConfig, Representation};
+pub use crossbar::{Crossbar, CrossbarConfig};
 pub use dac::InputDriver;
 pub use design::AceDesign;
 pub use slicing::{RecombinationPlan, WeightSlicer};
@@ -85,7 +85,7 @@ pub enum Error {
         got_cols: usize,
     },
     /// A weight value exceeds the representable range for the configured
-    /// bits per cell and representation.
+    /// bits per cell.
     WeightOutOfRange {
         /// The offending weight.
         weight: i64,
@@ -115,6 +115,8 @@ pub enum Error {
         /// Available arrays.
         count: usize,
     },
+    /// A row update reached a crossbar that holds no programmed matrix.
+    NotProgrammed,
     /// An underlying ReRAM substrate error.
     Reram(darth_reram::Error),
 }
@@ -149,6 +151,7 @@ impl fmt::Display for Error {
             Error::InvalidArray { index, count } => {
                 write!(f, "array {index} out of range (have {count})")
             }
+            Error::NotProgrammed => write!(f, "crossbar has no programmed matrix to update"),
             Error::Reram(e) => write!(f, "reram substrate: {e}"),
         }
     }

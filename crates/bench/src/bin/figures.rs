@@ -539,12 +539,12 @@ fn noise_accuracy() -> JsonValue<'static> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use darth_pum::eval::Fnv1a;
 
-    /// 64-bit FNV-1a.
     fn fnv1a(bytes: &[u8]) -> u64 {
-        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-        })
+        let mut h = Fnv1a::new();
+        h.write(bytes);
+        h.finish()
     }
 
     /// The figure-JSON gate: every cheap artefact renders byte-identical

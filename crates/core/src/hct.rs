@@ -448,8 +448,8 @@ impl<P: DcePipeline> GenericTile<P> {
             .arrays
             .iter()
             .map(|&array| {
-                let weights = self.ace.crossbar(array).map_err(Error::Analog)?.weights();
-                Ok(weights[row][..core.cols].to_vec())
+                let xbar = self.ace.crossbar(array).map_err(Error::Analog)?;
+                Ok(xbar.weight_row(row)[..core.cols].to_vec())
             })
             .collect::<Result<Vec<_>>>()?;
         Ok(core.slicer().recombine(&per_slice))
@@ -550,7 +550,7 @@ impl<P: DcePipeline> GenericTile<P> {
             // In-flight transform applies only the shift; the term's sign
             // is handled by the IIU's Sub step (negating here too would
             // double-count it).
-            let (shift, _negative) = core.term_shift(t);
+            let shift = core.term_shift(t);
             let landing = if self.config.optimized_schedule {
                 shift_unit::apply(&codes, shift)
             } else {

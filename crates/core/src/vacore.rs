@@ -61,13 +61,13 @@ impl VaCore {
         self.plan.term_count()
     }
 
-    /// Bit shift and sign for term index `t` (slice-major ordering).
-    pub fn term_shift(&self, t: usize) -> (u8, bool) {
+    /// Bit shift for term index `t` (slice-major ordering). A term's sign
+    /// is the IIU program's business (its `Sub` steps), not the shift's.
+    pub fn term_shift(&self, t: usize) -> u8 {
         let bits = usize::from(self.input_bits);
         let slice = t / bits;
         let bit = t % bits;
-        let shift = self.plan.weight_shift(slice) + self.plan.input_shift(bit);
-        (shift as u8, self.plan.input_negative(bit))
+        (self.plan.weight_shift(slice) + self.plan.input_shift(bit)) as u8
     }
 
     /// Compiles the IIU program for this core.
@@ -274,10 +274,10 @@ mod tests {
         let id = table.alloc(4, 2, 3, false).expect("fits");
         let core = table.get(id).expect("exists");
         assert_eq!(core.term_count(), 6); // 2 slices x 3 input bits
-        assert_eq!(core.term_shift(0), (0, false)); // slice 0, bit 0
-        assert_eq!(core.term_shift(1), (1, false)); // slice 0, bit 1
-        assert_eq!(core.term_shift(3), (2, false)); // slice 1, bit 0
-        assert_eq!(core.term_shift(5), (4, false)); // slice 1, bit 2
+        assert_eq!(core.term_shift(0), 0); // slice 0, bit 0
+        assert_eq!(core.term_shift(1), 1); // slice 0, bit 1
+        assert_eq!(core.term_shift(3), 2); // slice 1, bit 0
+        assert_eq!(core.term_shift(5), 4); // slice 1, bit 2
     }
 
     #[test]
@@ -285,8 +285,10 @@ mod tests {
         let mut table = VaCoreTable::new(8);
         let id = table.alloc(4, 4, 4, true).expect("fits");
         let core = table.get(id).expect("exists");
-        assert_eq!(core.term_shift(3), (3, true));
-        assert_eq!(core.term_shift(2), (2, false));
+        assert_eq!(core.term_shift(3), 3);
+        assert!(core.plan().input_negative(3));
+        assert_eq!(core.term_shift(2), 2);
+        assert!(!core.plan().input_negative(2));
     }
 
     #[test]

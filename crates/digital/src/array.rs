@@ -1,5 +1,9 @@
 //! A digital PUM array: column-parallel Boolean execution in SLC ReRAM.
 //!
+//! The array keeps each device's on/off state as a plain bit. It shares the
+//! ReRAM substrate's error type but none of the analog device state:
+//! levels, conductances and noise belong to the crossbar's planes.
+//!
 //! Digital primitives operate on *columns* (bitlines): the OSCAR NOR of
 //! Figure 4 drives two input bitlines and one output bitline, and every
 //! floated wordline (row) computes independently. A [`DigitalArray`]
@@ -9,40 +13,52 @@
 
 use crate::logic::{BoolOp, LogicFamily};
 use crate::{Error, Result};
-use darth_reram::{DeviceParams, ReramArray};
+use darth_reram::Error as ReramError;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// One array of a RACER pipeline, holding a single bit position of every
 /// value striped across the pipeline.
+///
+/// Digital PUM needs only each SLC device's on/off state (§2.2.2 treats
+/// its writes as error-free), so the array stores plain bits,
+/// column-major: a gate reads and writes whole bitlines.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DigitalArray {
-    cells: ReramArray,
+    rows: usize,
+    cols: usize,
+    bits: Vec<bool>,
     /// Primitive operations executed so far (for energy accounting).
     primitives_executed: u64,
 }
 
 impl DigitalArray {
-    /// Creates an erased `rows`×`cols` digital array (SLC devices).
+    /// Creates an erased `rows`×`cols` digital array.
     ///
     /// # Errors
     ///
-    /// Propagates dimension validation from the ReRAM substrate.
+    /// Returns [`Error::Reram`] with
+    /// [`darth_reram::Error::InvalidDimensions`] for a zero dimension.
     pub fn new(rows: usize, cols: usize) -> Result<Self> {
-        let cells = ReramArray::new(rows, cols, DeviceParams::slc())?;
+        if rows == 0 || cols == 0 {
+            return Err(ReramError::InvalidDimensions { rows, cols }.into());
+        }
         Ok(DigitalArray {
-            cells,
+            rows,
+            cols,
+            bits: vec![false; rows * cols],
             primitives_executed: 0,
         })
     }
 
     /// Number of rows (vector elements).
     pub fn rows(&self) -> usize {
-        self.cells.rows()
+        self.rows
     }
 
     /// Number of columns (vector registers + scratch).
     pub fn cols(&self) -> usize {
-        self.cells.cols()
+        self.cols
     }
 
     /// Total primitives executed by this array since creation.
@@ -50,14 +66,51 @@ impl DigitalArray {
         self.primitives_executed
     }
 
+    fn out_of_bounds(&self, row: usize, col: usize) -> Error {
+        ReramError::OutOfBounds {
+            row,
+            col,
+            rows: self.rows,
+            cols: self.cols,
+        }
+        .into()
+    }
+
+    /// The bit positions of one column.
+    fn col_range(&self, col: usize) -> Result<Range<usize>> {
+        if col >= self.cols {
+            return Err(self.out_of_bounds(0, col));
+        }
+        Ok(col * self.rows..(col + 1) * self.rows)
+    }
+
+    fn index(&self, row: usize, col: usize) -> usize {
+        assert!(
+            row < self.rows && col < self.cols,
+            "digital access ({row}, {col}) must stay within the {}x{} array",
+            self.rows,
+            self.cols
+        );
+        col * self.rows + row
+    }
+
     /// Reads one bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the coordinates exceed the array.
     pub fn bit(&self, row: usize, col: usize) -> bool {
-        self.cells.get_bool(row, col)
+        self.bits[self.index(row, col)]
     }
 
     /// Writes one bit (peripheral write, not a Boolean primitive).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the coordinates exceed the array.
     pub fn set_bit(&mut self, row: usize, col: usize, value: bool) {
-        self.cells.set_bool(row, col, value);
+        let i = self.index(row, col);
+        self.bits[i] = value;
     }
 
     /// Reads a whole column (one vector register's bit position).
@@ -66,33 +119,35 @@ impl DigitalArray {
     ///
     /// Returns an error if `col` is out of range.
     pub fn col(&self, col: usize) -> Result<Vec<bool>> {
-        Ok(self.cells.col_bools(col)?)
+        Ok(self.bits[self.col_range(col)?].to_vec())
     }
 
     /// Overwrites a whole column.
     ///
     /// # Errors
     ///
-    /// Returns an error if `col` is out of range or `values` has the wrong
-    /// length.
+    /// Returns an error if `values` has the wrong length or `col` is out
+    /// of range.
     pub fn set_col(&mut self, col: usize, values: &[bool]) -> Result<()> {
-        Ok(self.cells.set_col_bools(col, values)?)
+        if values.len() != self.rows {
+            return Err(self.out_of_bounds(values.len(), col));
+        }
+        let range = self.col_range(col)?;
+        self.bits[range].copy_from_slice(values);
+        Ok(())
     }
 
-    /// Reads a whole row (used by element-wise load/store and pipeline I/O).
+    /// Reads a whole row: one element's bit at this position in every
+    /// column.
     ///
     /// # Errors
     ///
     /// Returns an error if `row` is out of range.
     pub fn row(&self, row: usize) -> Result<Vec<bool>> {
-        Ok(self.cells.row_bools(row)?)
-    }
-
-    /// Presets a column to all ones — the first half of an OSCAR primitive.
-    fn preset_col(&mut self, col: usize) {
-        for row in 0..self.rows() {
-            self.cells.set_bool(row, col, true);
+        if row >= self.rows {
+            return Err(self.out_of_bounds(row, 0));
         }
+        Ok((0..self.cols).map(|c| self.bit(row, c)).collect())
     }
 
     /// Executes a *native* primitive `out := op(a, b)` across all rows.
@@ -102,14 +157,12 @@ impl DigitalArray {
     /// switches to '0' based on the input cell states and the bitline
     /// voltages (Figure 4). The input states are sensed by the pulse, not
     /// re-read after the preset, so an output column that aliases an input
-    /// still computes from the original input values.
+    /// still computes from the original input values: each row's output
+    /// depends only on that row's inputs.
     fn exec_native(&mut self, op: BoolOp, a: usize, b: usize, out: usize) {
-        let rows = self.rows();
-        let va: Vec<bool> = (0..rows).map(|r| self.cells.get_bool(r, a)).collect();
-        let vb: Vec<bool> = (0..rows).map(|r| self.cells.get_bool(r, b)).collect();
-        self.preset_col(out);
-        for row in 0..rows {
-            self.cells.set_bool(row, out, op.eval(va[row], vb[row]));
+        let (a, b, out) = (self.index(0, a), self.index(0, b), self.index(0, out));
+        for row in 0..self.rows {
+            self.bits[out + row] = op.eval(self.bits[a + row], self.bits[b + row]);
         }
         self.primitives_executed += 1;
     }
@@ -194,9 +247,8 @@ impl DigitalArray {
     /// Clears a column to zero. The peripheral drivers can reset a bitline
     /// directly; modelled as one primitive-equivalent event.
     pub fn clear_col(&mut self, col: usize) -> u64 {
-        for row in 0..self.rows() {
-            self.cells.set_bool(row, col, false);
-        }
+        let start = self.index(0, col);
+        self.bits[start..start + self.rows].fill(false);
         1
     }
 }
@@ -318,6 +370,33 @@ mod tests {
             arr.col(0).expect("in range"),
             vec![true, false, false, false]
         );
+    }
+
+    #[test]
+    fn row_and_col_round_trip() {
+        let mut arr = DigitalArray::new(3, 3).expect("valid dims");
+        arr.set_col(0, &[true, true, false]).expect("fits");
+        assert_eq!(arr.col(0).expect("in range"), vec![true, true, false]);
+        arr.set_bit(1, 2, true);
+        assert_eq!(arr.row(1).expect("in range"), vec![true, false, true]);
+        // a column write must not disturb other columns
+        assert_eq!(arr.col(1).expect("in range"), vec![false; 3]);
+    }
+
+    #[test]
+    fn set_col_rejects_wrong_length_and_bad_indices() {
+        let mut arr = DigitalArray::new(2, 3).expect("valid dims");
+        assert!(matches!(
+            arr.set_col(0, &[true]),
+            Err(Error::Reram(ReramError::OutOfBounds { row: 1, col: 0, .. }))
+        ));
+        assert!(arr.set_col(3, &[true, false]).is_err());
+        assert!(arr.col(3).is_err());
+        assert!(arr.row(2).is_err());
+        assert!(matches!(
+            DigitalArray::new(0, 3),
+            Err(Error::Reram(ReramError::InvalidDimensions { .. }))
+        ));
     }
 
     #[test]

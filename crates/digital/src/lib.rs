@@ -15,8 +15,9 @@
 //!   primitives with output-preset semantics) and
 //!   [`logic::LogicFamily::Ideal`] (any two-input Boolean op in one cycle;
 //!   the Figure 7 ablation).
-//! * [`mod@array`] — a digital PUM array: column-parallel gate execution over a
-//!   [`darth_reram::ReramArray`] in SLC mode.
+//! * [`mod@array`] — a digital PUM array: column-parallel gate execution over
+//!   plain bits, one per SLC device (digital writes are error-free, so the
+//!   analog device model's levels and conductances have no role here).
 //! * [`dce`] — the [`DcePipeline`] trait, the one declaration of the
 //!   pipeline API (vector-register I/O, the macro library, transfers and
 //!   the timing/energy meters). Import it to call any pipeline operation.

@@ -1,12 +1,23 @@
-//! A wordline × bitline array of ReRAM cells.
+//! A wordline × bitline array of ReRAM devices, stored as flat slabs.
 //!
 //! Both PUM domains in DARTH-PUM use 64×64 arrays (Table 2), but the type is
 //! generic over dimensions so tests can exercise small arrays and future
 //! configurations can scale. Rows are wordlines (inputs for analog MVM),
-//! columns are bitlines (accumulation direction for analog, operand homes
-//! for digital bit-striping).
+//! columns are bitlines (the accumulation direction). This is one device
+//! plane of an analog crossbar; the digital arrays keep plain bits of
+//! their own.
+//!
+//! Device state is one record per use, not one per device:
+//!
+//! * the *intended* level of every device, row-major (`Vec<u16>`);
+//! * the *realised* conductance of every device, column-major so a bitline
+//!   read walks contiguous memory — kept only when programming is noisy
+//!   (`program_sigma > 0`). A noise-free device's conductance is a function
+//!   of its level and stuck state (`device::noise_free_conductance`);
+//! * a sparse, index-sorted list of stuck devices;
+//! * the saturated-write counter.
 
-use crate::device::{Cell, DeviceParams, StuckAt};
+use crate::device::{self, DeviceParams, StuckAt};
 use crate::noise::NoiseRng;
 use crate::{Error, Result};
 use serde::{Deserialize, Serialize};
@@ -14,7 +25,7 @@ use serde::{Deserialize, Serialize};
 /// The array dimension used throughout the paper (Table 2).
 pub const DEFAULT_DIM: usize = 64;
 
-/// A rectangular array of ReRAM cells with shared device parameters.
+/// A rectangular array of ReRAM devices with shared device parameters.
 ///
 /// # Example
 ///
@@ -22,10 +33,11 @@ pub const DEFAULT_DIM: usize = 64;
 /// use darth_reram::{array::ReramArray, device::DeviceParams, noise::NoiseRng};
 ///
 /// # fn main() -> Result<(), darth_reram::Error> {
-/// let mut rng = NoiseRng::seed_from(3);
-/// let mut array = ReramArray::new(4, 4, DeviceParams::slc())?;
-/// array.set_bool(1, 2, true);
-/// assert_eq!(array.row_bools(1)?, vec![false, false, true, false]);
+/// let params = DeviceParams::ideal(2)?;
+/// let mut array = ReramArray::new(4, 4, params.clone())?;
+/// array.program_level(1, 2, 3, &mut NoiseRng::seed_from(3))?;
+/// assert_eq!(array.levels()[1 * 4 + 2], 3);
+/// assert_eq!(array.col_conductances(2).nth(1), Some(params.g_on));
 /// # Ok(())
 /// # }
 /// ```
@@ -34,13 +46,22 @@ pub struct ReramArray {
     rows: usize,
     cols: usize,
     params: DeviceParams,
-    cells: Vec<Cell>,
-    /// Writes that railed outside the device window (see [`Cell::program`]).
+    /// The level each device was last successfully asked to hold,
+    /// row-major. A stuck device keeps its request here but reads at its
+    /// stuck level.
+    levels: Vec<u16>,
+    /// Realised conductance per device, column-major. Empty unless
+    /// programming is noisy.
+    conductances: Vec<f64>,
+    /// Stuck devices by row-major index, sorted.
+    stuck: Vec<(usize, StuckAt)>,
+    /// Writes that railed outside the device window (see
+    /// `device::write_verify`).
     saturated_writes: u64,
 }
 
 impl ReramArray {
-    /// Creates an erased array.
+    /// Creates an erased array: every device at level 0 and `g_off`.
     ///
     /// # Errors
     ///
@@ -51,12 +72,18 @@ impl ReramArray {
             return Err(Error::InvalidDimensions { rows, cols });
         }
         params.validate()?;
-        let cells = vec![Cell::erased(&params); rows * cols];
+        let conductances = if params.program_sigma > 0.0 {
+            vec![params.g_off; rows * cols]
+        } else {
+            Vec::new()
+        };
         Ok(ReramArray {
             rows,
             cols,
+            levels: vec![0; rows * cols],
+            conductances,
             params,
-            cells,
+            stuck: Vec::new(),
             saturated_writes: 0,
         })
     }
@@ -97,37 +124,40 @@ impl ReramArray {
         Ok(row * self.cols + col)
     }
 
-    /// Borrow a cell.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::OutOfBounds`] if the coordinates exceed the array.
-    pub fn cell(&self, row: usize, col: usize) -> Result<&Cell> {
-        let i = self.idx(row, col)?;
-        Ok(&self.cells[i])
+    fn stuck_at(&self, index: usize) -> Option<StuckAt> {
+        self.stuck
+            .binary_search_by_key(&index, |&(i, _)| i)
+            .ok()
+            .map(|pos| self.stuck[pos].1)
     }
 
-    /// Mutably borrow a cell.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::OutOfBounds`] if the coordinates exceed the array.
-    pub fn cell_mut(&mut self, row: usize, col: usize) -> Result<&mut Cell> {
-        let i = self.idx(row, col)?;
-        Ok(&mut self.cells[i])
+    /// Every device's intended level, row-major.
+    pub fn levels(&self) -> &[u16] {
+        &self.levels
     }
 
-    /// Programs a multi-level value with write–verify (analog path),
-    /// returning the cell's level after the write: `level`, or the stuck
-    /// level of a stuck cell.
+    /// Every device's realised level, row-major: the intended level, or
+    /// the stuck level of a stuck device.
+    pub fn realised_levels(&self) -> Vec<u16> {
+        let mut levels = self.levels.clone();
+        for &(i, stuck) in &self.stuck {
+            levels[i] = stuck.level(&self.params);
+        }
+        levels
+    }
+
+    /// Programs a multi-level value with write–verify, returning the
+    /// device's level after the write: `level`, or the stuck level of a
+    /// stuck device (which ignores the write and draws no noise).
     ///
     /// Saturated writes (draws railed outside the device window, see
-    /// [`Cell::program`]) keep the clamped endpoint conductance and bump
-    /// [`ReramArray::saturated_writes`].
+    /// `device::write_verify`) keep the clamped endpoint conductance and
+    /// bump [`ReramArray::saturated_writes`].
     ///
     /// # Errors
     ///
-    /// Propagates bounds and programming errors.
+    /// Propagates bounds and programming errors; a failed write leaves the
+    /// device as it was.
     pub fn program_level(
         &mut self,
         row: usize,
@@ -135,14 +165,23 @@ impl ReramArray {
         level: u16,
         rng: &mut NoiseRng,
     ) -> Result<u16> {
-        let params = self.params.clone();
-        let cell = self.cell_mut(row, col)?;
-        let saturated = cell.program(level, &params, rng)?;
-        let realised = cell.level();
-        if saturated {
-            self.saturated_writes += 1;
+        let i = self.idx(row, col)?;
+        self.params.check_level(level)?;
+        if let Some(stuck) = self.stuck_at(i) {
+            self.levels[i] = level;
+            return Ok(stuck.level(&self.params));
         }
-        Ok(realised)
+        // A noise-free write draws nothing and realises exactly the
+        // level's conductance, which no slab stores.
+        if self.params.program_sigma != 0.0 {
+            let (conductance, saturated) = device::write_verify(level, &self.params, rng)?;
+            if !self.conductances.is_empty() {
+                self.conductances[col * self.rows + row] = conductance;
+            }
+            self.saturated_writes += u64::from(saturated);
+        }
+        self.levels[i] = level;
+        Ok(level)
     }
 
     /// How many writes so far railed outside the device window and were
@@ -151,160 +190,55 @@ impl ReramArray {
         self.saturated_writes
     }
 
-    /// Sets a cell's Boolean state exactly (digital path).
-    ///
-    /// Out-of-bounds coordinates panic in debug terms of misuse; the digital
-    /// pipeline always addresses within its own array, so this keeps the hot
-    /// path free of `Result` plumbing.
+    /// Realised conductances of one column, top row first, before read
+    /// noise: the quantity an analog bitline integrates during MVM.
     ///
     /// # Panics
     ///
-    /// Panics if the coordinates exceed the array bounds.
-    pub fn set_bool(&mut self, row: usize, col: usize, value: bool) {
-        let i = self
-            .idx(row, col)
-            .expect("digital access must stay within the array");
-        let params = self.params.clone();
-        self.cells[i].set_bool(value, &params);
+    /// Panics if `col` exceeds the array.
+    pub fn col_conductances(&self, col: usize) -> impl Iterator<Item = f64> + '_ {
+        assert!(col < self.cols, "column {col} of {}", self.cols);
+        let stored = (!self.conductances.is_empty())
+            .then(|| &self.conductances[col * self.rows..(col + 1) * self.rows]);
+        (0..self.rows).map(move |row| match stored {
+            Some(column) => column[row],
+            None => {
+                let i = row * self.cols + col;
+                device::noise_free_conductance(self.levels[i], self.stuck_at(i), &self.params)
+            }
+        })
     }
 
-    /// Reads a cell's Boolean state.
+    /// Injects stuck-at faults with the population's `stuck_at_rate`,
+    /// visiting devices row-major.
     ///
-    /// # Panics
-    ///
-    /// Panics if the coordinates exceed the array bounds.
-    pub fn get_bool(&self, row: usize, col: usize) -> bool {
-        let i = self
-            .idx(row, col)
-            .expect("digital access must stay within the array");
-        self.cells[i].as_bool()
-    }
-
-    /// The Boolean contents of one row (wordline).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::OutOfBounds`] for an invalid row.
-    pub fn row_bools(&self, row: usize) -> Result<Vec<bool>> {
-        self.idx(row, 0)?;
-        Ok((0..self.cols).map(|c| self.get_bool(row, c)).collect())
-    }
-
-    /// The Boolean contents of one column (bitline).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::OutOfBounds`] for an invalid column.
-    pub fn col_bools(&self, col: usize) -> Result<Vec<bool>> {
-        self.idx(0, col)?;
-        Ok((0..self.rows).map(|r| self.get_bool(r, col)).collect())
-    }
-
-    /// Writes a whole row of Boolean values.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::OutOfBounds`] if `row` is invalid or `values` is not
-    /// exactly one element per column.
-    pub fn set_row_bools(&mut self, row: usize, values: &[bool]) -> Result<()> {
-        if values.len() != self.cols {
-            return Err(Error::OutOfBounds {
-                row,
-                col: values.len(),
-                rows: self.rows,
-                cols: self.cols,
-            });
-        }
-        for (col, &v) in values.iter().enumerate() {
-            self.set_bool(row, col, v);
-        }
-        Ok(())
-    }
-
-    /// Writes a whole column of Boolean values.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::OutOfBounds`] if `col` is invalid or `values` is not
-    /// exactly one element per row.
-    pub fn set_col_bools(&mut self, col: usize, values: &[bool]) -> Result<()> {
-        if values.len() != self.rows {
-            return Err(Error::OutOfBounds {
-                row: values.len(),
-                col,
-                rows: self.rows,
-                cols: self.cols,
-            });
-        }
-        for (row, &v) in values.iter().enumerate() {
-            self.set_bool(row, col, v);
-        }
-        Ok(())
-    }
-
-    /// Realised conductances of one column, with read noise applied.
-    ///
-    /// This is the quantity an analog bitline integrates during MVM.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::OutOfBounds`] for an invalid column.
-    pub fn col_conductances(&self, col: usize, rng: &mut NoiseRng) -> Result<Vec<f64>> {
-        self.idx(0, col)?;
-        Ok((0..self.rows)
-            .map(|r| self.cells[r * self.cols + col].read_conductance(&self.params, rng))
-            .collect())
-    }
-
-    /// Injects stuck-at faults with the population's `stuck_at_rate`.
-    ///
-    /// Returns the number of cells that became stuck. Each faulty cell is
-    /// stuck `Off` or `On` with equal probability.
+    /// Returns the number of devices that became stuck. Each faulty device
+    /// is stuck `Off` or `On` with equal probability.
     pub fn inject_stuck_at_faults(&mut self, rng: &mut NoiseRng) -> usize {
         let rate = self.params.stuck_at_rate;
         if rate <= 0.0 {
             return 0;
         }
-        let params = self.params.clone();
         let mut injected = 0;
-        for cell in &mut self.cells {
+        for i in 0..self.levels.len() {
             if rng.chance(rate) {
                 let stuck = if rng.chance(0.5) {
                     StuckAt::On
                 } else {
                     StuckAt::Off
                 };
-                cell.set_stuck(stuck, &params);
+                match self.stuck.binary_search_by_key(&i, |&(j, _)| j) {
+                    Ok(pos) => self.stuck[pos].1 = stuck,
+                    Err(pos) => self.stuck.insert(pos, (i, stuck)),
+                }
+                if !self.conductances.is_empty() {
+                    let (row, col) = (i / self.cols, i % self.cols);
+                    self.conductances[col * self.rows + row] = stuck.conductance(&self.params);
+                }
                 injected += 1;
             }
         }
         injected
-    }
-
-    /// Applies drift to every cell (see [`Cell::drift`]).
-    pub fn drift_all(&mut self, decades: f64) {
-        let params = self.params.clone();
-        for cell in &mut self.cells {
-            cell.drift(decades, &params);
-        }
-    }
-
-    /// Erases every cell back to level 0.
-    pub fn erase(&mut self) {
-        let params = self.params.clone();
-        for cell in &mut self.cells {
-            if cell.stuck().is_none() {
-                *cell = Cell::erased(&params);
-            }
-        }
-    }
-
-    /// Returns the array contents as a row-major Boolean matrix, the format
-    /// the transpose unit (§4.2) shuffles between domains.
-    pub fn to_bool_matrix(&self) -> Vec<Vec<bool>> {
-        (0..self.rows)
-            .map(|r| (0..self.cols).map(|c| self.get_bool(r, c)).collect())
-            .collect()
     }
 }
 
@@ -337,27 +271,14 @@ mod tests {
 
     #[test]
     fn out_of_bounds_cell_access() {
-        let a = ReramArray::new(2, 2, DeviceParams::slc()).expect("valid");
-        assert!(matches!(a.cell(2, 0), Err(Error::OutOfBounds { .. })));
-        assert!(matches!(a.cell(0, 2), Err(Error::OutOfBounds { .. })));
-    }
-
-    #[test]
-    fn row_and_col_round_trip() {
-        let mut a = ReramArray::new(3, 3, DeviceParams::slc()).expect("valid");
-        a.set_row_bools(1, &[true, false, true]).expect("fits");
-        assert_eq!(a.row_bools(1).expect("in range"), vec![true, false, true]);
-        a.set_col_bools(0, &[true, true, false]).expect("fits");
-        assert_eq!(a.col_bools(0).expect("in range"), vec![true, true, false]);
-        // row write must not disturb other rows beyond the shared (1,0) cell
-        assert!(!a.get_bool(2, 0));
-    }
-
-    #[test]
-    fn set_row_rejects_wrong_length() {
-        let mut a = ReramArray::new(2, 3, DeviceParams::slc()).expect("valid");
-        assert!(a.set_row_bools(0, &[true]).is_err());
-        assert!(a.set_col_bools(0, &[true]).is_err());
+        let mut a = ReramArray::new(2, 2, DeviceParams::slc()).expect("valid");
+        for (row, col) in [(2, 0), (0, 2)] {
+            assert!(matches!(
+                a.program_level(row, col, 1, &mut rng()),
+                Err(Error::OutOfBounds { .. })
+            ));
+        }
+        assert_eq!(a.levels(), &[0; 4]);
     }
 
     #[test]
@@ -367,9 +288,24 @@ mod tests {
         let mut r = rng();
         a.program_level(0, 0, 3, &mut r).expect("programs");
         a.program_level(1, 0, 0, &mut r).expect("programs");
-        let g = a.col_conductances(0, &mut r).expect("in range");
+        let g: Vec<f64> = a.col_conductances(0).collect();
         assert!((g[0] - p.g_on).abs() < 1e-15);
         assert!((g[1] - p.g_off).abs() < 1e-15);
+        assert_eq!(a.levels(), &[3, 0, 0, 0]);
+    }
+
+    #[test]
+    fn conductances_are_stored_only_under_programming_noise() {
+        // A noise-free population computes conductances from levels; a
+        // noisy one keeps the realised values column-major.
+        let ideal = ReramArray::new(3, 2, DeviceParams::ideal(2).expect("valid")).expect("valid");
+        assert!(ideal.conductances.is_empty());
+        let mut noisy = ReramArray::new(3, 2, DeviceParams::mlc(2).expect("valid")).expect("valid");
+        assert_eq!(noisy.conductances.len(), 6);
+        noisy.program_level(2, 1, 3, &mut rng()).expect("programs");
+        let g = noisy.col_conductances(1).nth(2).expect("three rows");
+        assert_eq!(g.to_bits(), noisy.conductances[5].to_bits());
+        assert_ne!(g, noisy.params().g_off);
     }
 
     #[test]
@@ -383,7 +319,10 @@ mod tests {
         for row in 0..4 {
             for col in 0..4 {
                 a.program_level(row, col, 2, &mut r).expect("clamped write");
-                let g = a.cell(row, col).expect("in range").conductance();
+            }
+        }
+        for col in 0..4 {
+            for g in a.col_conductances(col) {
                 assert!(g.is_finite() && g >= g_off && g <= g_on);
             }
         }
@@ -396,48 +335,23 @@ mod tests {
 
     #[test]
     fn stuck_at_injection_counts_match_state() {
-        let mut p = DeviceParams::slc();
+        let mut p = DeviceParams::ideal(1).expect("valid");
         p.stuck_at_rate = 0.5;
         let mut a = ReramArray::new(16, 16, p).expect("valid");
         let injected = a.inject_stuck_at_faults(&mut rng());
-        let counted = (0..16)
-            .flat_map(|r| (0..16).map(move |c| (r, c)))
-            .filter(|&(r, c)| a.cell(r, c).expect("in range").stuck().is_some())
-            .count();
-        assert_eq!(injected, counted);
+        assert_eq!(injected, a.stuck.len());
         assert!(injected > 32, "rate 0.5 over 256 cells, got {injected}");
-    }
-
-    #[test]
-    fn erase_preserves_stuck_cells() {
-        let p = DeviceParams::slc();
-        let mut a = ReramArray::new(2, 2, p.clone()).expect("valid");
-        a.cell_mut(0, 0)
-            .expect("in range")
-            .set_stuck(StuckAt::On, &p);
-        a.set_bool(1, 1, true);
-        a.erase();
-        assert!(a.get_bool(0, 0), "stuck-on survives erase");
-        assert!(!a.get_bool(1, 1), "normal cell erases");
-    }
-
-    #[test]
-    fn to_bool_matrix_matches_cells() {
-        let mut a = ReramArray::new(2, 3, DeviceParams::slc()).expect("valid");
-        a.set_bool(0, 2, true);
-        a.set_bool(1, 0, true);
-        let m = a.to_bool_matrix();
-        assert_eq!(m, vec![vec![false, false, true], vec![true, false, false]]);
-    }
-
-    #[test]
-    fn drift_all_decays_programmed_cells() {
-        let mut p = DeviceParams::slc();
-        p.drift_nu = 0.2;
-        let mut a = ReramArray::new(2, 2, p).expect("valid");
-        a.set_bool(0, 0, true);
-        let before = a.cell(0, 0).expect("in range").conductance();
-        a.drift_all(2.0);
-        assert!(a.cell(0, 0).expect("in range").conductance() < before);
+        // A stuck device reads at its stuck level and endpoint conductance.
+        let realised = a.realised_levels();
+        for &(i, stuck) in &a.stuck {
+            assert_eq!(realised[i], stuck.level(a.params()));
+            let (row, col) = (i / 16, i % 16);
+            let g = a.col_conductances(col).nth(row).expect("in range");
+            assert_eq!(g, stuck.conductance(a.params()));
+        }
+        // A second pass re-sticks some devices without duplicating them.
+        let again = a.inject_stuck_at_faults(&mut rng());
+        assert!(again > 0);
+        assert!(a.stuck.windows(2).all(|w| w[0].0 < w[1].0));
     }
 }

@@ -1,12 +1,15 @@
-//! A single ReRAM cell: conductance state and its non-idealities.
+//! The ReRAM device model: a population's parameters and the functions
+//! that program and read one device.
 //!
 //! Section 2.2 of the paper: analog PUM stores multiple bits per device as a
 //! conductance in `[g_off, g_on]`; digital PUM uses the same devices in SLC
 //! mode where only the fully-on / fully-off states matter. Programming uses
-//! a write–verify loop whose residual error we model, following the
-//! MILO-calibrated CrossSim setup of Section 6, as a multiplicative
-//! lognormal factor on the target conductance. Reads add Gaussian noise;
-//! devices can drift over time or become stuck at a fixed state (§7.5).
+//! a write–verify loop (`write_verify`) whose residual error we model,
+//! following the MILO-calibrated CrossSim setup of Section 6, as a
+//! multiplicative lognormal factor on the target conductance. Reads add
+//! Gaussian noise ([`read_conductance`]); devices can become stuck at a
+//! fixed state (§7.5). Device state itself lives in
+//! [`ReramArray`](crate::array::ReramArray)'s flat slabs.
 
 use crate::noise::NoiseRng;
 use crate::{Error, Result};
@@ -36,8 +39,6 @@ pub struct DeviceParams {
     pub program_sigma: f64,
     /// Sigma of the additive Gaussian read noise, as a fraction of `g_on`.
     pub read_sigma: f64,
-    /// Per-decade drift coefficient applied by [`Cell::drift`].
-    pub drift_nu: f64,
     /// Probability that a freshly fabricated cell is stuck.
     pub stuck_at_rate: f64,
     /// Write–verify tolerance as a fraction of one level spacing.
@@ -56,7 +57,6 @@ impl DeviceParams {
             g_off: 1e-6,
             program_sigma: 0.02,
             read_sigma: 0.01,
-            drift_nu: 0.0,
             stuck_at_rate: 0.0,
             verify_tolerance: 0.25,
             max_program_attempts: 16,
@@ -87,7 +87,6 @@ impl DeviceParams {
         let mut p = DeviceParams::mlc(bits)?;
         p.program_sigma = 0.0;
         p.read_sigma = 0.0;
-        p.drift_nu = 0.0;
         p.stuck_at_rate = 0.0;
         Ok(p)
     }
@@ -126,6 +125,21 @@ impl DeviceParams {
         1u16 << self.bits_per_cell
     }
 
+    /// Checks that `level` is programmable.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::LevelOutOfRange`] past the top level.
+    pub fn check_level(&self, level: u16) -> Result<()> {
+        if level >= self.levels() {
+            return Err(Error::LevelOutOfRange {
+                level,
+                levels: self.levels(),
+            });
+        }
+        Ok(())
+    }
+
     /// The ideal conductance for a level.
     ///
     /// Level 0 maps to `g_off`, the top level to `g_on`, with levels spaced
@@ -149,7 +163,6 @@ impl DeviceParams {
         DeviceParams {
             program_sigma: 0.0,
             read_sigma: 0.0,
-            drift_nu: 0.0,
             stuck_at_rate: 0.0,
             ..self.clone()
         }
@@ -165,175 +178,111 @@ pub enum StuckAt {
     On,
 }
 
-/// One ReRAM cell.
-///
-/// The cell remembers both the *target* level it was asked to store and the
-/// *actual* conductance realised by the noisy write–verify loop, so digital
-/// PUM can operate on exact bits while analog PUM sees the imperfect
-/// conductance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Cell {
-    level: u16,
-    conductance: f64,
-    stuck: Option<StuckAt>,
-    levels: u16,
+impl StuckAt {
+    /// The level a device stuck in this state reads as.
+    pub fn level(self, params: &DeviceParams) -> u16 {
+        match self {
+            StuckAt::Off => 0,
+            StuckAt::On => params.levels() - 1,
+        }
+    }
+
+    /// The conductance a device stuck in this state holds.
+    pub fn conductance(self, params: &DeviceParams) -> f64 {
+        match self {
+            StuckAt::Off => params.g_off,
+            StuckAt::On => params.g_on,
+        }
+    }
 }
 
-impl Cell {
-    /// A fresh cell in the erased (level-0) state.
-    pub fn erased(params: &DeviceParams) -> Cell {
-        Cell {
-            level: 0,
-            conductance: params.g_off,
-            stuck: None,
-            levels: params.levels(),
-        }
+/// The conductance a device holds after a write at zero programming
+/// noise: its level's ideal conductance, or the stuck endpoint. This is
+/// exactly what `write_verify` realises when `program_sigma` is zero,
+/// so a noise-free population needs no stored conductances.
+pub(crate) fn noise_free_conductance(
+    level: u16,
+    stuck: Option<StuckAt>,
+    params: &DeviceParams,
+) -> f64 {
+    match stuck {
+        Some(stuck) => stuck.conductance(params),
+        None => params
+            .level_conductance(level)
+            .clamp(params.g_off, params.g_on),
     }
+}
 
-    /// The digitally intended level of this cell.
-    pub fn level(&self) -> u16 {
-        self.level
-    }
-
-    /// The realised analog conductance in siemens.
-    pub fn conductance(&self) -> f64 {
-        self.conductance
-    }
-
-    /// Whether the cell is stuck, and at which state.
-    pub fn stuck(&self) -> Option<StuckAt> {
-        self.stuck
-    }
-
-    /// Interprets the cell as a Boolean (digital SLC view): any nonzero
-    /// level reads as `true`.
-    pub fn as_bool(&self) -> bool {
-        self.level != 0
-    }
-
-    /// Marks the cell stuck at the given state, forcing its level and
-    /// conductance to the corresponding extreme.
-    pub fn set_stuck(&mut self, stuck: StuckAt, params: &DeviceParams) {
-        self.stuck = Some(stuck);
-        match stuck {
-            StuckAt::Off => {
-                self.level = 0;
-                self.conductance = params.g_off;
-            }
-            StuckAt::On => {
-                self.level = params.levels() - 1;
-                self.conductance = params.g_on;
-            }
-        }
-    }
-
-    /// Programs the cell to `level` with a write–verify loop.
-    ///
-    /// Each attempt perturbs the target conductance by a lognormal factor
-    /// (`program_sigma`); the loop accepts the write once the realised
-    /// conductance is within `verify_tolerance` of one level spacing, which
-    /// mirrors a verify read against the two adjacent references.
-    ///
-    /// Returns `true` when the write **saturated**: the lognormal draw
-    /// landed outside the device window `[g_off, g_on]` (or was not even
-    /// finite — a huge `program_sigma` can overflow `exp`) and still missed
-    /// the verify tolerance after clamping. The cell then keeps the clamped
-    /// window-endpoint conductance instead of retrying forever, so a
-    /// pathological sigma degrades accuracy rather than propagating `inf`
-    /// or `NaN` into bitline sums. Returns `false` for a clean verify pass.
-    ///
-    /// Stuck cells silently ignore programming (that *is* the fault model);
-    /// the caller can detect the condition via [`Cell::stuck`].
-    ///
-    /// # Errors
-    ///
-    /// * [`Error::LevelOutOfRange`] if `level` exceeds the cell's levels.
-    /// * [`Error::WriteVerifyFailed`] if the loop does not converge on an
-    ///   in-window draw. With default parameters this is vanishingly rare;
-    ///   it exists so callers can surface pathological parameter choices
-    ///   instead of looping forever.
-    pub fn program(
-        &mut self,
-        level: u16,
-        params: &DeviceParams,
-        rng: &mut NoiseRng,
-    ) -> Result<bool> {
-        if level >= params.levels() {
-            return Err(Error::LevelOutOfRange {
-                level,
-                levels: params.levels(),
-            });
-        }
-        if self.stuck.is_some() {
-            return Ok(false);
-        }
-        let target = params.level_conductance(level);
-        let tolerance = params.verify_tolerance * params.level_spacing();
-        let mut attempts = 0;
-        loop {
-            attempts += 1;
-            let raw = target * rng.lognormal(0.0, params.program_sigma);
-            let saturated = !raw.is_finite() || raw < params.g_off || raw > params.g_on;
-            let realised = if raw.is_nan() {
-                // 0 × inf (level 0 with g_off == 0): fall back to the target.
-                target.clamp(params.g_off, params.g_on)
-            } else {
-                raw.clamp(params.g_off, params.g_on)
-            };
-            if (realised - target).abs() <= tolerance || params.program_sigma == 0.0 {
-                self.level = level;
-                self.conductance = realised;
-                return Ok(false);
-            }
-            if saturated {
-                self.level = level;
-                self.conductance = realised;
-                return Ok(true);
-            }
-            if attempts >= params.max_program_attempts {
-                return Err(Error::WriteVerifyFailed { level, attempts });
-            }
-        }
-    }
-
-    /// Digital-PUM state flip: sets the Boolean state exactly.
-    ///
-    /// OSCAR primitives switch devices fully on or off; the paper treats
-    /// digital PUM as error-free (§2.2.2, "minimal errors"), so this is an
-    /// ideal write. Stuck cells ignore it.
-    pub fn set_bool(&mut self, value: bool, params: &DeviceParams) {
-        if self.stuck.is_some() {
-            return;
-        }
-        if value {
-            self.level = params.levels() - 1;
-            self.conductance = params.g_on;
+/// Programs one device to `level` with a write–verify loop, returning the
+/// realised conductance and whether the write **saturated**.
+///
+/// Each attempt perturbs the target conductance by a lognormal factor
+/// (`program_sigma`); the loop accepts the write once the realised
+/// conductance is within `verify_tolerance` of one level spacing, which
+/// mirrors a verify read against the two adjacent references.
+///
+/// A write saturates when the lognormal draw landed outside the device
+/// window `[g_off, g_on]` (or was not even finite — a huge
+/// `program_sigma` can overflow `exp`) and still missed the verify
+/// tolerance after clamping. The device then keeps the clamped
+/// window-endpoint conductance instead of retrying forever, so a
+/// pathological sigma degrades accuracy rather than propagating `inf` or
+/// `NaN` into bitline sums.
+///
+/// Stuck devices ignore programming (that *is* the fault model); the
+/// array that holds them never calls this for a stuck device.
+///
+/// # Errors
+///
+/// * [`Error::LevelOutOfRange`] if `level` exceeds the population's levels.
+/// * [`Error::WriteVerifyFailed`] if the loop does not converge on an
+///   in-window draw. With default parameters this is vanishingly rare;
+///   it exists so callers can surface pathological parameter choices
+///   instead of looping forever.
+pub(crate) fn write_verify(
+    level: u16,
+    params: &DeviceParams,
+    rng: &mut NoiseRng,
+) -> Result<(f64, bool)> {
+    params.check_level(level)?;
+    let target = params.level_conductance(level);
+    let tolerance = params.verify_tolerance * params.level_spacing();
+    let mut attempts = 0;
+    loop {
+        attempts += 1;
+        let raw = target * rng.lognormal(0.0, params.program_sigma);
+        let saturated = !raw.is_finite() || raw < params.g_off || raw > params.g_on;
+        let realised = if raw.is_nan() {
+            // 0 × inf (level 0 with g_off == 0): fall back to the target.
+            target.clamp(params.g_off, params.g_on)
         } else {
-            self.level = 0;
-            self.conductance = params.g_off;
+            raw.clamp(params.g_off, params.g_on)
+        };
+        if (realised - target).abs() <= tolerance || params.program_sigma == 0.0 {
+            return Ok((realised, false));
+        }
+        if saturated {
+            return Ok((realised, true));
+        }
+        if attempts >= params.max_program_attempts {
+            return Err(Error::WriteVerifyFailed { level, attempts });
         }
     }
+}
 
-    /// Reads the conductance with additive Gaussian read noise.
-    pub fn read_conductance(&self, params: &DeviceParams, rng: &mut NoiseRng) -> f64 {
-        let noisy = self.conductance + rng.gaussian(0.0, params.read_sigma * params.g_on);
-        noisy.max(0.0)
-    }
-
-    /// Applies conductance drift toward `g_off` over `decades` decades of
-    /// time (a standard `G(t) = G0 * t^-nu` retention model).
-    pub fn drift(&mut self, decades: f64, params: &DeviceParams) {
-        if params.drift_nu <= 0.0 || decades <= 0.0 || self.stuck.is_some() {
-            return;
-        }
-        let factor = 10f64.powf(-params.drift_nu * decades);
-        self.conductance = (self.conductance * factor).max(params.g_off);
-    }
+/// Reads a device of conductance `conductance` with additive Gaussian read
+/// noise (one draw whenever `read_sigma` is live).
+// Inlined across crates: a crossbar read calls this once per device.
+#[inline]
+pub fn read_conductance(conductance: f64, params: &DeviceParams, rng: &mut NoiseRng) -> f64 {
+    let noisy = conductance + rng.gaussian(0.0, params.read_sigma * params.g_on);
+    noisy.max(0.0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::array::ReramArray;
 
     fn rng() -> NoiseRng {
         NoiseRng::seed_from(1234)
@@ -347,13 +296,12 @@ mod tests {
         for bits in [1u8, 2, 4] {
             let p = DeviceParams::ideal(bits).expect("valid");
             let mut r = rng();
-            let mut cell = Cell::erased(&p);
-            cell.program(0, &p, &mut r).expect("programs");
-            assert_eq!(cell.conductance().to_bits(), p.g_off.to_bits());
-            cell.program(p.levels() - 1, &p, &mut r).expect("programs");
-            assert_eq!(cell.conductance().to_bits(), p.g_on.to_bits());
+            let (g, _) = write_verify(0, &p, &mut r).expect("programs");
+            assert_eq!(g.to_bits(), p.g_off.to_bits());
+            let (g, _) = write_verify(p.levels() - 1, &p, &mut r).expect("programs");
+            assert_eq!(g.to_bits(), p.g_on.to_bits());
             assert!(matches!(
-                cell.program(p.levels(), &p, &mut r),
+                write_verify(p.levels(), &p, &mut r),
                 Err(Error::LevelOutOfRange { .. })
             ));
         }
@@ -364,11 +312,12 @@ mod tests {
         let p = DeviceParams::mlc(2).expect("valid");
         let run = |seed: u64| -> Vec<u64> {
             let mut r = NoiseRng::seed_from(seed);
-            let mut cell = Cell::erased(&p);
             (0..p.levels())
                 .map(|level| {
-                    cell.program(level, &p, &mut r).expect("programs");
-                    cell.conductance().to_bits()
+                    write_verify(level, &p, &mut r)
+                        .expect("programs")
+                        .0
+                        .to_bits()
                 })
                 .collect()
         };
@@ -387,12 +336,10 @@ mod tests {
         let mut r = rng();
         let mut any_saturated = false;
         for level in 0..p.levels() {
-            let mut cell = Cell::erased(&p);
-            let saturated = cell.program(level, &p, &mut r).expect("clamped write");
+            let (g, saturated) = write_verify(level, &p, &mut r).expect("clamped write");
             any_saturated |= saturated;
-            assert!(cell.conductance().is_finite());
-            assert!(cell.conductance() >= p.g_off && cell.conductance() <= p.g_on);
-            assert_eq!(cell.level(), level);
+            assert!(g.is_finite());
+            assert!(g >= p.g_off && g <= p.g_on);
         }
         assert!(any_saturated, "sigma 1e6 must rail at least one write");
     }
@@ -401,9 +348,8 @@ mod tests {
     fn in_window_writes_never_report_saturation() {
         let p = DeviceParams::mlc(4).expect("valid");
         let mut r = rng();
-        let mut cell = Cell::erased(&p);
         for level in 0..p.levels() {
-            assert!(!cell.program(level, &p, &mut r).expect("programs"));
+            assert!(!write_verify(level, &p, &mut r).expect("programs").1);
         }
     }
 
@@ -442,11 +388,11 @@ mod tests {
     fn program_and_read_back_level() {
         let p = DeviceParams::mlc(4).expect("valid");
         let mut rng = rng();
-        let mut cell = Cell::erased(&p);
+        let mut array = ReramArray::new(1, 1, p.clone()).expect("valid");
         for level in 0..p.levels() {
-            cell.program(level, &p, &mut rng).expect("programs");
-            assert_eq!(cell.level(), level);
-            let g = cell.conductance();
+            assert_eq!(array.program_level(0, 0, level, &mut rng), Ok(level));
+            assert_eq!(array.levels(), &[level]);
+            let g = array.col_conductances(0).next().expect("one row");
             // within one full level spacing of the target
             assert!((g - p.level_conductance(level)).abs() <= p.level_spacing());
         }
@@ -455,66 +401,46 @@ mod tests {
     #[test]
     fn program_rejects_out_of_range_level() {
         let p = DeviceParams::slc();
-        let mut cell = Cell::erased(&p);
-        let err = cell.program(2, &p, &mut rng()).unwrap_err();
+        let err = write_verify(2, &p, &mut rng()).unwrap_err();
         assert!(matches!(err, Error::LevelOutOfRange { level: 2, .. }));
     }
 
     #[test]
     fn ideal_params_program_exactly() {
         let p = DeviceParams::ideal(3).expect("valid");
-        let mut cell = Cell::erased(&p);
-        cell.program(5, &p, &mut rng()).expect("programs");
-        assert!((cell.conductance() - p.level_conductance(5)).abs() < 1e-18);
+        let (g, _) = write_verify(5, &p, &mut rng()).expect("programs");
+        assert!((g - p.level_conductance(5)).abs() < 1e-18);
+        assert_eq!(g.to_bits(), noise_free_conductance(5, None, &p).to_bits());
     }
 
     #[test]
     fn stuck_cells_ignore_programming() {
-        let p = DeviceParams::slc();
-        let mut cell = Cell::erased(&p);
-        cell.set_stuck(StuckAt::On, &p);
-        cell.program(0, &p, &mut rng()).expect("no-op succeeds");
-        assert!(cell.as_bool());
-        cell.set_bool(false, &p);
-        assert!(cell.as_bool());
-    }
-
-    #[test]
-    fn set_bool_round_trips() {
-        let p = DeviceParams::slc();
-        let mut cell = Cell::erased(&p);
-        cell.set_bool(true, &p);
-        assert!(cell.as_bool());
-        assert!((cell.conductance() - p.g_on).abs() < 1e-15);
-        cell.set_bool(false, &p);
-        assert!(!cell.as_bool());
-        assert!((cell.conductance() - p.g_off).abs() < 1e-15);
+        // Every device stuck: programming reports the stuck level, leaves
+        // the stuck endpoint conductance and draws no programming noise.
+        let mut p = DeviceParams::mlc(2).expect("valid");
+        p.stuck_at_rate = 1.0;
+        let mut array = ReramArray::new(4, 1, p.clone()).expect("valid");
+        assert_eq!(array.inject_stuck_at_faults(&mut rng()), 4);
+        let before = array.col_conductances(0).collect::<Vec<_>>();
+        let mut r = rng();
+        for row in 0..4 {
+            let stuck = array.program_level(row, 0, 1, &mut r).expect("no-op");
+            assert!(stuck == 0 || stuck == p.levels() - 1);
+        }
+        assert_eq!(r, rng());
+        assert_eq!(array.col_conductances(0).collect::<Vec<_>>(), before);
     }
 
     #[test]
     fn read_noise_is_zero_mean() {
         let p = DeviceParams::slc();
         let mut r = rng();
-        let mut cell = Cell::erased(&p);
-        cell.set_bool(true, &p);
         let n = 5000;
         let mean: f64 = (0..n)
-            .map(|_| cell.read_conductance(&p, &mut r))
+            .map(|_| read_conductance(p.g_on, &p, &mut r))
             .sum::<f64>()
             / n as f64;
         assert!((mean - p.g_on).abs() < 0.05 * p.g_on);
-    }
-
-    #[test]
-    fn drift_decays_conductance() {
-        let mut p = DeviceParams::slc();
-        p.drift_nu = 0.1;
-        let mut cell = Cell::erased(&p);
-        cell.set_bool(true, &p);
-        let before = cell.conductance();
-        cell.drift(1.0, &p);
-        assert!(cell.conductance() < before);
-        assert!(cell.conductance() >= p.g_off);
     }
 
     #[test]

@@ -6,10 +6,13 @@
 //! flips device state with Boolean primitives. Both sit on the same physical
 //! substrate, which is what this crate provides:
 //!
-//! * [`device`] — a single ReRAM cell: conductance state, multi-level
-//!   programming with write–verify, programming noise, read noise, drift and
-//!   stuck-at faults.
-//! * [`mod@array`] — a wordline × bitline array of cells with row/column views.
+//! * [`device`] — the device model: population parameters, multi-level
+//!   programming with write–verify, programming noise, read noise and
+//!   stuck-at faults, as functions of one device.
+//! * [`mod@array`] — a wordline × bitline plane of devices stored as flat
+//!   slabs: intended levels, realised conductances (only under programming
+//!   noise) and a sparse list of stuck devices. Analog crossbars keep one
+//!   plane per polarity; digital PUM arrays keep plain bits of their own.
 //! * [`noise`] — seeded, reproducible noise sources (Gaussian / lognormal).
 //! * [`energy`] — a per-component energy meter used across the workspace.
 //! * [`units`] — `Cycles`, `PicoJoules`, `SquareMicrons` newtypes so that
@@ -24,8 +27,8 @@
 //! let params = DeviceParams::slc();
 //! let mut rng = NoiseRng::seed_from(7);
 //! let mut array = ReramArray::new(64, 64, params)?;
-//! array.program_level(0, 0, 1, &mut rng)?;
-//! assert!(array.cell(0, 0)?.as_bool());
+//! assert_eq!(array.program_level(0, 0, 1, &mut rng)?, 1);
+//! assert_eq!(array.levels()[0], 1);
 //! # Ok(())
 //! # }
 //! ```
@@ -37,7 +40,7 @@ pub mod noise;
 pub mod units;
 
 pub use array::ReramArray;
-pub use device::{Cell, DeviceParams, StuckAt};
+pub use device::{DeviceParams, StuckAt};
 pub use energy::EnergyMeter;
 pub use noise::NoiseRng;
 pub use units::{Cycles, PicoJoules, SquareMicrons};

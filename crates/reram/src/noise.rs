@@ -1,7 +1,7 @@
 //! Seeded, reproducible noise sources.
 //!
 //! All stochastic behaviour in the simulator — programming noise, read
-//! noise, drift, stuck-at faults — flows through a [`NoiseRng`]. Experiments
+//! noise, stuck-at faults — flows through a [`NoiseRng`]. Experiments
 //! therefore reproduce exactly given the same seed, which is essential for
 //! the paper-vs-measured tables in `EXPERIMENTS.md`.
 //!

@@ -13,7 +13,7 @@ fn reram_substrate_is_reachable() {
     let mut rng = reram::NoiseRng::seed_from(1);
     let mut array = reram::ReramArray::new(8, 8, reram::DeviceParams::slc()).expect("array builds");
     array.program_level(0, 0, 1, &mut rng).expect("programs");
-    assert!(array.cell(0, 0).expect("in bounds").as_bool());
+    assert_eq!(array.levels()[0], 1);
 }
 
 #[test]
