@@ -207,8 +207,8 @@ impl Crossbar {
     /// The bitline current of one weight unit at *full* conductance range —
     /// the fixed reference an ADC's LSB is designed against. Deliberately
     /// excludes [`CrossbarConfig::range_scale`]: when the §4.3 scheme halves
-    /// the range, measured values shrink relative to this unit, and the
-    /// digital compensation factor restores them.
+    /// the range, measured values shrink relative to this unit (codes read
+    /// at that scale).
     pub fn unit_current(&self) -> f64 {
         let p = self.positive.params();
         (p.g_on - p.g_off) / ((p.levels() - 1) as f64).max(1.0)

@@ -17,9 +17,6 @@
 //! * [`slicing`] — weight bit-slicing across arrays and the shift-and-add
 //!   recombination plans that DARTH-PUM's instruction injection unit
 //!   replays.
-//! * [`compensation`] — the §4.3 parasitic compensation scheme: 0/1 → ±1
-//!   differential remapping, range scaling, and the post-MVM compensation
-//!   factor.
 //! * [`ace`] — the analog compute element: a bank of crossbars plus input
 //!   buffers, sample-and-hold and an ADC group, producing the per-input-bit
 //!   partial-product vectors that the digital side reduces.
@@ -53,7 +50,6 @@
 
 pub mod ace;
 pub mod adc;
-pub mod compensation;
 pub mod crossbar;
 pub mod dac;
 pub mod design;
@@ -61,7 +57,6 @@ pub mod slicing;
 
 pub use ace::{AnalogComputeElement, MvmOutput};
 pub use adc::{Adc, AdcKind};
-pub use compensation::CompensationScheme;
 pub use crossbar::{Crossbar, CrossbarConfig};
 pub use dac::InputDriver;
 pub use design::AceDesign;

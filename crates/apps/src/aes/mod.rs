@@ -1,12 +1,10 @@
-//! AES encryption (§5.3): golden model, GF(2) linear algebra, DARTH-PUM
-//! mapping and workload trace.
+//! AES encryption (§5.3): golden model, GF(2) linear algebra, the
+//! compiled ISA program and workload trace.
 
 pub mod gf2;
 pub mod golden;
-pub mod mapping;
 pub mod program;
 pub mod workload;
 
 pub use golden::Aes;
-pub use mapping::AesDarth;
 pub use program::AesExec;

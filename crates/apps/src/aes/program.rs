@@ -1,22 +1,21 @@
 //! AES compiled to a self-contained DARTH-PUM ISA program — via the
 //! `darth_kir` kernel-IR compiler.
 //!
-//! [`AesDarth`](crate::aes::mapping::AesDarth) executes AES on the
-//! functional tile, but the host intervenes between kernels (it unpacks
-//! MixColumns columns, decodes parities, and repacks bytes in software).
-//! This module removes the host entirely: [`AesExec`] builds an AES
-//! block encryption as a kernel IR — every round step, including the
-//! MixColumns bit unpack/parity/repack plumbing, is an IR op lowering to
-//! one real `shr`/`and`/`eload`/`mvm`/`shl`/`or` instruction — and the
-//! compiler pipeline (verify → allocate → lower) emits the encoded
-//! program. The ~500 lines of hand-scheduled emission this file used to
-//! carry are retired; the kernel is now ~80 lines of IR building.
+//! [`AesExec`] builds an AES block encryption as a kernel IR — every
+//! round step, including the MixColumns bit unpack/parity/repack
+//! plumbing, is an IR op lowering to one real
+//! `shr`/`and`/`eload`/`mvm`/`shl`/`or` instruction — and the compiler
+//! pipeline (verify → allocate → lower) emits the encoded program. No
+//! host step runs between kernels: the whole block encryption is one
+//! instruction stream on the tile.
 //!
 //! Placement notes that survive the compiler:
 //!
 //! * the GF(2) MixColumns matrix is programmed **raw** (0/1 weights in
-//!   SLC cells): the ideal verification tile reads exact bitline counts,
-//!   so parity is one `and` with an all-ones register — no host;
+//!   SLC cells, no ±1 remap): each bitline count's LSB is its output
+//!   parity, so parity is one `and` with an all-ones register — no host.
+//!   An SLC weight owns the full conductance window, so the counts stay
+//!   exact on a noisy tile at the default sigmas too;
 //! * the S-box is *self-addressing* (a state byte is its own lookup
 //!   address), so its four registers are pinned at table registers 0–3
 //!   with [`KirBuilder::const_u_at`] — the one placement the allocator

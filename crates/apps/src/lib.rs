@@ -1,15 +1,17 @@
 //! Workloads for the DARTH-PUM reproduction: AES encryption, ResNet-20
 //! inference, and an integer (I-BERT-style) LLM encoder.
 //!
-//! Each application ships three layers:
+//! Each application ships up to three layers:
 //!
 //! 1. A **golden model** — a plain-Rust reference implementation used as
 //!    the correctness oracle (AES is validated against FIPS-197 vectors;
 //!    the CNN and encoder are exact integer programs).
-//! 2. A **DARTH-PUM mapping** — the kernel-by-kernel placement of Section 5
-//!    executed *functionally* on the simulated hybrid compute tile: AES
+//! 2. A **compiled ISA program** — the kernel lowered through the
+//!    `darth_kir` compiler to one self-contained instruction stream
+//!    ([`aes::AesExec`], [`cnn::program::ConvExec`], [`gemm::GemmExec`])
+//!    that runs *functionally* on the simulated hybrid compute tile: AES
 //!    runs bit-exactly through OSCAR pipelines and the analog MixColumns
-//!    crossbar.
+//!    crossbar, with no host step between kernels.
 //! 3. A **workload stream** — the architecture-neutral op stream
 //!    ([`darth_pum::trace::TraceSink`] events) every cost model prices
 //!    for Figures 13–18.
@@ -24,15 +26,17 @@
 //! # Example: AES through the hybrid tile
 //!
 //! ```
-//! use darth_apps::aes::golden::Aes;
-//! use darth_apps::aes::mapping::AesDarth;
+//! use darth_apps::aes::{Aes, AesExec};
+//! use darth_pum::eval::{Executable, Executor};
+//! use darth_sim::FastExecutor;
 //!
-//! # fn main() -> Result<(), darth_apps::Error> {
+//! # fn main() -> Result<(), darth_pum::Error> {
 //! let key = [0u8; 16];
 //! let block = *b"darth-pum block!";
-//! let mut hybrid = AesDarth::new_128(&key)?;
-//! let golden = Aes::new_128(&key).encrypt_block(&block);
-//! assert_eq!(hybrid.encrypt_block(&block)?, golden);
+//! let aes = AesExec::aes128("aes-128/doc", &key, block);
+//! let run = FastExecutor::new().execute(&aes.job()?)?;
+//! let ciphertext: Vec<u8> = run.outputs[0].cells.iter().map(|&c| c as u8).collect();
+//! assert_eq!(ciphertext, Aes::new_128(&key).encrypt_block(&block));
 //! # Ok(())
 //! # }
 //! ```
@@ -90,55 +94,19 @@ use std::fmt;
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum Error {
-    /// A configuration or shape problem in an application mapping.
+    /// A configuration or shape problem in an application model.
     Mapping(String),
-    /// The underlying DARTH-PUM simulator failed.
-    Pum(darth_pum::Error),
-    /// The digital substrate failed.
-    Digital(darth_digital::Error),
-    /// The analog substrate failed.
-    Analog(darth_analog::Error),
 }
 
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Error::Mapping(msg) => write!(f, "application mapping: {msg}"),
-            Error::Pum(e) => write!(f, "darth-pum: {e}"),
-            Error::Digital(e) => write!(f, "digital PUM: {e}"),
-            Error::Analog(e) => write!(f, "analog PUM: {e}"),
         }
     }
 }
 
-impl std::error::Error for Error {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            Error::Pum(e) => Some(e),
-            Error::Digital(e) => Some(e),
-            Error::Analog(e) => Some(e),
-            Error::Mapping(_) => None,
-        }
-    }
-}
-
-impl From<darth_pum::Error> for Error {
-    fn from(e: darth_pum::Error) -> Self {
-        Error::Pum(e)
-    }
-}
-
-impl From<darth_digital::Error> for Error {
-    fn from(e: darth_digital::Error) -> Self {
-        Error::Digital(e)
-    }
-}
-
-impl From<darth_analog::Error> for Error {
-    fn from(e: darth_analog::Error) -> Self {
-        Error::Analog(e)
-    }
-}
+impl std::error::Error for Error {}
 
 /// Crate-level result alias.
 pub type Result<T> = std::result::Result<T, Error>;

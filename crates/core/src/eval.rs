@@ -30,6 +30,11 @@ use crate::hct::HctConfig;
 use crate::trace::{CostReport, TraceSink, TraceSummary};
 use serde::{Deserialize, Serialize};
 
+/// The FNV-1a folder behind [`JobSignature`] and the serving engine's
+/// output digest, re-exported from `darth_isa` so every digest in the
+/// workspace folds through one implementation.
+pub use darth_isa::fnv::Fnv1a;
+
 /// A workload scenario: anything that can emit itself as an op stream.
 ///
 /// Implementations are registered with the `darth_eval` engine, which
@@ -223,49 +228,6 @@ pub struct JobSignature(pub u64);
 impl std::fmt::Display for JobSignature {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{:016x}", self.0)
-    }
-}
-
-/// The explicit 64-bit FNV-1a folder behind [`JobSignature`] and the
-/// serving engine's output digest — fixed offset and prime, no
-/// per-process randomization, so digests are stable across runs and
-/// platforms.
-#[derive(Debug, Clone)]
-pub struct Fnv1a(u64);
-
-impl Fnv1a {
-    /// A hasher at the FNV-1a offset basis.
-    pub fn new() -> Self {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-
-    /// Folds a byte stream.
-    pub fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    /// Folds a `u64` as its little-endian bytes.
-    pub fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    /// Folds an `i64` as its little-endian bytes.
-    pub fn write_i64(&mut self, v: i64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    /// The digest so far.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for Fnv1a {
-    fn default() -> Self {
-        Fnv1a::new()
     }
 }
 

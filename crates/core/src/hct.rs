@@ -53,8 +53,6 @@ pub struct HctConfig {
     pub program_sigma: f64,
     /// Gaussian read-noise sigma (fraction of `g_on`) applied when `noisy`.
     pub read_sigma: f64,
-    /// Conductance range scale (§4.3 compensation sets 0.5).
-    pub range_scale: f64,
     /// ADC resolution of the functional tile in bits. The paper's design
     /// space sweeps 6 and 8 bits; lower resolutions clip large bit-plane
     /// sums at the converter rails, which is exactly the precision/accuracy
@@ -71,8 +69,8 @@ pub struct HctConfig {
     pub functional_vrs: usize,
     /// Functional ACE arrays to instantiate.
     pub functional_ace_arrays: usize,
-    /// Bits per cell of the functional ACE's devices. AES stores its
-    /// GF(2) MixColumns matrix in SLC cells (§4.3) so each ±1 weight owns
+    /// Bits per cell of the functional ACE's devices. AES stores its raw
+    /// 0/1 GF(2) MixColumns matrix in SLC cells (§4.3) so each weight owns
     /// the full conductance window; MVM workloads default to 4-bit MLC.
     pub functional_bits_per_cell: u8,
     /// IR-drop coefficient applied to the functional ACE when `noisy`
@@ -94,7 +92,6 @@ impl HctConfig {
             noisy: false,
             program_sigma: 0.02,
             read_sigma: 0.005,
-            range_scale: 1.0,
             functional_adc_bits: 10,
             functional_pipelines: 4,
             functional_depth: 32,
@@ -133,9 +130,6 @@ impl HctConfig {
                 "at least one functional ACE array is required".into(),
             ));
         }
-        if !(self.range_scale > 0.0 && self.range_scale <= 1.0) {
-            return Err(Error::InvalidConfig("range_scale must be in (0, 1]".into()));
-        }
         if self.program_sigma < 0.0 || self.read_sigma < 0.0 {
             return Err(Error::InvalidConfig(
                 "noise sigmas must be non-negative".into(),
@@ -164,7 +158,7 @@ impl HctConfig {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MvmReport {
     /// The reduced output vector (one value per matrix column), exact when
-    /// devices are ideal or noise stays below the compensation margin.
+    /// devices are ideal or analog error stays below half an ADC LSB.
     pub result: Vec<i64>,
     /// Tile-level latency of the whole MVM (analog + transfer + reduce).
     pub cycles: Cycles,
@@ -238,7 +232,6 @@ impl<P: DcePipeline> GenericTile<P> {
         ace_config.adc_kind = config.params.adc_kind;
         ace_config.adc_bits = config.functional_adc_bits;
         ace_config.crossbar.bits_per_cell = config.functional_bits_per_cell;
-        ace_config.crossbar.range_scale = config.range_scale;
         if config.noisy {
             ace_config.crossbar.device.program_sigma = config.program_sigma;
             ace_config.crossbar.device.read_sigma = config.read_sigma;
@@ -671,9 +664,6 @@ mod tests {
     fn config_validation() {
         let mut c = HctConfig::small_test();
         c.functional_pipelines = 0;
-        assert!(HybridComputeTile::new(c).is_err());
-        let mut c = HctConfig::small_test();
-        c.range_scale = 0.0;
         assert!(HybridComputeTile::new(c).is_err());
     }
 

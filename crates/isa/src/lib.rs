@@ -15,6 +15,8 @@
 //!   assembly order, kind and byte offset in the record.
 //! * [`encode`] — a fixed 16-byte binary encoding with encode/decode.
 //! * [`asm`] — a line-oriented assembler and disassembler.
+//! * [`fnv`] — [`fnv::Fnv1a`], the 64-bit FNV-1a folder every stable digest
+//!   in the workspace uses.
 //! * [`iiu`] — [`iiu::InjectionProgram`]: the shift-and-add reduction
 //!   sequences (Figure 9c) that the hardware instruction injection unit
 //!   replays without front-end involvement.
@@ -44,6 +46,7 @@
 
 pub mod asm;
 pub mod encode;
+pub mod fnv;
 pub mod iiu;
 pub mod instruction;
 

@@ -191,9 +191,11 @@ mod tests {
     use darth_pum::eval::Executor;
     use darth_sim::SimExecutor;
 
-    /// The seven resident-program cache keys, recorded before the ISA
-    /// codec became table-driven: a signature hashes the encoded setup
-    /// and body, so any drift in an instruction record moves one.
+    /// The seven resident-program cache keys: a signature hashes the
+    /// encoded setup and body, so any drift in an instruction record
+    /// moves one. It also hashes the tile's `Debug` rendering, so adding
+    /// or removing an `HctConfig` field moves all seven while the program
+    /// bytes stay put.
     #[test]
     fn standard_class_signatures_are_pinned() {
         let signatures: Vec<String> = standard_classes()
@@ -204,13 +206,13 @@ mod tests {
         assert_eq!(
             signatures,
             [
-                "aes128 39600a8ce20ffd93",
-                "aes192 36e186cbde12c08a",
-                "aes256 bbd3c9ee8feac43f",
-                "gemm-4x12x10 d7e651db23379115",
-                "gemm-8x32x24 7982bb661e533e7f",
-                "conv-2c4x4-o3k3 476e0a3c840c87c1",
-                "conv-2c4x4-o5k3 4e2c80643fd00ad1",
+                "aes128 e64f41e034fda7c2",
+                "aes192 d3d2acd06869ac1f",
+                "aes256 a611fc4c78cdcbae",
+                "gemm-4x12x10 f06b51adb15994d0",
+                "gemm-8x32x24 649cd5cbee09e7a2",
+                "conv-2c4x4-o3k3 36b5a0bfbf505bd8",
+                "conv-2c4x4-o5k3 2dc1327db25c3ed0",
             ]
         );
     }

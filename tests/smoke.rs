@@ -66,11 +66,16 @@ fn pum_runtime_is_reachable() {
 
 #[test]
 fn apps_workloads_are_reachable() {
+    use pum::eval::{Executable, Executor};
     let key = [0u8; 16];
     let block = *b"smoke-test-block";
     let golden = apps::aes::golden::Aes::new_128(&key).encrypt_block(&block);
-    let mut hybrid = apps::aes::mapping::AesDarth::new_128(&key).expect("tile builds");
-    assert_eq!(hybrid.encrypt_block(&block).expect("encrypts"), golden);
+    let job = apps::aes::AesExec::aes128("aes-128/smoke", &key, block)
+        .job()
+        .expect("compiles");
+    let run = sim::FastExecutor::new().execute(&job).expect("executes");
+    let ciphertext: Vec<u8> = run.outputs[0].cells.iter().map(|&c| c as u8).collect();
+    assert_eq!(ciphertext, golden);
 }
 
 #[test]
