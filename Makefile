@@ -43,9 +43,11 @@ hostbench-check:
 ## (packed bit-planes + sharded tiles, on the reference's own
 ## instruction dispatch) then replays the executor-pair suite in release
 ## at bulk scale — 1000 AES blocks — and must match the reference
-## executor result-, energy- and cycle-exactly. Also refuses any `#[ignore]`d test in the tier-1
-## tree — a silently skipped differential case must fail the build,
-## not hide.
+## executor result-, energy- and cycle-exactly; the packed pipeline's
+## property suite checks its element-wise load (value-mirror fast path)
+## against the reference pipeline between random table writes. Also
+## refuses any `#[ignore]`d test in the tier-1 tree — a silently skipped
+## differential case must fail the build, not hide.
 sim-verify:
 	@if grep -rn "\#\[ignore" --include='*.rs' crates src tests examples 2>/dev/null; then \
 		echo "ERROR: ignored tests are not allowed in the tier-1 tree"; \
@@ -55,6 +57,7 @@ sim-verify:
 	$(CARGO) test -q -p darth_eval --test sim_differential
 	DARTH_SIM_BULK_BLOCKS=1000 timeout $(SIM_VERIFY_BUDGET_S) \
 		$(CARGO) test -q --release -p darth_sim --test fast_vs_reference
+	$(CARGO) test -q -p darth_digital --test packed_property
 	$(CARGO) test -q --release -p darth_sim --test shard_determinism
 
 ## The kernel-IR compiler gate: the darth_kir unit + property suites

@@ -326,7 +326,7 @@ impl<P: DcePipeline> GenericChip<P> {
 
     /// The two pipelines of a cross-pipeline DCE instruction, checked
     /// after the digital domain.
-    fn digital_pair(&mut self, a: PipelineId, b: PipelineId) -> Result<(&mut P, &P)> {
+    fn digital_pair(&mut self, a: PipelineId, b: PipelineId) -> Result<(&mut P, &mut P)> {
         Self::require(self.digital_enabled, "digital")?;
         self.tile.pipeline_pair(usize::from(a.0), usize::from(b.0))
     }

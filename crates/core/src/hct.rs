@@ -279,13 +279,13 @@ impl<P: DcePipeline> GenericTile<P> {
             .ok_or_else(|| Error::InvalidConfig(format!("pipeline {index} not instantiated")))
     }
 
-    /// Two pipelines at once (element-wise loads read a table pipeline
-    /// while writing another).
+    /// Two distinct pipelines at once, both mutable: element-wise loads
+    /// write one pipeline and refresh the other's host lookup cache.
     ///
     /// # Errors
     ///
     /// Returns [`Error::InvalidConfig`] for bad or identical indices.
-    pub fn pipeline_pair(&mut self, a: usize, b: usize) -> Result<(&mut P, &P)> {
+    pub fn pipeline_pair(&mut self, a: usize, b: usize) -> Result<(&mut P, &mut P)> {
         if a == b {
             return Err(Error::InvalidConfig(
                 "pipeline pair must be distinct".into(),
@@ -294,13 +294,13 @@ impl<P: DcePipeline> GenericTile<P> {
         if a >= self.pipelines.len() || b >= self.pipelines.len() {
             return Err(Error::InvalidConfig("pipeline index out of range".into()));
         }
-        // Split the slice to hand out one mutable and one shared borrow.
+        // Split the slice to hand out two disjoint mutable borrows.
         if a < b {
             let (left, right) = self.pipelines.split_at_mut(b);
-            Ok((&mut left[a], &right[0]))
+            Ok((&mut left[a], &mut right[0]))
         } else {
             let (left, right) = self.pipelines.split_at_mut(a);
-            Ok((&mut right[0], &left[b]))
+            Ok((&mut right[0], &mut left[b]))
         }
     }
 

@@ -245,13 +245,14 @@ pub trait DcePipeline: Sized + Clone + std::fmt::Debug + Send {
 
     /// Element-wise indexed load: for each element `e`, reads the address
     /// in `addr_vr[e]`, fetches that value from `table`, stores it into
-    /// `dst_vr[e]`.
+    /// `dst_vr[e]`. `table` is `&mut` so an implementation may refresh a
+    /// host-side lookup cache on it; its modelled state is only read.
     ///
     /// # Errors
     ///
     /// Returns [`Error::AddressOutOfRange`] for addresses beyond the
     /// table's register file, or a geometry error when depths differ.
-    fn elementwise_load(&mut self, addr_vr: usize, table: &Self, dst_vr: usize) -> Result<()>;
+    fn elementwise_load(&mut self, addr_vr: usize, table: &mut Self, dst_vr: usize) -> Result<()>;
 
     /// Total native primitives executed.
     fn primitives_executed(&self) -> u64;

@@ -16,8 +16,10 @@
 //! books the same number of native primitives (so energy reports match to
 //! the picojoule). Scratch columns are not modelled — they are
 //! unobservable through the pipeline API — but the primitives their gate
-//! decompositions would execute are still counted. The differential suite
-//! in `darth_sim` (`fast_vs_reference`) and the property tests in
+//! decompositions would execute are still counted. Element-wise loads
+//! read their table through a value-major host cache of its registers
+//! (`ValueMirror`), which is not modelled state either. The differential
+//! suite in `darth_sim` (`fast_vs_reference`) and the property tests in
 //! `crates/digital/tests/packed_property.rs` pin this equivalence.
 
 use crate::dce::DcePipeline;
@@ -323,6 +325,9 @@ impl PackedBits {
 /// semantics, argument validation, timing charges and primitive
 /// accounting all mirror the reference implementation exactly; see the
 /// module docs for the equivalence contract.
+///
+/// Element-wise loads read the *table* pipeline through its value
+/// mirror, a value-major host copy of its registers (see `ValueMirror`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PackedPipeline {
     config: PipelineConfig,
@@ -331,6 +336,100 @@ pub struct PackedPipeline {
     words: Vec<u64>,
     primitives: u64,
     timer: PipelineTimer,
+    mirror: ValueMirror,
+}
+
+/// A value-major copy of a pipeline's registers for the `eload` lookups
+/// that read it as a table: `values[address]` is element
+/// `address % elements` of register `address / elements`, so a lookup
+/// is one read instead of a `depth`-bit gather out of the bit planes.
+///
+/// A host cache, not modelled state:
+/// * built by the first `eload` that reads the pipeline as a table, so a
+///   pipeline that never serves as one never allocates or copies it;
+/// * every write to a register marks that register stale, and
+///   `reverse` marks all of them; an `eload` rebuilds the stale
+///   registers it addresses before reading them;
+/// * excluded from equality, and never charged to the timer or booked
+///   as primitives.
+#[derive(Debug, Clone, Default)]
+struct ValueMirror {
+    values: Vec<u64>,
+    /// `stale[vr]`: `vr`'s slice of `values` is out of date. Empty
+    /// until the mirror is built.
+    stale: Vec<bool>,
+}
+
+impl ValueMirror {
+    /// Allocates the mirror, every register stale, unless it exists.
+    fn build(&mut self, config: &PipelineConfig) {
+        if self.stale.is_empty() {
+            self.values = vec![0; config.vr_count * config.elements];
+            self.stale = vec![true; config.vr_count];
+        }
+    }
+
+    fn mark_stale(&mut self, vr: usize) {
+        if let Some(stale) = self.stale.get_mut(vr) {
+            *stale = true;
+        }
+    }
+}
+
+impl PartialEq for ValueMirror {
+    /// Two pipelines with equal planes are equal whatever their caches
+    /// hold.
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+/// A mask of the low `n` bits (`n <= 64`).
+fn low_bits(n: usize) -> u64 {
+    if n >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << n) - 1
+    }
+}
+
+/// Transposes an 8×8 bit matrix held row-major in a `u64` (row `r` is
+/// byte `r`, column `c` is bit `c` of it).
+fn transpose8(mut x: u64) -> u64 {
+    let t = (x ^ (x >> 7)) & 0x00AA_00AA_00AA_00AA;
+    x ^= t ^ (t << 7);
+    let t = (x ^ (x >> 14)) & 0x0000_CCCC_0000_CCCC;
+    x ^= t ^ (t << 14);
+    let t = (x ^ (x >> 28)) & 0x0000_0000_F0F0_F0F0;
+    x ^ t ^ (t << 28)
+}
+
+/// Transposes an 8×8 byte matrix held as eight row words (byte `j` of
+/// `m[r]` is entry `(r, j)`), in place: swap the off-diagonal 4×4, then
+/// 2×2, then 1×1 byte blocks.
+fn transpose_bytes(m: &mut [u64; 8]) {
+    const HALF: u64 = 0x0000_0000_FFFF_FFFF;
+    const QUARTER: u64 = 0x0000_FFFF_0000_FFFF;
+    const EIGHTH: u64 = 0x00FF_00FF_00FF_00FF;
+    const SWAPS: [(usize, usize, u32, u64); 12] = [
+        (0, 4, 32, HALF),
+        (1, 5, 32, HALF),
+        (2, 6, 32, HALF),
+        (3, 7, 32, HALF),
+        (0, 2, 16, QUARTER),
+        (1, 3, 16, QUARTER),
+        (4, 6, 16, QUARTER),
+        (5, 7, 16, QUARTER),
+        (0, 1, 8, EIGHTH),
+        (2, 3, 8, EIGHTH),
+        (4, 5, 8, EIGHTH),
+        (6, 7, 8, EIGHTH),
+    ];
+    for (a, b, shift, mask) in SWAPS {
+        let t = ((m[a] >> shift) ^ m[b]) & mask;
+        m[a] ^= t << shift;
+        m[b] ^= t;
+    }
 }
 
 impl PackedPipeline {
@@ -386,19 +485,21 @@ impl PackedPipeline {
     /// Mask valid in word `wi` of a row (`u64::MAX` except a short tail).
     #[inline]
     fn wmask(&self, wi: usize) -> u64 {
-        if wi + 1 == self.nw {
-            match self.config.elements % 64 {
-                0 => u64::MAX,
-                r => (1u64 << r) - 1,
-            }
-        } else {
-            u64::MAX
-        }
+        low_bits(self.config.elements - wi * 64)
+    }
+
+    /// Start of register `vr`'s planes for a macro that writes them:
+    /// marks `vr` stale in the value mirror. Every write goes through
+    /// here.
+    #[inline]
+    fn dst_row(&mut self, vr: usize) -> usize {
+        self.mirror.mark_stale(vr);
+        self.row(vr, 0)
     }
 
     /// Zeroes the row holding bit `plane` of register `vr`.
     fn clear_row(&mut self, vr: usize, plane: usize) {
-        let r = self.row(vr, plane);
+        let r = self.dst_row(vr) + plane * self.nw;
         self.words[r..r + self.nw].fill(0);
     }
 
@@ -418,7 +519,7 @@ impl PackedPipeline {
     fn scatter(&mut self, vr: usize, element: usize, value: u64) {
         let (w, b) = (element / 64, element % 64);
         let bit = 1u64 << b;
-        let base = self.row(vr, 0) + w;
+        let base = self.dst_row(vr) + w;
         for i in 0..self.config.depth {
             let slot = &mut self.words[base + i * self.nw];
             if value >> i & 1 == 1 {
@@ -427,6 +528,102 @@ impl PackedPipeline {
                 *slot &= !bit;
             }
         }
+    }
+
+    /// Elements `64 * wi ..` of `vr` as values: word `wi` of every plane,
+    /// transposed in 8×8 bit blocks. `out[k]` is element `64 * wi + k`
+    /// (zero past the element count). Plane groups with no set bit are
+    /// skipped, so narrow values in a deep register cost one group.
+    fn load_column(&self, vr: usize, wi: usize, out: &mut [u64; 64]) {
+        *out = [0; 64];
+        let (depth, nw) = (self.config.depth, self.nw);
+        let base = self.row(vr, 0) + wi;
+        for g in (0..depth).step_by(8) {
+            let mut rows = [0u64; 8];
+            for (r, row) in rows.iter_mut().enumerate().take(depth - g) {
+                *row = self.words[base + (g + r) * nw];
+            }
+            if rows == [0; 8] {
+                continue;
+            }
+            // Block `j` holds byte `j` of each plane: elements 8j..8j+8.
+            transpose_bytes(&mut rows);
+            for (j, &block) in rows.iter().enumerate() {
+                if block != 0 {
+                    let bytes = transpose8(block).to_le_bytes();
+                    for (c, &byte) in bytes.iter().enumerate() {
+                        out[8 * j + c] |= u64::from(byte) << g;
+                    }
+                }
+            }
+        }
+    }
+
+    /// The inverse of [`Self::load_column`]: writes `values` (each at most
+    /// `depth` bits wide) into word `wi` of `vr`'s planes, for the
+    /// elements selected by `mask`; the other elements keep their bits.
+    fn store_column(&mut self, vr: usize, wi: usize, values: &[u64; 64], mask: u64) {
+        let (depth, nw) = (self.config.depth, self.nw);
+        let base = self.dst_row(vr) + wi;
+        let set = values.iter().fold(0, |acc, &v| acc | v);
+        for g in (0..depth).step_by(8) {
+            let mut rows = [0u64; 8];
+            if set >> g & 0xFF != 0 {
+                for (j, block) in rows.iter_mut().enumerate() {
+                    let bytes: [u8; 8] = std::array::from_fn(|c| (values[8 * j + c] >> g) as u8);
+                    *block = transpose8(u64::from_le_bytes(bytes));
+                }
+                transpose_bytes(&mut rows);
+            }
+            for (r, &row) in rows.iter().enumerate().take(depth - g) {
+                let slot = &mut self.words[base + (g + r) * nw];
+                *slot = (*slot & !mask) | (row & mask);
+            }
+        }
+    }
+
+    /// The value at `address` of this pipeline as an `eload` table,
+    /// rebuilding the addressed register's mirror slice first if it is
+    /// stale. `address` is below `vr_count * elements`.
+    #[inline]
+    fn table_value(&mut self, address: usize) -> u64 {
+        let elements = self.config.elements;
+        // A shift for power-of-two widths (every tile geometry): a
+        // division per element would cost as much as the lookup.
+        let vr = if elements.is_power_of_two() {
+            address >> elements.trailing_zeros()
+        } else {
+            address / elements
+        };
+        if self.mirror.stale[vr] {
+            self.refresh_mirror(vr);
+        }
+        self.mirror.values[address]
+    }
+
+    /// Rebuilds register `vr`'s slice of the value mirror from its planes.
+    #[cold]
+    fn refresh_mirror(&mut self, vr: usize) {
+        let elements = self.config.elements;
+        let mut column = [0u64; 64];
+        for wi in 0..self.nw {
+            self.load_column(vr, wi, &mut column);
+            let lo = wi * 64;
+            let n = (elements - lo).min(64);
+            self.mirror.values[vr * elements + lo..][..n].copy_from_slice(&column[..n]);
+        }
+        self.mirror.stale[vr] = false;
+    }
+
+    /// The first `count` elements of `vr` (`count <= elements`).
+    fn read_prefix(&self, vr: usize, count: usize) -> Vec<u64> {
+        let mut out = vec![0u64; count];
+        let mut column = [0u64; 64];
+        for (wi, chunk) in out.chunks_mut(64).enumerate() {
+            self.load_column(vr, wi, &mut column);
+            chunk.copy_from_slice(&column[..chunk.len()]);
+        }
+        out
     }
 
     /// The full-adder wave shared by `add` and `sub`, over packed planes.
@@ -447,7 +644,7 @@ impl PackedPipeline {
                 *c = self.wmask(wi);
             }
         }
-        let (ra, rb, rd) = (self.row(a, 0), self.row(b, 0), self.row(dst, 0));
+        let (ra, rb, rd) = (self.row(a, 0), self.row(b, 0), self.dst_row(dst));
         for p in 0..self.config.depth {
             let off = p * nw;
             for (wi, c) in carry.iter_mut().enumerate() {
@@ -477,6 +674,7 @@ impl DcePipeline for PackedPipeline {
             words: vec![0; config.vr_count * config.depth * nw],
             primitives: 0,
             timer: PipelineTimer::new(config.depth as u64),
+            mirror: ValueMirror::default(),
         })
     }
 
@@ -526,33 +724,11 @@ impl DcePipeline for PackedPipeline {
             }
             return Ok(());
         }
-        // Transpose values into plane words, sparse over set bits, then
-        // merge (elements past `values.len()` keep their old bits).
-        let nw = self.nw;
-        let depth = self.config.depth;
-        let mut buf = vec![0u64; depth * nw];
-        for (e, &v) in values.iter().enumerate() {
-            let (wi, bi) = (e / 64, e % 64);
-            let mut rem = v;
-            while rem != 0 {
-                buf[rem.trailing_zeros() as usize * nw + wi] |= 1u64 << bi;
-                rem &= rem - 1;
-            }
-        }
-        let r0 = self.row(vr, 0);
-        for i in 0..depth {
-            for wi in 0..nw {
-                let lo = wi * 64;
-                let covered = if values.len() >= lo + 64 {
-                    u64::MAX
-                } else if values.len() > lo {
-                    (1u64 << (values.len() - lo)) - 1
-                } else {
-                    0
-                };
-                let slot = &mut self.words[r0 + i * nw + wi];
-                *slot = (*slot & !covered) | buf[i * nw + wi];
-            }
+        // Elements past `values.len()` keep their old bits.
+        for (wi, chunk) in values.chunks(64).enumerate() {
+            let mut column = [0u64; 64];
+            column[..chunk.len()].copy_from_slice(chunk);
+            self.store_column(vr, wi, &column, low_bits(chunk.len()));
         }
         for _ in 0..values.len() {
             self.charge(MacroOp::WriteElement);
@@ -562,17 +738,7 @@ impl DcePipeline for PackedPipeline {
 
     fn read_vector(&mut self, vr: usize) -> Result<Vec<u64>> {
         self.check_vr(vr)?;
-        let mut out = vec![0u64; self.config.elements];
-        let r0 = self.row(vr, 0);
-        for i in 0..self.config.depth {
-            for wi in 0..self.nw {
-                let mut w = self.words[r0 + i * self.nw + wi];
-                while w != 0 {
-                    out[wi * 64 + w.trailing_zeros() as usize] |= 1u64 << i;
-                    w &= w - 1;
-                }
-            }
-        }
+        let out = self.read_prefix(vr, self.config.elements);
         for _ in 0..self.config.elements {
             self.charge(MacroOp::ReadElement);
         }
@@ -590,20 +756,7 @@ impl DcePipeline for PackedPipeline {
         }
         self.check_vr(vr)?;
         let depth = self.config.depth;
-        let mut out = vec![0u64; count];
-        let r0 = self.row(vr, 0);
-        for i in 0..depth {
-            for wi in 0..self.nw {
-                let mut w = self.words[r0 + i * self.nw + wi];
-                while w != 0 {
-                    let e = wi * 64 + w.trailing_zeros() as usize;
-                    if e < count {
-                        out[e] |= 1u64 << i;
-                    }
-                    w &= w - 1;
-                }
-            }
-        }
+        let out = self.read_prefix(vr, count);
         let signed = out
             .into_iter()
             .map(|raw| {
@@ -630,7 +783,7 @@ impl DcePipeline for PackedPipeline {
         self.check_vr(b)?;
         let per_plane = self.config.family.primitives_for(op);
         let nw = self.nw;
-        let (ra, rb, rd) = (self.row(a, 0), self.row(b, 0), self.row(dst, 0));
+        let (ra, rb, rd) = (self.row(a, 0), self.row(b, 0), self.dst_row(dst));
         for p in 0..self.config.depth {
             let off = p * nw;
             for wi in 0..nw {
@@ -650,7 +803,7 @@ impl DcePipeline for PackedPipeline {
         self.check_vr(dst)?;
         self.check_vr(a)?;
         let nw = self.nw;
-        let (ra, rd) = (self.row(a, 0), self.row(dst, 0));
+        let (ra, rd) = (self.row(a, 0), self.dst_row(dst));
         for p in 0..self.config.depth {
             let off = p * nw;
             for wi in 0..nw {
@@ -702,7 +855,7 @@ impl DcePipeline for PackedPipeline {
             }
         }
         // The reference writes the mask value into every plane of dst.
-        let rd = self.row(dst, 0);
+        let rd = self.dst_row(dst);
         for p in 0..self.config.depth {
             let off = p * nw;
             for (wi, &l) in lt.iter().enumerate() {
@@ -729,7 +882,7 @@ impl DcePipeline for PackedPipeline {
             self.row(cond, 0),
             self.row(a, 0),
             self.row(b, 0),
-            self.row(dst, 0),
+            self.dst_row(dst),
         );
         for p in 0..self.config.depth {
             let off = p * nw;
@@ -753,7 +906,7 @@ impl DcePipeline for PackedPipeline {
         // it when `dst` aliases `a`.
         let per_plane = self.config.family.primitives_for(BoolOp::And);
         let nw = self.nw;
-        let (ra, rd) = (self.row(a, 0), self.row(dst, 0));
+        let (ra, rd) = (self.row(a, 0), self.dst_row(dst));
         let sign_off = (self.config.depth - 1) * nw;
         for p in 0..self.config.depth {
             let off = p * nw;
@@ -774,9 +927,14 @@ impl DcePipeline for PackedPipeline {
         self.check_vr(b)?;
         // Value-level on the reference too; no primitives booked.
         let mask = self.value_mask();
-        for e in 0..self.config.elements {
-            let product = self.gather(a, e).wrapping_mul(self.gather(b, e)) & mask;
-            self.scatter(dst, e, product);
+        let (mut va, mut vb) = ([0u64; 64], [0u64; 64]);
+        for wi in 0..self.nw {
+            self.load_column(a, wi, &mut va);
+            self.load_column(b, wi, &mut vb);
+            for (x, &y) in va.iter_mut().zip(&vb) {
+                *x = x.wrapping_mul(y) & mask;
+            }
+            self.store_column(dst, wi, &va, self.wmask(wi));
         }
         self.charge(MacroOp::Mul(width));
         Ok(())
@@ -786,7 +944,7 @@ impl DcePipeline for PackedPipeline {
         self.check_vr(dst)?;
         self.check_vr(src)?;
         let n = self.config.depth * self.nw;
-        let (rs, rd) = (self.row(src, 0), self.row(dst, 0));
+        let (rs, rd) = (self.row(src, 0), self.dst_row(dst));
         self.words.copy_within(rs..rs + n, rd);
         // Boolean identity (OR(a,a)): one primitive per plane.
         self.book(self.config.depth as u64);
@@ -807,7 +965,7 @@ impl DcePipeline for PackedPipeline {
         // register is one contiguous block on each side.
         let n = self.config.depth * self.nw;
         let rs = other.row(src_vr, 0);
-        let rd = self.row(dst_vr, 0);
+        let rd = self.dst_row(dst_vr);
         self.words[rd..rd + n].copy_from_slice(&other.words[rs..rs + n]);
         self.charge(MacroOp::CopyAcross);
         Ok(())
@@ -828,7 +986,7 @@ impl DcePipeline for PackedPipeline {
         // reference's descending plane loop produces.
         let nw = self.nw;
         let depth = self.config.depth;
-        let (rs, rd) = (self.row(src, 0), self.row(dst, 0));
+        let (rs, rd) = (self.row(src, 0), self.dst_row(dst));
         if k < depth {
             let n = (depth - k) * nw;
             self.words.copy_within(rs..rs + n, rd + k * nw);
@@ -851,7 +1009,7 @@ impl DcePipeline for PackedPipeline {
         }
         let nw = self.nw;
         let depth = self.config.depth;
-        let (rs, rd) = (self.row(src, 0), self.row(dst, 0));
+        let (rs, rd) = (self.row(src, 0), self.dst_row(dst));
         if k < depth {
             let n = (depth - k) * nw;
             self.words.copy_within(rs + k * nw..rs + k * nw + n, rd);
@@ -899,6 +1057,7 @@ impl DcePipeline for PackedPipeline {
         // Swap plane p with plane depth-1-p inside every register block.
         let depth = self.config.depth;
         let nw = self.nw;
+        self.mirror.stale.fill(true);
         for vr in 0..self.config.vr_count {
             for p in 0..depth / 2 {
                 let (lo, hi) = (self.row(vr, p), self.row(vr, depth - 1 - p));
@@ -910,7 +1069,7 @@ impl DcePipeline for PackedPipeline {
         self.charge(MacroOp::Reverse);
     }
 
-    fn elementwise_load(&mut self, addr_vr: usize, table: &Self, dst_vr: usize) -> Result<()> {
+    fn elementwise_load(&mut self, addr_vr: usize, table: &mut Self, dst_vr: usize) -> Result<()> {
         if table.config.depth != self.config.depth {
             return Err(Error::GeometryMismatch(
                 "element-wise load requires identical pipeline depth",
@@ -918,74 +1077,29 @@ impl DcePipeline for PackedPipeline {
         }
         self.check_vr(addr_vr)?;
         self.check_vr(dst_vr)?;
-        let depth = self.config.depth;
-        let nw = self.nw;
-        let t_nw = table.nw;
-        let t_elems = table.config.elements;
-        let capacity = (table.config.vr_count * t_elems) as u64;
-        // Transpose the address register once, sparse over its set bits,
-        // instead of gathering each element's address bit by bit.
-        let mut addrs = vec![0u64; self.config.elements];
-        let r_addr = self.row(addr_vr, 0);
-        for i in 0..depth {
-            for wi in 0..nw {
-                let mut w = self.words[r_addr + i * nw + wi];
-                while w != 0 {
-                    addrs[wi * 64 + w.trailing_zeros() as usize] |= 1u64 << i;
-                    w &= w - 1;
+        let count = table.config.vr_count * table.config.elements;
+        table.mirror.build(&table.config);
+        // 64 elements at a time: transpose the addresses out of the bit
+        // planes, look each one up in the table's value mirror, transpose
+        // the results into the destination planes. A column's
+        // destination word is written after its address word is read,
+        // so `dst_vr` may alias `addr_vr`.
+        let (mut addresses, mut loaded) = ([0u64; 64], [0u64; 64]);
+        for wi in 0..self.nw {
+            self.load_column(addr_vr, wi, &mut addresses);
+            let n = (self.config.elements - wi * 64).min(64);
+            for k in 0..n {
+                let address = addresses[k];
+                if address >= count as u64 {
+                    // The reference loads element by element, so the
+                    // elements before the offending one have landed.
+                    self.store_column(dst_vr, wi, &loaded, low_bits(k));
+                    return Err(Error::AddressOutOfRange { address, count });
                 }
+                loaded[k] = table.table_value(address as usize);
             }
+            self.store_column(dst_vr, wi, &loaded, self.wmask(wi));
         }
-        // Validate addresses up front (ascending, like the scalar loop),
-        // then gather plane-major: each element's table position becomes
-        // a (row-base, bit) pair, so a plane pass is `base + i * t_nw`.
-        let bad = addrs
-            .iter()
-            .enumerate()
-            .find(|&(_, &a)| a >= capacity)
-            .map(|(e, &a)| (e, a));
-        let limit = bad.map_or(self.config.elements, |(e, _)| e);
-        let pre: Vec<(usize, u32)> = addrs[..limit]
-            .iter()
-            .map(|&a| {
-                let (tvr, trow) = (a as usize / t_elems, a as usize % t_elems);
-                (tvr * depth * t_nw + trow / 64, (trow % 64) as u32)
-            })
-            .collect();
-        let mut out = vec![0u64; depth * nw];
-        for i in 0..depth {
-            let plane_off = i * t_nw;
-            for wi in 0..nw {
-                let base = wi * 64;
-                if base >= limit {
-                    break;
-                }
-                let mut w = 0u64;
-                for (off, &(tbase, tbi)) in pre[base..limit.min(base + 64)].iter().enumerate() {
-                    w |= (table.words[tbase + plane_off] >> tbi & 1) << off;
-                }
-                out[i * nw + wi] = w;
-            }
-        }
-        if let Some((e, address)) = bad {
-            // Match the scalar loop's partial-scatter semantics: elements
-            // before the offending address have landed.
-            for pe in 0..e {
-                let mut v = 0u64;
-                for i in 0..depth {
-                    v |= (out[i * nw + pe / 64] >> (pe % 64) & 1) << i;
-                }
-                self.scatter(dst_vr, pe, v);
-            }
-            return Err(Error::AddressOutOfRange {
-                address,
-                count: table.config.vr_count * t_elems,
-            });
-        }
-        // Every element was loaded, so the destination register block is
-        // overwritten wholesale from the staging buffer.
-        let rd = self.row(dst_vr, 0);
-        self.words[rd..rd + depth * nw].copy_from_slice(&out);
         self.charge(MacroOp::ElementLoad);
         Ok(())
     }
@@ -1098,6 +1212,46 @@ mod tests {
             slow.primitives_executed()
         );
         assert_eq!(DcePipeline::elapsed(&fast), slow.elapsed());
+    }
+
+    #[test]
+    fn block_transposes_match_their_definitions() {
+        let mut x = 0x0123_4567_89AB_CDEFu64;
+        for _ in 0..64 {
+            x = x.rotate_left(13).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x5555;
+            let t = transpose8(x);
+            let rows: [u64; 8] = std::array::from_fn(|i| x.rotate_left(8 * i as u32) ^ i as u64);
+            let mut m = rows;
+            transpose_bytes(&mut m);
+            for (r, &row) in rows.iter().enumerate() {
+                for (c, &col) in m.iter().enumerate() {
+                    assert_eq!(t >> (8 * c + r) & 1, x >> (8 * r + c) & 1);
+                    assert_eq!(col >> (8 * r) & 0xFF, row >> (8 * c) & 0xFF);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn value_mirror_is_a_cache_not_state() {
+        let cfg = config(16, 70);
+        let mut table = PackedPipeline::new(cfg).expect("builds");
+        let mut addr = PackedPipeline::new(cfg).expect("builds");
+        let values: Vec<u64> = (0..70).map(|e| e * 3 + 1).collect();
+        table.write_vector(2, &values).expect("writes");
+        addr.write_vector(0, &(0..70).map(|e| 2 * 70 + e).collect::<Vec<_>>())
+            .expect("writes");
+        let before = table.clone();
+        addr.elementwise_load(0, &mut table, 1).expect("loads");
+        assert_eq!(addr.read_vector(1).expect("reads"), values);
+        // The table built its mirror; the address side never serves as a
+        // table and never allocates one.
+        assert_eq!(table.mirror.values.len(), 10 * 70);
+        assert!(addr.mirror.values.is_empty());
+        // Neither the mirror nor its refresh is observable state.
+        assert_eq!(table, before);
+        assert_eq!(table.elapsed(), before.elapsed());
+        assert_eq!(table.primitives_executed(), before.primitives_executed());
     }
 
     #[test]

@@ -538,7 +538,12 @@ impl DcePipeline for Pipeline {
     /// Addresses index the table pipeline's register file in row-major
     /// order: address `a` maps to register `a / elements`, element
     /// `a % elements`.
-    fn elementwise_load(&mut self, addr_vr: usize, table: &Pipeline, dst_vr: usize) -> Result<()> {
+    fn elementwise_load(
+        &mut self,
+        addr_vr: usize,
+        table: &mut Pipeline,
+        dst_vr: usize,
+    ) -> Result<()> {
         if table.config.depth != self.config.depth {
             return Err(Error::GeometryMismatch(
                 "element-wise load requires identical pipeline depth",
@@ -899,7 +904,7 @@ mod tests {
         let mut p = pipe(8);
         p.write_vector(0, &[0, 9, 17, 31, 2, 3, 4, 5])
             .expect("fits");
-        p.elementwise_load(0, &table, 1).expect("in range");
+        p.elementwise_load(0, &mut table, 1).expect("in range");
         assert_eq!(p.read_value(1, 0).expect("in range"), 100);
         assert_eq!(p.read_value(1, 1).expect("in range"), 109);
         assert_eq!(p.read_value(1, 2).expect("in range"), 117);
@@ -908,11 +913,11 @@ mod tests {
 
     #[test]
     fn elementwise_load_rejects_bad_address() {
-        let table = pipe(8);
+        let mut table = pipe(8);
         let mut p = pipe(8);
         p.write_vector(0, &[255; 8]).expect("fits");
         assert!(matches!(
-            p.elementwise_load(0, &table, 1),
+            p.elementwise_load(0, &mut table, 1),
             Err(Error::AddressOutOfRange { .. })
         ));
     }

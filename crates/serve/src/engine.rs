@@ -282,7 +282,7 @@ impl ServeEngine {
             let mut batch_runs = Vec::with_capacity(batch.len());
             let setup_cycles;
             {
-                let resident = cache.get_or_build_split(class.split())?;
+                let resident = cache.get_or_build(signature, class.split())?;
                 setup_cycles = resident.setup_cycles().get();
                 for &idx in &batch {
                     let input = class.input_program(assigned[idx].input_seed)?;

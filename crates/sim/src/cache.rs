@@ -162,15 +162,31 @@ impl ProgramCache {
     }
 
     /// The resident for `split`, building (and possibly evicting) on
-    /// miss. The returned reference stays valid until the next `&mut`
-    /// call.
+    /// miss. Hashes `split` for its signature; a caller that already
+    /// holds the signature calls [`Self::get_or_build`] instead.
     ///
     /// # Errors
     ///
     /// Returns [`ResidentProgram::for_split`] build errors; the cache is
     /// unchanged on error.
     pub fn get_or_build_split(&mut self, split: &SplitJob) -> darth_pum::Result<&ResidentProgram> {
-        let signature = split.signature();
+        self.get_or_build(split.signature(), split)
+    }
+
+    /// The resident keyed by `signature`, building it from `split`
+    /// (and possibly evicting) on miss. `signature` must be
+    /// `split.signature()`. The returned reference stays valid until the
+    /// next `&mut` call.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ResidentProgram::for_split`] build errors; the cache is
+    /// unchanged on error.
+    pub fn get_or_build(
+        &mut self,
+        signature: JobSignature,
+        split: &SplitJob,
+    ) -> darth_pum::Result<&ResidentProgram> {
         if !self.entries.contains_key(&signature) {
             let resident = ResidentProgram::for_split(split.clone())?;
             self.stats.misses += 1;
@@ -355,6 +371,90 @@ mod tests {
         assert!(served > 0, "the empty stub at least must serve");
         // No stub reached the warmed prototype.
         assert_eq!(resident.serve(&input_for(9)).expect("serves"), before);
+    }
+
+    #[test]
+    fn signature_lookup_matches_split_lookup() {
+        let splits = [1, 2, 1, 3, 2].map(split_with);
+        let (mut by_split, mut by_signature) = (ProgramCache::new(2), ProgramCache::new(2));
+        for split in &splits {
+            let served = by_split
+                .get_or_build_split(split)
+                .expect("builds")
+                .serve(&input_for(5))
+                .expect("serves");
+            let served_by_signature = by_signature
+                .get_or_build(split.signature(), split)
+                .expect("builds")
+                .serve(&input_for(5))
+                .expect("serves");
+            assert_eq!(served, served_by_signature);
+            assert_eq!(by_split.stats(), by_signature.stats());
+        }
+        // On one cache, both entry points resolve to the same resident.
+        let split = &splits[4];
+        let first: *const ResidentProgram = by_split.get_or_build_split(split).expect("hits");
+        let second: *const ResidentProgram = by_split
+            .get_or_build(split.signature(), split)
+            .expect("hits");
+        assert!(std::ptr::eq(first, second));
+        assert_eq!(by_split.stats().hits, by_signature.stats().hits + 2);
+        assert_eq!(by_split.stats().misses, by_signature.stats().misses);
+    }
+
+    /// A split whose body `eload`s from table register `p1 v0`, rewrites
+    /// that register with the request's input, then `eload`s from it
+    /// again: the second load sees the rewrite only if the write
+    /// invalidated the table's value mirror.
+    fn table_rewrite_split() -> SplitJob {
+        let mut setup = String::new();
+        for e in 0..4 {
+            setup += &format!("wimm p1 v0 {e} {}\nwimm p0 v1 {e} {e}\n", 100 + e);
+        }
+        let body = "eload p0 v0 p1 v2\n\
+                    copyx p0 v0 p1 v0\n\
+                    eload p0 v1 p1 v3\n\
+                    halt\n";
+        let readback = |label: &str, vr| Readback {
+            label: label.into(),
+            pipe: 0,
+            vr,
+            elements: 4,
+            signed: false,
+        };
+        SplitJob {
+            name: "table-rewrite".into(),
+            tile: HctConfig::small_test(),
+            setup: encode_program(&assemble(&setup).expect("parses")),
+            body: encode_program(&assemble(body).expect("parses")),
+            data: SideChannel::new(),
+            readbacks: vec![readback("before", 2), readback("after", 3)],
+        }
+    }
+
+    #[test]
+    fn table_rewrites_never_leak_between_requests() {
+        let split = table_rewrite_split();
+        let resident = ResidentProgram::for_split(split.clone()).expect("builds");
+        let reference = SimExecutor::new();
+        let input = |seed: u64| {
+            let stub: String = (0..4)
+                .map(|e| format!("wimm p0 v0 {e} {}\n", (seed + e) % 64))
+                .collect();
+            encode_program(&assemble(&stub).expect("parses"))
+        };
+        let first = resident.serve(&input(0)).expect("serves");
+        for seed in [0, 1, 2, 3, 9, 63, 0] {
+            let served = resident.serve(&input(seed)).expect("serves");
+            let (ref_run, _) = reference
+                .execute_with_stats(&split.full_job(&input(seed)))
+                .expect("reference runs");
+            assert_eq!(served.run.outputs, ref_run.outputs, "seed {seed}");
+            let addresses: Vec<i64> = (0..4).map(|e| ((seed + e) % 64) as i64).collect();
+            assert_eq!(served.run.outputs[1].cells, addresses, "seed {seed}");
+        }
+        // Every serve starts from the same warmed prototype.
+        assert_eq!(resident.serve(&input(0)).expect("serves"), first);
     }
 
     #[test]
