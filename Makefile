@@ -101,12 +101,15 @@ serve-smoke:
 ## trials reproduce the golden registry bit-exactly across the DSE
 ## smoke grid, a noisy campaign is bit-identical across worker counts
 ## {1, 2, 64} and reruns (plus the property suite over random seeds),
-## noise-off executions consume zero RNG draws on the full path, and
-## accuracy attaches to the darth-dse-sweep/v2 JSON. Also part of
-## `make test`; kept addressable so `make verify` names it.
+## noise-off executions consume zero RNG draws on the full path,
+## accuracy attaches to the darth-dse-sweep/v2 JSON, and a noisy read of
+## a vACore's columns equals the leading codes of a full-width read
+## (the read-width oracle). Also part of `make test`; kept addressable
+## so `make verify` names it.
 mc-smoke:
 	$(CARGO) test -q -p darth_eval --test mc_smoke
 	$(CARGO) test -q -p darth_sim --test noise_determinism
+	$(CARGO) test -q -p darth_sim --test read_width
 
 ## The Monte-Carlo accuracy campaign at the paper's SAR and ramp design
 ## points: noise-injected trials of the standard functional workloads

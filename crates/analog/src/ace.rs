@@ -241,7 +241,7 @@ impl AnalogComputeElement {
         Ok(cycles)
     }
 
-    /// Executes a bit-sliced MVM on one array.
+    /// Executes a bit-sliced MVM on one array, reading every column.
     ///
     /// `early_levels` enables ramp-ADC early termination (ignored by SAR).
     ///
@@ -255,22 +255,33 @@ impl AnalogComputeElement {
         driver: InputDriver,
         early_levels: Option<u16>,
     ) -> Result<MvmOutput> {
-        self.mvm_group(&[array], input, driver, early_levels)
+        let width = self.config.crossbar.cols;
+        self.mvm_group(&[array], width, input, driver, early_levels)
     }
 
     /// Executes a bit-sliced MVM on several arrays in lockstep (a vACore's
     /// weight slices), with the shared ADC group muxed across the active
     /// arrays' bitlines.
     ///
-    /// Returns one partial-product grid per input bit, with the arrays'
-    /// columns concatenated in `arrays` order.
+    /// `width` is the *read width*: the leading columns of each array whose
+    /// codes the caller uses (a vACore's matrix columns). Every bitline is
+    /// still driven, sampled and converted — cycles and energy are charged
+    /// for all of them — and the random stream advances past every
+    /// device's read noise, so the result does not depend on `width`
+    /// beyond which codes it returns: exactly the first `width` codes per
+    /// array of a full-width read.
+    ///
+    /// Returns one partial-product grid per input bit, with each array's
+    /// `width` codes concatenated in `arrays` order.
     ///
     /// # Errors
     ///
-    /// Propagates index, slicing and shape errors.
+    /// Propagates index, slicing and shape errors, and returns
+    /// [`Error::InvalidConfig`] for a `width` past the crossbar's columns.
     pub fn mvm_group(
         &mut self,
         arrays: &[usize],
+        width: usize,
         input: &[i64],
         driver: InputDriver,
         early_levels: Option<u16>,
@@ -278,13 +289,18 @@ impl AnalogComputeElement {
         for &a in arrays {
             self.crossbar(a)?;
         }
+        if width > self.config.crossbar.cols {
+            return Err(Error::InvalidConfig(
+                "read width exceeds the crossbar's columns",
+            ));
+        }
         let bit_slices = driver.slice(input)?;
         let mut partial_products = Vec::with_capacity(bit_slices.len());
         let mut cycles = Cycles::ZERO;
         let mut energy = PicoJoules::ZERO;
         let mut rng = self.op_rng();
-        let cols_per_array = self.config.crossbar.cols;
-        let total_bitlines = cols_per_array * arrays.len();
+        // Every bitline converts, read or not.
+        let total_bitlines = self.config.crossbar.cols * arrays.len();
         // A 1-LSB ADC over a level-exact crossbar digitizes integer level
         // sums (see `Crossbar::level_sums`); anything else reads f64
         // currents. An integer sum `S` needs no rounding: its code,
@@ -293,7 +309,7 @@ impl AnalogComputeElement {
         // every slice is charged the same either way.
         let integer_lsb = self.config.adc_lsb_units == 1.0;
         let (code_min, code_max) = (self.adc.code_min(), self.adc.code_max());
-        let mut sums = vec![0i32; cols_per_array];
+        let mut sums = vec![0i32; width];
         for bits in &bit_slices {
             // 1. Drive the wordlines (all active arrays share the input).
             let apply = Cycles::new(self.config.dac_apply_cycles);
@@ -304,7 +320,7 @@ impl AnalogComputeElement {
             self.meter.add("ace.row_periphery", row_energy);
 
             // 2. Sample the bitline currents and digitize.
-            let mut codes = Vec::with_capacity(total_bitlines);
+            let mut codes = Vec::with_capacity(width * arrays.len());
             for &a in arrays {
                 let xbar = &self.crossbars[a];
                 if integer_lsb && xbar.level_exact() {
@@ -312,7 +328,7 @@ impl AnalogComputeElement {
                     codes.extend(sums.iter().map(|&s| i64::from(s).clamp(code_min, code_max)));
                 } else {
                     let unit = xbar.unit_current();
-                    for c in xbar.mvm_currents(bits, &mut rng)? {
+                    for c in xbar.read_currents(bits, width, &mut rng)? {
                         codes.push(self.adc.quantize_units(c / unit));
                     }
                 }
@@ -444,7 +460,7 @@ mod tests {
         ace.program_matrix(1, &m1).expect("programs");
         let driver = InputDriver::new(1, false).expect("valid");
         let out = ace
-            .mvm_group(&[0, 1], &[1, 1, 1, 1], driver, None)
+            .mvm_group(&[0, 1], 4, &[1, 1, 1, 1], driver, None)
             .expect("runs");
         assert_eq!(out.partial_products.len(), 1);
         assert_eq!(out.partial_products[0].len(), 8);
@@ -656,7 +672,7 @@ mod tests {
         ace.update_row(0, 0, &[2, 2, 2, 2]).expect("updates");
         let driver = InputDriver::new(2, false).expect("valid");
         ace.mvm(0, &[1, 2, 3, 0], driver, None).expect("runs");
-        ace.mvm_group(&[0, 1], &[1, 0, 1, 0], driver, None)
+        ace.mvm_group(&[0, 1], 4, &[1, 0, 1, 0], driver, None)
             .expect("runs");
         assert_eq!(ace.rng(), &NoiseRng::seed_from(7));
         assert_eq!(ace.saturated_writes(), 0);

@@ -347,7 +347,8 @@ impl Crossbar {
 
     /// The bitline model of a [level-exact](Crossbar::level_exact)
     /// crossbar: for one Boolean wordline vector, `sums[c]` becomes the sum
-    /// of the active rows' net levels in column `c`, in weight units.
+    /// of the active rows' net levels in column `c`, in weight units, for
+    /// the first `sums.len()` columns.
     ///
     /// This equals [`Crossbar::mvm_currents`] divided by
     /// [`Crossbar::unit_current`] up to rounding: at zero noise a level-`L`
@@ -364,7 +365,7 @@ impl Crossbar {
     ///
     /// # Panics
     ///
-    /// Panics if `sums` does not hold one entry per column.
+    /// Panics if `sums` holds more entries than the crossbar has columns.
     pub(crate) fn level_sums(&self, input: &[bool], sums: &mut [i32]) -> Result<()> {
         if input.len() != self.config.rows {
             return Err(Error::InputLengthMismatch {
@@ -372,7 +373,7 @@ impl Crossbar {
                 got: input.len(),
             });
         }
-        assert_eq!(sums.len(), self.config.cols, "one sum per column");
+        assert!(sums.len() <= self.config.cols, "one sum per read column");
         debug_assert!(self.level_exact(), "only level-exact crossbars keep levels");
         sums.fill(0);
         let rows = self.net_levels.chunks_exact(self.config.cols);
@@ -394,18 +395,49 @@ impl Crossbar {
     ///
     /// Returns [`Error::InputLengthMismatch`] for a wrong-sized input.
     pub fn mvm_currents(&self, input: &[bool], rng: &mut NoiseRng) -> Result<Vec<f64>> {
+        self.read_currents(input, self.config.cols, rng)
+    }
+
+    /// [`Crossbar::mvm_currents`] of the first `width` columns. The read
+    /// noise of the columns past `width` is drawn but never evaluated —
+    /// `2 · rows` draws per column, skipped — so `rng` ends where a
+    /// full-width read leaves it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InputLengthMismatch`] for a wrong-sized input.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width` exceeds the crossbar's columns.
+    pub(crate) fn read_currents(
+        &self,
+        input: &[bool],
+        width: usize,
+        rng: &mut NoiseRng,
+    ) -> Result<Vec<f64>> {
         if input.len() != self.config.rows {
             return Err(Error::InputLengthMismatch {
                 expected: self.config.rows,
                 got: input.len(),
             });
         }
-        Ok((0..self.config.cols)
+        assert!(
+            width <= self.config.cols,
+            "read width {width} of {}",
+            self.config.cols
+        );
+        let currents = (0..width)
             .map(|c| {
                 let positive = self.line_current(&self.positive, c, input, rng);
                 positive - self.line_current(&self.negative, c, input, rng)
             })
-            .collect())
+            .collect();
+        // Both planes share one device population, so one skip covers the
+        // unread columns' positive and negative lines alike.
+        let unread = 2 * self.config.rows * (self.config.cols - width);
+        device::skip_reads(unread, self.positive.params(), rng);
+        Ok(currents)
     }
 
     /// Attenuates one accumulated line current by the distributed-wire
@@ -423,9 +455,14 @@ impl Crossbar {
     }
 
     /// Accumulates one physical bitline straight from the plane, applying
-    /// read noise per device and the IR-drop attenuation on the
-    /// accumulated line current. Every device on the line is read, active
-    /// or not, top row first: one read-noise draw each.
+    /// read noise per active device and the IR-drop attenuation on the
+    /// accumulated line current.
+    ///
+    /// The stream holds one read-noise draw per device on the line, active
+    /// or not, top row first. Only an active row's draw can reach the
+    /// output — an inactive row's current is gated off by its zero input —
+    /// so an inactive row's draw is skipped: the stream advances past it
+    /// without evaluating it (`device::skip_reads`).
     fn line_current(
         &self,
         plane: &ReramArray,
@@ -435,14 +472,20 @@ impl Crossbar {
     ) -> f64 {
         let params = plane.params();
         let mut line = 0.0;
+        let mut inactive = 0;
         for (g, &active) in plane.col_conductances(col).zip(input) {
-            let g = device::read_conductance(g, params, rng);
-            if active {
-                // Subtract g_off so a level-0 device contributes no signal;
-                // physical designs null this with a reference column.
-                line += (g - params.g_off).max(0.0) * self.config.range_scale;
+            if !active {
+                inactive += 1;
+                continue;
             }
+            device::skip_reads(inactive, params, rng);
+            inactive = 0;
+            let g = device::read_conductance(g, params, rng);
+            // Subtract g_off so a level-0 device contributes no signal;
+            // physical designs null this with a reference column.
+            line += (g - params.g_off).max(0.0) * self.config.range_scale;
         }
+        device::skip_reads(inactive, params, rng);
         // IR drop: distributed wire resistance attenuates in proportion to
         // the accumulated current itself (quadratic loss in line units).
         self.apply_ir_drop(line)

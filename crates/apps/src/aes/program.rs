@@ -33,7 +33,7 @@ use super::gf2;
 use super::golden::{Aes, KeySize, SBOX};
 use darth_isa::instruction::IsaBoolOp;
 use darth_kir::{pack_bit_planes, unpack_bit_planes, CompiledKernel, KernelIr, KirBuilder, Value};
-use darth_pum::eval::{ExecJob, ExecOutput, Executable, SplitJob};
+use darth_pum::eval::{ErrorMetric, ExecJob, ExecOutput, Executable, SplitJob};
 use darth_pum::hct::HctConfig;
 
 /// Pipeline roles.
@@ -320,6 +320,10 @@ impl Executable for AesExec {
 
     fn golden(&self) -> darth_pum::Result<Vec<ExecOutput>> {
         Ok(self.golden_for(&self.plaintext))
+    }
+
+    fn error_metric(&self) -> ErrorMetric {
+        ErrorMetric::BitError
     }
 }
 

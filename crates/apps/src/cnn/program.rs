@@ -12,7 +12,7 @@
 use super::tensor::{conv2d, im2col_row, ConvWeights, Tensor3};
 use crate::gemm::GemmWorkload;
 use darth_kir::{CompiledKernel, KernelIr, KirBuilder};
-use darth_pum::eval::{ExecJob, ExecOutput, Executable, SplitJob};
+use darth_pum::eval::{ErrorMetric, ExecJob, ExecOutput, Executable, SplitJob};
 use darth_pum::hct::HctConfig;
 
 /// Pipeline roles of the compiled convolution job.
@@ -312,6 +312,10 @@ impl Executable for ConvExec {
 
     fn golden(&self) -> darth_pum::Result<Vec<ExecOutput>> {
         self.golden_for(&self.input())
+    }
+
+    fn error_metric(&self) -> ErrorMetric {
+        ErrorMetric::Relative
     }
 }
 

@@ -10,7 +10,7 @@
 //! per left-hand-side row.
 
 use darth_kir::{CompiledKernel, KernelIr, KirBuilder};
-use darth_pum::eval::{ExecJob, ExecOutput, Executable, SplitJob, Workload};
+use darth_pum::eval::{ErrorMetric, ExecJob, ExecOutput, Executable, SplitJob, Workload};
 use darth_pum::hct::HctConfig;
 use darth_pum::trace::{KernelOp, TraceMeta, TraceSink, VectorKind};
 
@@ -309,6 +309,10 @@ impl Executable for GemmExec {
 
     fn golden(&self) -> darth_pum::Result<Vec<ExecOutput>> {
         Ok(self.golden_for(&self.activations()))
+    }
+
+    fn error_metric(&self) -> ErrorMetric {
+        ErrorMetric::Relative
     }
 }
 

@@ -12,7 +12,7 @@
 //! analytically priced twin for the evaluation matrix.
 
 use darth_kir::{CompiledKernel, KernelIr, KirBuilder};
-use darth_pum::eval::{ExecJob, ExecOutput, Executable, SplitJob, Workload};
+use darth_pum::eval::{ErrorMetric, ExecJob, ExecOutput, Executable, SplitJob, Workload};
 use darth_pum::hct::HctConfig;
 use darth_pum::trace::{KernelOp, TraceMeta, TraceSink};
 
@@ -196,6 +196,10 @@ impl Executable for ReduceExec {
 
     fn golden(&self) -> darth_pum::Result<Vec<ExecOutput>> {
         Ok(self.golden_for(&self.values()))
+    }
+
+    fn error_metric(&self) -> ErrorMetric {
+        ErrorMetric::Absolute
     }
 }
 

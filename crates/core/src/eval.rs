@@ -377,9 +377,21 @@ pub struct ExecRun {
     pub analog_instructions: u64,
 }
 
+/// How a noisy run's outputs are scored against the golden ones: a
+/// property of the work item, declared by its [`Executable`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum ErrorMetric {
+    /// XOR popcount over total output bits (byte cells, as AES reads back).
+    BitError,
+    /// Mean `|got − gold|` (reduction counts).
+    Absolute,
+    /// Mean `|got − gold| / max(1, |gold|)` (GEMM, conv).
+    Relative,
+}
+
 /// The functional side of a workload: anything that can lower one work
-/// item to an [`ExecJob`] and state its golden (software-reference)
-/// outputs.
+/// item to an [`ExecJob`], state its golden (software-reference) outputs
+/// and say how a noisy run's outputs are scored against them.
 ///
 /// This is the execution counterpart of [`Workload`]: a scenario that
 /// implements both can be *priced* (op-stream accumulators) and
@@ -403,6 +415,10 @@ pub trait Executable: Send + Sync {
     ///
     /// Returns reference-model errors.
     fn golden(&self) -> crate::Result<Vec<ExecOutput>>;
+
+    /// How the Monte-Carlo engine scores a noisy run's outputs against
+    /// [`Executable::golden`].
+    fn error_metric(&self) -> ErrorMetric;
 }
 
 /// An execution backend: the functional counterpart of [`ArchModel`].

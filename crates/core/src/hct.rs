@@ -506,9 +506,9 @@ impl<P: DcePipeline> GenericTile<P> {
         padded_input[..input.len()].copy_from_slice(input);
 
         // --- Analog phase: bit-sliced MVM over the core's arrays.
-        let out = self
-            .ace
-            .mvm_group(&core.arrays, &padded_input, driver, early_levels)?;
+        let out =
+            self.ace
+                .mvm_group(&core.arrays, core.cols, &padded_input, driver, early_levels)?;
         let lsb = self.ace.adc().lsb_units();
 
         // --- Transfer phase: land each term, pre-shifted when optimized.
@@ -534,9 +534,9 @@ impl<P: DcePipeline> GenericTile<P> {
         for t in 0..terms {
             let s = t / input_bits;
             let b = t % input_bits;
-            // The grouped MVM concatenates each array's full (padded)
-            // column set, so slice `s` occupies [s*dim, s*dim + cols).
-            let codes: Vec<i64> = out.partial_products[b][s * dim..s * dim + core.cols]
+            // The grouped MVM reads the core's columns of each array, so
+            // slice `s` occupies [s*cols, (s+1)*cols).
+            let codes: Vec<i64> = out.partial_products[b][s * core.cols..(s + 1) * core.cols]
                 .iter()
                 .map(|&code| ((code as f64) * lsb).round() as i64)
                 .collect();

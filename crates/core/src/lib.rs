@@ -93,8 +93,8 @@ pub mod workers;
 pub use chip::{CompiledProgram, DarthPumChip, FastChip, GenericChip};
 pub use config::DarthConfig;
 pub use eval::{
-    ArchModel, CostAccumulator, ExecJob, ExecOutput, ExecRun, Executable, Executor, Readback,
-    Workload,
+    ArchModel, CostAccumulator, ErrorMetric, ExecJob, ExecOutput, ExecRun, Executable, Executor,
+    Readback, Workload,
 };
 pub use hct::{FastTile, GenericTile, HybridComputeTile};
 pub use params::{ChipParams, HctParams};

@@ -41,9 +41,10 @@ use darth_apps::cnn::program::ConvExec;
 use darth_apps::gemm::GemmExec;
 use darth_apps::reduce::ReduceExec;
 use darth_pum::hct::HctConfig;
-use darth_pum::{ExecOutput, Executable};
+use darth_pum::{ErrorMetric, ExecOutput, Executable};
 use darth_reram::NoiseRng;
 use darth_sim::FastExecutor;
+use std::sync::Arc;
 
 /// Monte-Carlo campaign parameters: trial count, root seed, the injected
 /// device-noise magnitudes, and the worker pool size.
@@ -121,8 +122,10 @@ impl McConfig {
 /// Error statistics for one workload at one design point.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadAccuracy {
-    /// Workload name (the executable's `exec_name`).
-    pub workload: String,
+    /// Workload name (the executable's `exec_name`), one allocation shared
+    /// by every design point of a campaign: callers that keep many
+    /// campaign results hold no per-point copies.
+    pub workload: Arc<str>,
     /// Trials executed.
     pub trials: usize,
     /// Mean per-trial error under the workload's metric.
@@ -138,7 +141,7 @@ impl WorkloadAccuracy {
     #[must_use]
     pub fn to_json(&self) -> JsonValue<'_> {
         JsonValue::object(vec![
-            ("workload", JsonValue::from(&self.workload)),
+            ("workload", JsonValue::from(&*self.workload)),
             ("trials", JsonValue::from(self.trials)),
             ("mean_error", JsonValue::from(self.mean_error)),
             ("worst_error", JsonValue::from(self.worst_error)),
@@ -237,27 +240,6 @@ fn trial_tile(base: &HctConfig, point: &DesignPoint, mc: &McConfig, seed: u64) -
     tile
 }
 
-/// Error metric families, keyed off the executable name.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ErrorMetric {
-    /// XOR popcount over total output bits (AES).
-    BitError,
-    /// Mean `|got − gold|` (reduce counts).
-    Absolute,
-    /// Mean `|got − gold| / max(1, |gold|)` (GEMM, conv).
-    Relative,
-}
-
-fn metric_for(exec_name: &str) -> ErrorMetric {
-    if exec_name.starts_with("aes") {
-        ErrorMetric::BitError
-    } else if exec_name.starts_with("reduce") {
-        ErrorMetric::Absolute
-    } else {
-        ErrorMetric::Relative
-    }
-}
-
 /// One trial's error versus the golden outputs.
 ///
 /// # Errors
@@ -329,14 +311,19 @@ pub fn measure_accuracy(
     // tile's seed and noise knobs.
     let mut staged = Vec::with_capacity(workloads.len());
     for workload in workloads {
-        staged.push((workload.exec_name(), workload.job()?, workload.golden()?));
+        staged.push((
+            Arc::<str>::from(workload.exec_name()),
+            workload.error_metric(),
+            workload.job()?,
+            workload.golden()?,
+        ));
     }
 
     // Flatten the whole campaign into one batch so the executor's sharding
     // spans every (point, workload, trial) triple.
     let mut jobs = Vec::with_capacity(points.len() * staged.len() * mc.trials);
     for (p, point) in points.iter().enumerate() {
-        for (w, (_, base, _)) in staged.iter().enumerate() {
+        for (w, (_, _, base, _)) in staged.iter().enumerate() {
             for t in 0..mc.trials {
                 let mut job = base.clone();
                 job.tile = trial_tile(&base.tile, point, mc, trial_seed(mc.root_seed, p, w, t));
@@ -354,14 +341,13 @@ pub fn measure_accuracy(
     let mut cursor = outputs.chunks_exact(mc.trials.max(1));
     for _ in points {
         let mut per_workload = Vec::with_capacity(staged.len());
-        for (name, _, golden) in &staged {
-            let metric = metric_for(name);
+        for (name, metric, _, golden) in &staged {
             let trials = cursor.next().map_or(&[][..], |c| c);
             let mut mean_error = 0.0_f64;
             let mut worst_error = 0.0_f64;
             let mut exact_trials = 0_usize;
             for run in trials {
-                let err = trial_error(metric, golden, &run.outputs)
+                let err = trial_error(*metric, golden, &run.outputs)
                     .map_err(|e| darth_pum::Error::Shape(format!("{name}: {e}")))?;
                 mean_error += err;
                 worst_error = worst_error.max(err);
@@ -373,7 +359,7 @@ pub fn measure_accuracy(
                 mean_error /= trials.len() as f64;
             }
             per_workload.push(WorkloadAccuracy {
-                workload: name.clone(),
+                workload: Arc::clone(name),
                 trials: trials.len(),
                 mean_error,
                 worst_error,
@@ -440,11 +426,20 @@ mod tests {
     }
 
     #[test]
-    fn metric_families_key_off_the_workload_name() {
-        assert_eq!(metric_for("aes128_fips197"), ErrorMetric::BitError);
-        assert_eq!(metric_for("reduce_sum"), ErrorMetric::Absolute);
-        assert_eq!(metric_for("gemm_standard"), ErrorMetric::Relative);
-        assert_eq!(metric_for("conv3x3"), ErrorMetric::Relative);
+    fn standard_workloads_declare_their_metric_families() {
+        let metrics: Vec<ErrorMetric> = standard_workloads()
+            .iter()
+            .map(|w| w.error_metric())
+            .collect();
+        assert_eq!(
+            metrics,
+            [
+                ErrorMetric::BitError,
+                ErrorMetric::Relative,
+                ErrorMetric::Relative,
+                ErrorMetric::Absolute,
+            ]
+        );
     }
 
     #[test]
@@ -547,6 +542,9 @@ mod tests {
             let mut golden = self.0.golden()?;
             golden[0].cells.push(0);
             Ok(golden)
+        }
+        fn error_metric(&self) -> ErrorMetric {
+            self.0.error_metric()
         }
     }
 

@@ -275,8 +275,22 @@ pub(crate) fn write_verify(
 // Inlined across crates: a crossbar read calls this once per device.
 #[inline]
 pub fn read_conductance(conductance: f64, params: &DeviceParams, rng: &mut NoiseRng) -> f64 {
-    let noisy = conductance + rng.gaussian(0.0, params.read_sigma * params.g_on);
+    let noisy = conductance + rng.gaussian(0.0, read_noise_sigma(params));
     noisy.max(0.0)
+}
+
+/// Advances `rng` past the read noise of `devices` reads exactly as that
+/// many [`read_conductance`] calls would, without evaluating it: the reads
+/// of devices whose current no output can observe.
+#[inline]
+pub fn skip_reads(devices: usize, params: &DeviceParams, rng: &mut NoiseRng) {
+    rng.skip_gaussians(devices, read_noise_sigma(params));
+}
+
+/// The standard deviation of one read's additive noise, in siemens.
+#[inline]
+fn read_noise_sigma(params: &DeviceParams) -> f64 {
+    params.read_sigma * params.g_on
 }
 
 #[cfg(test)]

@@ -15,8 +15,19 @@ use serde::{Deserialize, Serialize};
 /// A deterministic random source for device non-idealities.
 ///
 /// Gaussian samples use the Box–Muller transform (the approved offline crate
-/// set has no `rand_distr`), with the spare variate cached so consecutive
-/// draws cost one transcendental pair per two samples.
+/// set has no `rand_distr`): each pair of uniforms yields two variates, the
+/// cosine one returned and the sine one kept as the *spare* for the next
+/// draw.
+///
+/// A draw nobody observes need not be evaluated:
+/// [`NoiseRng::skip_gaussians`] advances the stream exactly as the same
+/// number of [`NoiseRng::gaussian`] calls would — same uniforms, same
+/// rejections — but computes no transcendental. When a skip opens a pair
+/// it keeps the pair's uniforms, and the spare is evaluated only if a
+/// later draw observes it. An observed draw that opens a pair computes
+/// both variates at once. Either way the observed values are bit-equal to
+/// an all-evaluated stream's, and `==` compares future streams: the
+/// generator state and the spare's value, however the spare is held.
 ///
 /// # Example
 ///
@@ -27,10 +38,50 @@ use serde::{Deserialize, Serialize};
 /// let mut b = NoiseRng::seed_from(42);
 /// assert_eq!(a.gaussian(0.0, 1.0).to_bits(), b.gaussian(0.0, 1.0).to_bits());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct NoiseRng {
     state: [u64; 4],
-    cached_gaussian: Option<f64>,
+    spare: Spare,
+}
+
+/// The second variate of the open Box–Muller pair, if any.
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+enum Spare {
+    /// No pair is open: the next draw opens one.
+    None,
+    /// An observed draw opened the pair and evaluated its spare.
+    Ready(f64),
+    /// A skipped draw opened the pair: its uniforms, evaluated only if a
+    /// later draw observes the spare.
+    Pending { u1: f64, u2: f64 },
+}
+
+impl Spare {
+    /// The spare's value, evaluating a pending one.
+    fn value(self) -> Option<f64> {
+        match self {
+            Spare::None => None,
+            Spare::Ready(z) => Some(z),
+            Spare::Pending { u1, u2 } => {
+                let (r, theta) = polar(u1, u2);
+                Some(r * theta.sin())
+            }
+        }
+    }
+}
+
+/// The Box–Muller radius and angle of one pair of uniforms.
+fn polar(u1: f64, u2: f64) -> (f64, f64) {
+    ((-2.0 * u1.ln()).sqrt(), 2.0 * std::f64::consts::PI * u2)
+}
+
+impl PartialEq for NoiseRng {
+    /// Equal generators produce the same future stream: the same state and
+    /// the same spare value, evaluated or pending.
+    fn eq(&self, other: &Self) -> bool {
+        self.state == other.state
+            && self.spare.value().map(f64::to_bits) == other.spare.value().map(f64::to_bits)
+    }
 }
 
 fn splitmix64(state: &mut u64) -> u64 {
@@ -53,7 +104,7 @@ impl NoiseRng {
         ];
         NoiseRng {
             state,
-            cached_gaussian: None,
+            spare: Spare::None,
         }
     }
 
@@ -137,6 +188,29 @@ impl NoiseRng {
         mean + sigma * self.standard_normal()
     }
 
+    /// Advances the stream exactly as `n` calls of
+    /// [`NoiseRng::gaussian`]`(_, sigma)` would, without evaluating them: a
+    /// non-positive `sigma` draws nothing, an open pair's spare is dropped,
+    /// and every pair opened here draws its uniforms (rejecting as the
+    /// evaluated draw does) but computes no transcendental. A pair left
+    /// half-used keeps its uniforms for a later observed draw.
+    pub fn skip_gaussians(&mut self, mut n: usize, sigma: f64) {
+        if sigma <= 0.0 || n == 0 {
+            return;
+        }
+        if !matches!(self.spare, Spare::None) {
+            self.spare = Spare::None;
+            n -= 1;
+        }
+        for _ in 0..n / 2 {
+            self.pair_uniforms();
+        }
+        if n % 2 == 1 {
+            let (u1, u2) = self.pair_uniforms();
+            self.spare = Spare::Pending { u1, u2 };
+        }
+    }
+
     /// A lognormal sample: `exp(N(mu, sigma))`.
     ///
     /// MILO-style programming-noise models express conductance error as a
@@ -147,20 +221,25 @@ impl NoiseRng {
     }
 
     fn standard_normal(&mut self) -> f64 {
-        if let Some(z) = self.cached_gaussian.take() {
+        if let Some(z) = std::mem::replace(&mut self.spare, Spare::None).value() {
             return z;
         }
         // Box–Muller: two uniforms -> two independent standard normals.
+        let (u1, u2) = self.pair_uniforms();
+        let (r, theta) = polar(u1, u2);
+        self.spare = Spare::Ready(r * theta.sin());
+        r * theta.cos()
+    }
+
+    /// The uniforms of the next Box–Muller pair, redrawing both while the
+    /// first is too small to take the logarithm of.
+    fn pair_uniforms(&mut self) -> (f64, f64) {
         loop {
             let u1 = self.uniform();
             let u2 = self.uniform();
-            if u1 <= f64::MIN_POSITIVE {
-                continue;
+            if u1 > f64::MIN_POSITIVE {
+                return (u1, u2);
             }
-            let r = (-2.0 * u1.ln()).sqrt();
-            let theta = 2.0 * std::f64::consts::PI * u2;
-            self.cached_gaussian = Some(r * theta.sin());
-            return r * theta.cos();
         }
     }
 }
@@ -298,6 +377,102 @@ mod tests {
             );
             assert_eq!(rng.next_u64(), restored.next_u64());
         }
+    }
+
+    /// What the skipping generator's twin does instead of a skip: draw the
+    /// same Gaussians, evaluated, and throw them away.
+    fn evaluate_all(twin: &mut NoiseRng, n: usize, sigma: f64) {
+        for _ in 0..n {
+            twin.gaussian(0.0, sigma);
+        }
+    }
+
+    #[test]
+    fn skipped_draws_leave_every_observed_value_bit_identical() {
+        // Seeded random interleavings of observed draws, skips of odd and
+        // even lengths, uniforms, forks and mid-pair clones, against a twin
+        // that evaluates every skipped draw: each observed value must be
+        // bit-equal, the two must compare equal after every step, and the
+        // raw streams must end in the same place.
+        let mut pick = NoiseRng::seed_from(0x5_ca1e);
+        let sigmas = [1.0, 0.005, 3e-7, 0.0, -1.0];
+        let mut pending_observed = 0;
+        let mut pending_copied = 0;
+        for case in 0..300 {
+            let mut fast = NoiseRng::seed_from(case);
+            let mut twin = fast.clone();
+            for _ in 0..48 {
+                let sigma = sigmas[pick.index(sigmas.len())];
+                let pending = matches!(fast.spare, Spare::Pending { .. });
+                match pick.index(6) {
+                    // A bulk skip, 0..=9 draws.
+                    0 => {
+                        let n = pick.index(10);
+                        fast.skip_gaussians(n, sigma);
+                        evaluate_all(&mut twin, n, sigma);
+                    }
+                    // A single skip.
+                    1 => {
+                        fast.skip_gaussians(1, sigma);
+                        evaluate_all(&mut twin, 1, sigma);
+                    }
+                    // A run of observed draws.
+                    2 => {
+                        pending_observed += usize::from(pending && sigma > 0.0);
+                        for _ in 0..=pick.index(4) {
+                            let (a, b) = (fast.gaussian(1.0, sigma), twin.gaussian(1.0, sigma));
+                            assert_eq!(a.to_bits(), b.to_bits(), "case {case}");
+                        }
+                    }
+                    3 => assert_eq!(fast.uniform().to_bits(), twin.uniform().to_bits()),
+                    // A fork taken mid-pair: the children match, and the
+                    // parents keep their spares.
+                    4 => {
+                        let (mut a, mut b) = (fast.fork(), twin.fork());
+                        assert_eq!(
+                            a.gaussian(0.0, 1.0).to_bits(),
+                            b.gaussian(0.0, 1.0).to_bits()
+                        );
+                        assert_eq!(a.next_u64(), b.next_u64());
+                    }
+                    // A clone taken mid-pair carries on for the original.
+                    _ => {
+                        pending_copied += usize::from(pending);
+                        let mut copy = fast.clone();
+                        let observed = fast.gaussian(0.0, 1.0).to_bits();
+                        assert_eq!(copy.gaussian(0.0, 1.0).to_bits(), observed);
+                        assert_eq!(twin.gaussian(0.0, 1.0).to_bits(), observed);
+                        fast = copy;
+                    }
+                }
+                assert_eq!(fast, twin, "case {case}");
+            }
+            assert_eq!(fast.next_u64(), twin.next_u64(), "case {case}");
+        }
+        assert!(
+            pending_observed > 100,
+            "{pending_observed} pending spares observed"
+        );
+        assert!(
+            pending_copied > 50,
+            "{pending_copied} pending spares cloned"
+        );
+    }
+
+    #[test]
+    fn equality_compares_the_spare_as_well_as_the_state() {
+        // One skipped draw opens a pair and two close it: the same raw
+        // state, but only the first still holds a spare for the next draw.
+        let mut open = NoiseRng::seed_from(9);
+        let mut closed = open.clone();
+        open.skip_gaussians(1, 1.0);
+        closed.skip_gaussians(2, 1.0);
+        assert_eq!(open.state, closed.state);
+        assert_ne!(open, closed);
+        // The pending spare equals the one an observed draw evaluates.
+        let mut observed = NoiseRng::seed_from(9);
+        observed.gaussian(0.0, 1.0);
+        assert_eq!(open, observed);
     }
 
     #[test]

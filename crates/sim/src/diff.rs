@@ -478,6 +478,9 @@ mod tests {
             golden[1].cells.pop();
             Ok(golden)
         }
+        fn error_metric(&self) -> darth_pum::eval::ErrorMetric {
+            GemmExec::standard().error_metric()
+        }
     }
 
     #[test]

@@ -125,7 +125,9 @@ fn noisy_crossbar_stream() -> (u64, Coverage) {
             .collect();
         for ace in &mut aces {
             for arrays in [&[0][..], &[0, 1], &[1]] {
-                let out = ace.mvm_group(arrays, &input, driver, None).expect("runs");
+                let out = ace
+                    .mvm_group(arrays, cols, &input, driver, None)
+                    .expect("runs");
                 for slice in &out.partial_products {
                     for &code in slice {
                         h.write_i64(code);

@@ -106,6 +106,9 @@ fn a_corrupted_golden_model_is_caught() {
             golden[0].cells[0] ^= 0xFF;
             Ok(golden)
         }
+        fn error_metric(&self) -> darth_pum::eval::ErrorMetric {
+            AesExec::fips197_appendix_b().error_metric()
+        }
     }
     let report = DiffHarness::new()
         .with_case(DiffCase::exec_only(Corrupt))
